@@ -266,7 +266,6 @@ fn main() {
             let service = FairRankService::builder(ranker.snapshot())
                 .workers(workers)
                 .max_batch(max_batch)
-                .max_delay(Duration::from_micros(100))
                 .queue_capacity(4096)
                 .cache(false)
                 .build();
@@ -302,7 +301,6 @@ fn main() {
         let service = FairRankService::builder(ranker.snapshot())
             .workers(4)
             .max_batch(64)
-            .max_delay(Duration::from_micros(100))
             .queue_capacity(4096)
             .build();
         // One warm-up pass seeds every region the fan touches.

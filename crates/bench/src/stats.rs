@@ -27,23 +27,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     Some(xs.iter().sum::<f64>() / xs.len() as f64)
 }
 
-/// Nearest-rank percentile of an **already sorted** slice (empty →
-/// `NaN`), using the ceiling convention: the p-th percentile is the
-/// smallest element with at least `⌈p·n⌉` elements at or below it. This
-/// is the textbook nearest-rank definition — unlike `round()`-based
-/// indexing it never reports a value *below* the requested rank (e.g.
-/// p99 of 100 samples is the 99th order statistic, never the 98.5-ish
-/// one rounding would pick), and p100 is exactly the maximum.
-#[must_use]
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let p = p.clamp(0.0, 1.0);
-    let rank = (p * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
 /// Cumulative counts of `values` at the given thresholds: element `i` is
 /// `#{v ≤ thresholds[i]}` — the series behind the paper's Figure 16.
 #[must_use]
@@ -94,31 +77,6 @@ mod tests {
     fn mean_basic() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
         assert_eq!(mean(&[]), None);
-    }
-
-    #[test]
-    fn percentile_boundaries() {
-        // len 1: every percentile is the single element.
-        assert_eq!(percentile(&[7.0], 0.0), 7.0);
-        assert_eq!(percentile(&[7.0], 0.5), 7.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
-        assert_eq!(percentile(&[7.0], 1.0), 7.0);
-        // len 2: p50 is the first element (rank ⌈0.5·2⌉ = 1), p99 and
-        // p100 the second.
-        assert_eq!(percentile(&[1.0, 2.0], 0.5), 1.0);
-        assert_eq!(percentile(&[1.0, 2.0], 0.99), 2.0);
-        assert_eq!(percentile(&[1.0, 2.0], 1.0), 2.0);
-        // len 100 (values 1..=100): p50 = 50th order statistic, p99 the
-        // 99th — the case round()-indexing gets wrong (it picks index
-        // 98 of 0..=99, i.e. the 99th, only by accident of rounding;
-        // at p50 it picks 50.0 ↦ index 50, the 51st).
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&v, 0.5), 50.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&v, 1.0), 100.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        // Empty → NaN.
-        assert!(percentile(&[], 0.5).is_nan());
     }
 
     #[test]

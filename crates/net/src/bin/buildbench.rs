@@ -170,7 +170,6 @@ fn main() {
     let service = FairRankService::builder(ranker)
         .workers(4)
         .max_batch(64)
-        .max_delay(Duration::from_micros(100))
         .queue_capacity(4096)
         .build();
     for req in &serve_reqs {

@@ -285,7 +285,7 @@ fn main() {
     .expect("bind http");
     let addr = server.local_addr();
 
-    // Short warmup settles the answer cache and the latency EWMA.
+    // Short warmup settles the answer cache and the latency histogram.
     let _ = closed_loop_rps(&[addr], 2);
     let saturation = closed_loop_rps(&[addr], SATURATION_CONNS);
     println!("net.saturation_rps       {saturation:>12.0}");

@@ -14,8 +14,8 @@
 //!   [`FairRankService`](fairrank_serve::FairRankService). Endpoints:
 //!   `POST /suggest`, `POST /suggest_batch`, `GET /stats`,
 //!   `GET /healthz`. Overload surfaces as 503 with an honest
-//!   `Retry-After` derived from the service's live depth gauge and an
-//!   EWMA of observed latency.
+//!   `Retry-After` derived from the service's live depth gauge and the
+//!   p95 of observed latency.
 //! * [`ReplicatedWriter`] / [`Replica`] ([`replication`]) — a
 //!   single-writer, N-reader deployment: replicas bootstrap from a
 //!   dataset + ranker snapshot and tail a versioned `TAG_UPDATE_LOG`

@@ -16,8 +16,9 @@
 //!
 //! * `POST /suggest` — one [`SuggestRequest`] in, one suggestion out.
 //! * `POST /suggest_batch` — `{"requests":[…]}` in,
-//!   `{"suggestions":[…]}` out, submitted as a burst so the service's
-//!   micro-batcher coalesces them.
+//!   `{"suggestions":[…]}` out, submitted as a burst: whatever queues
+//!   behind busy workers drains together, up to the service's
+//!   `max_batch`.
 //! * `GET /stats` — live [`ServiceStats`] (including the `in_flight`
 //!   gauge) as JSON.
 //! * `GET /healthz` — liveness plus the serving dataset version; a
@@ -30,22 +31,21 @@
 //!
 //! **Backpressure → 503.** A [`ServiceError::Overloaded`] rejection
 //! carries the queue capacity and live depth; the server multiplies
-//! depth by the **p95** of observed request latency (EWMA mean as the
-//! cold-start fallback) to emit an honest `Retry-After` — seconds until
-//! the backlog plausibly drains at tail service rate — instead of a
-//! constant.
+//! depth by the **p95** of observed request latency to emit an honest
+//! `Retry-After` — seconds until the backlog plausibly drains at tail
+//! service rate — instead of a constant.
 //!
 //! [`SuggestRequest`]: fairrank::SuggestRequest
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fairrank_serve::{FairRankService, ServiceError, ServiceStats};
-use fairrank_telemetry::{Counter, Gauge, Histogram, Registry, Stopwatch};
+use fairrank_telemetry::{Counter, Histogram, Registry, Stopwatch};
 
 use crate::http::{parse_request, write_response, Request, MAX_HEAD_BYTES};
 use crate::json::{decode_request, encode_request, encode_suggestion, Json};
@@ -104,9 +104,8 @@ struct HttpMetrics {
     /// `requests[endpoint * CLASSES.len() + class]`.
     requests: Vec<Counter>,
     /// Request latency (admission → answer encoded) per serving
-    /// endpoint. Always recorded — the overload `Retry-After` estimate
-    /// reads its p95 — from the same `Instant` the EWMA already takes,
-    /// so it adds no clock reads.
+    /// endpoint. Always recorded: the overload `Retry-After` estimate
+    /// reads its p95.
     suggest_us: Histogram,
     suggest_batch_us: Histogram,
 }
@@ -148,16 +147,10 @@ struct ServerShared {
     /// Pending accepted connections awaiting a worker.
     conns: Mutex<Vec<TcpStream>>,
     conn_ready: Condvar,
-    /// EWMA of per-request service latency in microseconds (7/8 decay),
-    /// 0 until the first sample. Kept as the cold-start fallback for the
-    /// `Retry-After` estimate (and exported as a gauge for comparison
-    /// against the histogram p95 that now drives it).
-    ewma_us: AtomicU64,
     /// The service's metric registry; the HTTP tier registers its own
     /// families here so one `GET /metrics` scrape covers the stack.
     telemetry: Arc<Registry>,
     http: HttpMetrics,
-    ewma_gauge: Gauge,
     /// Wire-side stage spans (`net_parse`/`net_write` series of the
     /// shared `fairrank_stage_duration_us` family); `None` under
     /// `telemetry-off` so no clocks are read.
@@ -166,18 +159,6 @@ struct ServerShared {
 }
 
 impl ServerShared {
-    fn note_latency(&self, elapsed: Duration) {
-        let sample = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        let old = self.ewma_us.load(Ordering::Relaxed);
-        let new = if old == 0 {
-            sample
-        } else {
-            (7 * old + sample) / 8
-        };
-        self.ewma_us.store(new, Ordering::Relaxed);
-        self.ewma_gauge.set(i64::try_from(new).unwrap_or(i64::MAX));
-    }
-
     /// Seconds until `depth` outstanding requests plausibly drain at the
     /// observed service rate, clamped to `[1, 30]`.
     ///
@@ -186,18 +167,16 @@ impl ServerShared {
     /// load — cache-hit floods punctuated by oracle-pass stragglers —
     /// under-advises clients, while a tail quantile drains the backlog
     /// with high probability. Before any request has completed (nothing
-    /// in the histograms), the EWMA mean is the fallback; with neither,
-    /// the clamp floor of 1 s applies — deterministically.
+    /// in the histograms), the clamp floor of 1 s applies —
+    /// deterministically.
     fn retry_after_secs(&self, depth: usize) -> u64 {
         let mut snap = self.http.suggest_us.snapshot();
         snap.merge(&self.http.suggest_batch_us.snapshot());
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let per_request_us = if snap.is_empty() {
-            self.ewma_us.load(Ordering::Relaxed)
-        } else {
-            snap.quantile(0.95) as u64
+        if snap.is_empty() {
+            return 1;
         }
-        .max(1);
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let per_request_us = (snap.quantile(0.95) as u64).max(1);
         let micros = (depth as u64).saturating_mul(per_request_us);
         micros.div_ceil(1_000_000).clamp(1, 30)
     }
@@ -248,13 +227,6 @@ impl HttpServer {
         let addr = listener.local_addr()?;
         let telemetry = service.telemetry();
         let http = HttpMetrics::register(&telemetry);
-        let ewma_gauge = telemetry.gauge(
-            "fairrank_http_latency_ewma_us",
-            "EWMA (7/8 decay) of request latency in microseconds — the \
-             legacy Retry-After estimator, kept for comparison against \
-             the p95 that now drives it.",
-            &[],
-        );
         let stage = |name: &str| {
             fairrank_telemetry::ENABLED.then(|| {
                 telemetry.histogram(
@@ -271,12 +243,10 @@ impl HttpServer {
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             conn_ready: Condvar::new(),
-            ewma_us: AtomicU64::new(0),
             stage_parse: stage("net_parse"),
             stage_write: stage("net_write"),
             telemetry,
             http,
-            ewma_gauge,
         });
         let workers = (0..config.threads.max(1))
             .map(|i| {
@@ -590,7 +560,6 @@ fn suggest_one(shared: &ServerShared, body: &[u8], keep_alive: bool, out: &mut V
     {
         Ok(suggestion) => {
             let elapsed = started.elapsed();
-            shared.note_latency(elapsed);
             shared
                 .http
                 .suggest_us
@@ -636,8 +605,8 @@ fn suggest_batch(shared: &ServerShared, body: &[u8], keep_alive: bool, out: &mut
             }
         }
     }
-    // Submit the whole burst before awaiting anything, so the service's
-    // micro-batcher sees it as one coalescible wave.
+    // Submit the whole burst before awaiting anything: requests that
+    // queue while the service's workers are busy drain together.
     let started = Instant::now();
     let mut futures = Vec::with_capacity(requests.len());
     for request in requests {
@@ -666,7 +635,6 @@ fn suggest_batch(shared: &ServerShared, body: &[u8], keep_alive: bool, out: &mut
         }
     }
     let elapsed = started.elapsed();
-    shared.note_latency(elapsed);
     shared
         .http
         .suggest_batch_us

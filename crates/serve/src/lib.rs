@@ -25,11 +25,12 @@
 //! service.shutdown();
 //! ```
 //!
-//! Internally a worker pool drains a bounded MPSC submission queue,
-//! coalesces requests into micro-batches (size- or deadline-triggered),
-//! executes them through [`FairRanker::respond_batch`] on a
-//! point-in-time [`FairRanker::snapshot`], and completes per-request
-//! one-shot futures. Repeated traffic takes a fast path: a
+//! Internally a worker pool drains a bounded MPSC submission queue
+//! (each worker takes what is queued, up to `max_batch`, without
+//! waiting for more), executes each micro-batch through
+//! [`FairRanker::respond_batch`] on a point-in-time
+//! [`FairRanker::snapshot`], and completes per-request one-shot
+//! futures. Repeated traffic takes a fast path: a
 //! [`SuggestionCache`] memoizes the oracle's fairness verdict per
 //! certified weight-space region
 //! ([`fairrank::IndexBackend::region_of`]), so a hit skips the
@@ -55,12 +56,14 @@ pub use service::{FairRankService, ServiceBuilder, ServiceStats, SuggestionFutur
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
 
     use fairrank::{DatasetUpdate, FairRanker, KnownFairness, Strategy, SuggestRequest};
     use fairrank_datasets::synthetic::generic;
     use fairrank_datasets::Dataset;
-    use fairrank_fairness::Proportionality;
+    use fairrank_fairness::{FairnessOracle, FnOracle, Proportionality};
     use fairrank_geometry::HALF_PI;
 
     use crate::runtime::block_on;
@@ -75,6 +78,28 @@ mod tests {
             .build()
             .unwrap();
         (ranker, ds)
+    }
+
+    /// A 2-D ranker whose oracle sleeps 20 ms per call once the returned
+    /// switch is set: the index builds at full speed, then a single
+    /// worker stays busy long enough for submissions to pile up.
+    fn slow_ranker_2d(n: usize, seed: u64) -> (FairRanker, Arc<AtomicBool>) {
+        let ds = generic::uniform(n, 2, 0.9, seed);
+        let attr = ds.type_attribute("group").unwrap();
+        let fair = Proportionality::new(attr, 10).with_max_count(0, 5);
+        let slow = Arc::new(AtomicBool::new(false));
+        let switch = Arc::clone(&slow);
+        let oracle = FnOracle::new("slow-proportionality", move |ranking: &[u32]| {
+            if switch.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            fair.is_satisfactory(ranking)
+        });
+        let ranker = FairRanker::builder(ds, Box::new(oracle))
+            .strategy(Strategy::TwoD)
+            .build()
+            .unwrap();
+        (ranker, slow)
     }
 
     fn fan(count: usize) -> Vec<SuggestRequest> {
@@ -93,7 +118,6 @@ mod tests {
         let service = FairRankService::builder(ranker)
             .workers(2)
             .max_batch(8)
-            .max_delay(Duration::from_micros(100))
             .build();
         let reqs = fan(48);
         std::thread::scope(|scope| {
@@ -133,14 +157,14 @@ mod tests {
 
     #[test]
     fn try_suggest_overload_backpressure() {
-        let (ranker, _) = ranker_2d(30, 11);
-        // One worker, long delay, tiny queue: submissions pile up.
+        let (ranker, slow) = slow_ranker_2d(30, 11);
+        // One worker, slow oracle, tiny queue: submissions pile up.
         let service = FairRankService::builder(ranker)
             .workers(1)
             .max_batch(64)
-            .max_delay(Duration::from_millis(200))
             .queue_capacity(4)
             .build();
+        slow.store(true, Ordering::Relaxed);
         let reqs = fan(64);
         let mut accepted = Vec::new();
         let mut overloaded = 0usize;
@@ -157,6 +181,7 @@ mod tests {
         }
         assert!(overloaded > 0, "tiny queue must shed load");
         assert_eq!(service.stats().rejected, overloaded as u64);
+        slow.store(false, Ordering::Relaxed);
         for fut in accepted {
             fut.wait().unwrap();
         }
@@ -215,15 +240,15 @@ mod tests {
 
     #[test]
     fn shutdown_drains_pending_requests() {
-        let (ranker, _) = ranker_2d(30, 19);
+        let (ranker, slow) = slow_ranker_2d(30, 19);
         let reference = ranker.snapshot();
-        // Huge delay: without the drain-on-close path these would sit
-        // for 10 s; shutdown must complete them promptly.
+        // Slow oracle: the requests queue behind the busy worker, and
+        // shutdown must answer every one of them before it returns.
         let service = FairRankService::builder(ranker)
             .workers(1)
             .max_batch(64)
-            .max_delay(Duration::from_secs(10))
             .build();
+        slow.store(true, Ordering::Relaxed);
         let reqs = fan(12);
         let futures: Vec<_> = reqs
             .iter()
@@ -233,8 +258,9 @@ mod tests {
         service.shutdown();
         assert!(
             start.elapsed() < Duration::from_secs(5),
-            "shutdown must not wait out the batching deadline"
+            "shutdown must drain the queue promptly"
         );
+        slow.store(false, Ordering::Relaxed);
         for (req, fut) in reqs.iter().zip(futures) {
             assert_eq!(fut.wait().unwrap(), reference.respond(req).unwrap());
         }

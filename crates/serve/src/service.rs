@@ -12,12 +12,12 @@
 //!     ╰──────────────◀── Suggestion ◀── respond_batch(micro-batch)
 //! ```
 //!
-//! * **Micro-batching.** Workers drain the queue into batches, triggered
-//!   by size ([`ServiceBuilder::max_batch`]) or deadline
-//!   ([`ServiceBuilder::max_delay`]) — whichever comes first — and
-//!   execute them through [`FairRanker::respond_batch`], so the
-//!   amortized oracle/workspace machinery built for batch serving now
-//!   benefits independent submitters.
+//! * **Micro-batching.** A worker drains what is queued, up to
+//!   [`ServiceBuilder::max_batch`], and executes it through
+//!   [`FairRanker::respond_batch`]. It never waits for a batch to fill:
+//!   batches form only from requests that queued while every worker was
+//!   busy, so a lone request is served at once and a backlog still gets
+//!   the amortized batch machinery.
 //! * **Backpressure.** The queue is bounded
 //!   ([`ServiceBuilder::queue_capacity`]):
 //!   [`try_suggest`](FairRankService::try_suggest) fails fast with
@@ -59,7 +59,6 @@ pub struct ServiceBuilder {
     ranker: FairRanker,
     workers: usize,
     max_batch: usize,
-    max_delay: Duration,
     queue_capacity: usize,
     cache_enabled: bool,
     cache_capacity: usize,
@@ -75,19 +74,10 @@ impl ServiceBuilder {
         self
     }
 
-    /// Micro-batch size trigger: a worker executes as soon as it holds
-    /// this many requests (clamped to at least 1; default 16).
+    /// Micro-batch size cap: a worker drains what is queued, up to this
+    /// many requests (clamped to at least 1; default 16).
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Micro-batch deadline trigger: a worker holding a partial batch
-    /// executes once this long has passed since it picked up the batch's
-    /// first request (default 200 µs; [`Duration::ZERO`] disables
-    /// coalescing waits entirely — every drain executes immediately).
-    pub fn max_delay(mut self, max_delay: Duration) -> Self {
-        self.max_delay = max_delay;
         self
     }
 
@@ -156,7 +146,6 @@ impl ServiceBuilder {
         let shared = Arc::new(Shared {
             dim: self.ranker.dataset().dim(),
             max_batch: self.max_batch,
-            max_delay: self.max_delay,
             capacity: self.queue_capacity,
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
@@ -326,7 +315,6 @@ impl StageTimers {
 struct Shared {
     dim: usize,
     max_batch: usize,
-    max_delay: Duration,
     capacity: usize,
     queue: Mutex<QueueState>,
     not_empty: Condvar,
@@ -431,7 +419,6 @@ impl FairRankService {
             ranker,
             workers: 0,
             max_batch: 16,
-            max_delay: Duration::from_micros(200),
             queue_capacity: 1024,
             cache_enabled: true,
             cache_capacity: 4096,
@@ -818,13 +805,12 @@ impl std::fmt::Debug for FairRankService {
             .field("stats", &self.stats())
             .field("version", &self.version())
             .field("max_batch", &self.shared.max_batch)
-            .field("max_delay", &self.shared.max_delay)
             .field("queue_capacity", &self.shared.capacity)
             .finish()
     }
 }
 
-/// One worker: collect a micro-batch (size- or deadline-triggered),
+/// One worker: drain a micro-batch of what is queued (up to `max_batch`),
 /// serve it on a point-in-time snapshot — region-cache hits through the
 /// verdict fast path, everything else through [`FairRanker::respond_batch`]
 /// — complete the one-shots, repeat until the queue is closed *and*
@@ -976,57 +962,31 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Block until at least one request is available (or return `None` on
-/// closed-and-drained), then coalesce up to `max_batch` requests,
-/// waiting at most `max_delay` past the first pickup. A closed queue
-/// stops the coalescing wait immediately so shutdown drains fast.
+/// Block until at least one request is queued (or return `None` once the
+/// queue is closed and drained), then drain up to `max_batch` of the
+/// requests already queued. Work-conserving: a worker never waits for a
+/// batch to fill, so no request waits for company.
 fn collect_batch(shared: &Shared) -> Option<Vec<Pending>> {
     let mut queue = shared.queue.lock().expect("queue lock poisoned");
-    loop {
-        loop {
-            if !queue.pending.is_empty() {
-                break;
-            }
-            if queue.closed {
-                return None;
-            }
-            queue = shared.not_empty.wait(queue).expect("queue lock poisoned");
+    // Another worker may have drained the request that woke us: sleep
+    // again rather than executing a phantom batch.
+    while queue.pending.is_empty() {
+        if queue.closed {
+            return None;
         }
-        // The coalesce stage: first pickup → batch drained. Distinct
-        // from queue wait (which is per-request and includes this).
-        let coalesce = Stopwatch::start_if(shared.timers.is_some());
-        if shared.max_batch > 1 && !shared.max_delay.is_zero() {
-            let deadline = Deadline::after(shared.max_delay);
-            while queue.pending.len() < shared.max_batch && !queue.closed {
-                let remaining = deadline.remaining();
-                if remaining.is_zero() {
-                    break;
-                }
-                let (guard, timeout) = shared
-                    .not_empty
-                    .wait_timeout(queue, remaining)
-                    .expect("queue lock poisoned");
-                queue = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-        }
-        let take = queue.pending.len().min(shared.max_batch);
-        if take == 0 {
-            // Another worker drained the item(s) that woke us while we
-            // sat in the coalescing wait — go back to sleep rather than
-            // executing a phantom batch.
-            continue;
-        }
-        let batch = queue.pending.drain(..take).collect();
-        drop(queue);
-        // Capacity frees at *drain* time, not when the batch finishes
-        // serving: release blocked submitters immediately.
-        shared.not_full.notify_all();
-        if let Some(timers) = &shared.timers {
-            coalesce.record(&timers.coalesce);
-        }
-        return Some(batch);
+        queue = shared.not_empty.wait(queue).expect("queue lock poisoned");
     }
+    // The coalesce stage: pickup → batch drained. Distinct from queue
+    // wait (which is per-request and includes this).
+    let coalesce = Stopwatch::start_if(shared.timers.is_some());
+    let take = queue.pending.len().min(shared.max_batch);
+    let batch = queue.pending.drain(..take).collect();
+    drop(queue);
+    // Capacity frees at *drain* time, not when the batch finishes
+    // serving: release blocked submitters immediately.
+    shared.not_full.notify_all();
+    if let Some(timers) = &shared.timers {
+        coalesce.record(&timers.coalesce);
+    }
+    Some(batch)
 }

@@ -12,13 +12,11 @@
 //!   value is reproduced with **≤ 6.25% relative error** across the
 //!   full `u64` range.
 //!
-//! Quantiles use the same *nearest-rank (ceiling)* convention as
-//! [`fairrank_bench::stats::percentile`]: the q-quantile of n samples
-//! is the sample at rank `⌈q·n⌉` (1-based), reported as the inclusive
-//! upper bound of the bucket that rank falls in. An empty histogram
-//! reports `NaN`, exactly like `percentile` on an empty slice.
-//!
-//! [`fairrank_bench::stats::percentile`]: https://example.invalid/fairrank
+//! Quantiles use the *nearest-rank (ceiling)* convention: the
+//! q-quantile of n samples is the sample at rank `⌈q·n⌉` (1-based,
+//! clamped to `[1, n]`), so it never falls below the requested rank and
+//! q = 1 is the maximum. It is reported as the inclusive upper bound of
+//! the bucket that rank falls in. An empty histogram reports `NaN`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -209,12 +207,12 @@ impl HistogramSnapshot {
         self.sum as f64 / n as f64
     }
 
-    /// Nearest-rank (ceiling) quantile, reported as the inclusive upper
-    /// bound of the bucket holding rank `⌈q·n⌉`. Matches
-    /// `fairrank_bench::stats::percentile` semantics: `q` is clamped to
-    /// `[0, 1]`, the empty histogram reports `NaN`, and the result for
-    /// a given sample multiset is within one bucket width (≤ 6.25%
-    /// relative error) of the exact-sample answer.
+    /// Nearest-rank (ceiling) quantile: the sample at rank `⌈q·n⌉`
+    /// (1-based, clamped to `[1, n]`), reported as the inclusive upper
+    /// bound of the bucket holding it. `q` is clamped to `[0, 1]`, the
+    /// empty histogram reports `NaN`, and the result for a given sample
+    /// multiset is within one bucket width (≤ 6.25% relative error) of
+    /// the exact-sample answer.
     pub fn quantile(&self, q: f64) -> f64 {
         let n = self.count();
         if n == 0 {

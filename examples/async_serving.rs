@@ -7,8 +7,8 @@
 //! This walkthrough shows:
 //!
 //! * building a service over an existing [`FairRanker`] with
-//!   [`FairRankService::builder`] (worker count, micro-batch size and
-//!   deadline, queue capacity),
+//!   [`FairRankService::builder`] (worker count, micro-batch size cap,
+//!   queue capacity),
 //! * concurrent submitters awaiting [`SuggestionFuture`]s (via the
 //!   crate's hand-rolled `block_on` — any executor works),
 //! * handling backpressure: `try_suggest` fails fast with
@@ -21,8 +21,6 @@
 //! ```text
 //! cargo run --example async_serving
 //! ```
-
-use std::time::Duration;
 
 use fairrank::{DatasetUpdate, FairRanker, KnownFairness, Strategy, SuggestRequest, Suggestion};
 use fairrank_datasets::synthetic::generic;
@@ -51,19 +49,18 @@ fn main() {
         .expect("2-D build");
 
     // --- service build ---------------------------------------------------
-    // 2 workers drain the queue; a worker executes once it holds 16
-    // requests or 500 µs after picking up a batch's first request,
-    // whichever comes first. The queue holds at most 256 submissions.
+    // 2 workers drain the queue; a worker takes what is queued, up to
+    // 16 requests, without waiting for more. The queue holds at most 256
+    // submissions.
     let service = FairRankService::builder(ranker)
         .workers(2)
         .max_batch(16)
-        .max_delay(Duration::from_micros(500))
         .queue_capacity(256)
         .build();
 
     // --- concurrent submitters ------------------------------------------
-    // Four "users" submit independently; the pool coalesces their
-    // requests into micro-batches behind the scenes.
+    // Four "users" submit independently; requests that queue while the
+    // workers are busy share the next micro-batch.
     std::thread::scope(|scope| {
         for user in 0..4 {
             let service = &service;

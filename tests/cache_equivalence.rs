@@ -77,12 +77,10 @@ fn assert_cached_matches_uncached(ranker: FairRanker, reqs: &[SuggestRequest], p
     let cached = FairRankService::builder(ranker.snapshot())
         .workers(1)
         .max_batch(8)
-        .max_delay(Duration::from_micros(100))
         .build();
     let uncached = FairRankService::builder(ranker)
         .workers(1)
         .max_batch(8)
-        .max_delay(Duration::from_micros(100))
         .cache(false)
         .build();
     for _ in 0..passes {
@@ -190,7 +188,6 @@ fn updates_purge_the_cache_and_preserve_equivalence() {
     let service = FairRankService::builder(ranker)
         .workers(2)
         .max_batch(4)
-        .max_delay(Duration::from_micros(100))
         .build();
     let reqs = fan(2, 16);
     let updates = vec![
@@ -240,7 +237,6 @@ fn concurrent_updates_never_serve_stale_cached_verdicts() {
     let service = FairRankService::builder(ranker)
         .workers(2)
         .max_batch(4)
-        .max_delay(Duration::from_micros(100))
         .build();
     let rounds = 6u64;
     let references = std::sync::Mutex::new(HashMap::from([(0u64, service.snapshot())]));

@@ -8,6 +8,8 @@
 //! snapshots under the service's worker pool.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use fairrank::approximate::BuildOptions;
@@ -15,7 +17,7 @@ use fairrank::md::SatRegionsOptions;
 use fairrank::{DatasetUpdate, FairRanker, Strategy, SuggestRequest, UpdateOutcome};
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
-use fairrank_fairness::Proportionality;
+use fairrank_fairness::{FairnessOracle, FnOracle, Proportionality};
 use fairrank_geometry::HALF_PI;
 use fairrank_serve::{runtime, FairRankService, ServiceError};
 
@@ -27,8 +29,27 @@ fn oracle_for(ds: &Dataset, kfrac: f64, cap_frac: f64) -> Proportionality {
 }
 
 fn build(ds: &Dataset, strategy: Strategy) -> FairRanker {
-    let oracle = oracle_for(ds, 0.25, 0.6);
-    FairRanker::builder(ds.clone(), Box::new(oracle))
+    build_with(ds, strategy, Box::new(oracle_for(ds, 0.25, 0.6)))
+}
+
+/// A 2-D ranker over `build`'s oracle that sleeps 20 ms per call once the
+/// returned switch is set: the index builds at full speed, then a single
+/// worker stays busy long enough for submissions to queue behind it.
+fn build_slow(ds: &Dataset) -> (FairRanker, Arc<AtomicBool>) {
+    let fair = oracle_for(ds, 0.25, 0.6);
+    let slow = Arc::new(AtomicBool::new(false));
+    let switch = Arc::clone(&slow);
+    let oracle = FnOracle::new("slow-proportionality", move |ranking: &[u32]| {
+        if switch.load(Ordering::Relaxed) {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        fair.is_satisfactory(ranking)
+    });
+    (build_with(ds, Strategy::TwoD, Box::new(oracle)), slow)
+}
+
+fn build_with(ds: &Dataset, strategy: Strategy, oracle: Box<dyn FairnessOracle>) -> FairRanker {
+    FairRanker::builder(ds.clone(), oracle)
         .strategy(strategy)
         .sat_regions_options(SatRegionsOptions {
             max_hyperplanes: Some(50),
@@ -71,7 +92,6 @@ fn assert_service_matches_direct(ranker: FairRanker, reqs: &[SuggestRequest]) {
     let service = FairRankService::builder(ranker)
         .workers(3)
         .max_batch(8)
-        .max_delay(Duration::from_micros(200))
         .build();
     std::thread::scope(|scope| {
         let chunk = reqs.len().div_ceil(4).max(1);
@@ -124,7 +144,6 @@ fn interleaved_updates_match_per_version_references() {
     let service = FairRankService::builder(ranker)
         .workers(2)
         .max_batch(4)
-        .max_delay(Duration::from_micros(100))
         .build();
     let reqs = fan(2, 16);
     let updates = vec![
@@ -173,7 +192,6 @@ fn concurrent_updates_preserve_snapshot_semantics() {
     let service = FairRankService::builder(ranker)
         .workers(2)
         .max_batch(4)
-        .max_delay(Duration::from_micros(100))
         .build();
     let rounds = 6u64;
     // Pre-compute nothing: collect per-version references as the updater
@@ -222,19 +240,19 @@ fn concurrent_updates_preserve_snapshot_semantics() {
     service.shutdown();
 }
 
-/// Shutdown with requests still queued: every accepted request is
-/// answered (correctly) before the pool exits; the batching deadline is
-/// not waited out.
+/// Shutdown with requests still queued behind a busy worker: every
+/// accepted request is answered (correctly) before the pool exits, and
+/// promptly.
 #[test]
 fn shutdown_drains_and_answers_pending_requests() {
     let ds = generic::uniform(30, 2, 0.9, 85);
-    let ranker = build(&ds, Strategy::TwoD);
+    let (ranker, slow) = build_slow(&ds);
     let reference = ranker.snapshot();
     let service = FairRankService::builder(ranker)
         .workers(1)
         .max_batch(128)
-        .max_delay(Duration::from_secs(30))
         .build();
+    slow.store(true, Ordering::Relaxed);
     let reqs = fan(2, 20);
     let futures: Vec<_> = reqs
         .iter()
@@ -244,8 +262,9 @@ fn shutdown_drains_and_answers_pending_requests() {
     service.shutdown();
     assert!(
         start.elapsed() < Duration::from_secs(10),
-        "drain must not wait out the 30 s batching deadline"
+        "drain must answer the queue promptly"
     );
+    slow.store(false, Ordering::Relaxed);
     for (req, fut) in reqs.iter().zip(futures) {
         let got = fut.wait().expect("drained request must be answered");
         assert_eq!(got, reference.respond(req).unwrap());
@@ -257,14 +276,14 @@ fn shutdown_drains_and_answers_pending_requests() {
 #[test]
 fn overloaded_submissions_shed_accepted_ones_answer() {
     let ds = generic::uniform(30, 2, 0.9, 87);
-    let ranker = build(&ds, Strategy::TwoD);
+    let (ranker, slow) = build_slow(&ds);
     let reference = ranker.snapshot();
     let service = FairRankService::builder(ranker)
         .workers(1)
         .max_batch(256)
-        .max_delay(Duration::from_millis(100))
         .queue_capacity(3)
         .build();
+    slow.store(true, Ordering::Relaxed);
     let reqs = fan(2, 40);
     let mut accepted = Vec::new();
     let mut shed = 0usize;
@@ -280,9 +299,40 @@ fn overloaded_submissions_shed_accepted_ones_answer() {
         "capacity-3 queue must shed some of 40 submissions"
     );
     assert_eq!(service.stats().rejected, shed as u64);
+    slow.store(false, Ordering::Relaxed);
     for (req, fut) in accepted {
         assert_eq!(fut.wait().unwrap(), reference.respond(&req).unwrap());
     }
+    service.shutdown();
+}
+
+/// The micro-batcher never waits for company, yet batches still form
+/// under backlog: requests submitted while a single worker is busy in a
+/// slow oracle are drained together on its next pickup — and answer
+/// bit-identically to the direct batch path.
+#[test]
+fn requests_queued_behind_a_busy_worker_drain_together() {
+    let ds = generic::uniform(30, 2, 0.9, 89);
+    let (ranker, slow) = build_slow(&ds);
+    let reqs = fan(2, 12);
+    let direct = ranker.snapshot().respond_batch(&reqs).unwrap();
+    let service = FairRankService::builder(ranker).workers(1).build();
+    slow.store(true, Ordering::Relaxed);
+    let futures: Vec<_> = reqs
+        .iter()
+        .map(|r| service.submit(r.clone()).unwrap())
+        .collect();
+    for ((req, fut), want) in reqs.iter().zip(futures).zip(&direct) {
+        assert_eq!(&fut.wait().unwrap(), want, "diverged at {req:?}");
+    }
+    let stats = service.stats();
+    assert_eq!(stats.submitted, reqs.len() as u64);
+    assert!(
+        stats.batches < stats.submitted,
+        "{} batches for {} requests: queued requests must share a drain",
+        stats.batches,
+        stats.submitted
+    );
     service.shutdown();
 }
 
@@ -300,7 +350,6 @@ fn backend_stats_snapshots_are_consistent_under_concurrent_serving() {
     let service = FairRankService::builder(ranker)
         .workers(2)
         .max_batch(4)
-        .max_delay(Duration::from_micros(100))
         .build();
     let reqs = fan(3, 8);
     let rounds = 8u64;
@@ -372,12 +421,10 @@ fn cached_and_uncached_services_answer_bit_identically() {
         let cached = FairRankService::builder(ranker.snapshot())
             .workers(2)
             .max_batch(4)
-            .max_delay(Duration::from_micros(100))
             .build();
         let uncached = FairRankService::builder(ranker)
             .workers(2)
             .max_batch(4)
-            .max_delay(Duration::from_micros(100))
             .cache(false)
             .build();
         for req in reqs.iter().cycle().take(reqs.len() * 3) {

@@ -11,7 +11,7 @@
 //! * `GET /metrics` parses back line by line and its counters agree
 //!   with the `/stats` JSON view over the same registry;
 //! * a cold-start overload answers 503 with a *deterministic*
-//!   `Retry-After: 1` (empty latency histogram, zero EWMA).
+//!   `Retry-After: 1` (empty latency histogram).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -310,10 +310,10 @@ fn metrics_endpoint_agrees_with_stats_json() {
 // Deterministic cold-start Retry-After
 // ---------------------------------------------------------------------
 
-/// Before any request has completed, the latency histogram is empty and
-/// the EWMA is zero, so an overloaded service's `Retry-After` is the
-/// clamp floor — exactly 1 second, deterministically. This pins the
-/// p95-based hint's cold-start behavior in both feature legs.
+/// Before any request has completed, the latency histogram is empty,
+/// so an overloaded service's `Retry-After` is the clamp floor —
+/// exactly 1 second, deterministically. This pins the p95-based hint's
+/// cold-start behavior in both feature legs.
 #[test]
 fn cold_start_overload_retry_after_is_exactly_one() {
     // A 100 ms oracle guarantees no request completes before the
