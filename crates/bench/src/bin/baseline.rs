@@ -171,10 +171,10 @@ fn main() {
             out_col[6888]
         })),
     );
-    // Full rank through the legacy semantics (fresh score + order
-    // allocations, full sort over row-major scalar scores) vs the
-    // columnar workspace path — the end-to-end ranking arm of the same
-    // comparison. The sort is common to both, so the gap here is the
+    // Full rank through the legacy layout (fresh score + order
+    // allocations, row-major scalar scores) vs the columnar workspace
+    // path — the end-to-end ranking arm of the same comparison. Both
+    // sort through the same ranking kernel, so the gap here is the
     // scoring pass plus the allocations.
     let flat2 = ds2.to_row_major();
     push(
@@ -189,12 +189,8 @@ fn main() {
                         .sum()
                 })
                 .collect();
-            let mut order: Vec<u32> = (0..ds2.len() as u32).collect();
-            order.sort_unstable_by(|a, b| {
-                scores[*b as usize]
-                    .total_cmp(&scores[*a as usize])
-                    .then(a.cmp(b))
-            });
+            let mut order: Vec<u32> = Vec::new();
+            kernels::top_k_select_into(&scores, None, &mut order);
             order
         })),
     );

@@ -350,21 +350,17 @@ impl FairRanker {
     /// [`SuggestRequest::k`] is set — the top-k ranking under the
     /// answered weights.
     ///
+    /// This is the one-request case of [`FairRanker::respond_batch`]
+    /// and returns its single answer, so the query is ranked through the
+    /// same workspace path (partial top-k when the oracle exposes a
+    /// bound) rather than a full sort.
+    ///
     /// # Errors
     /// [`FairRankError::InvalidWeights`] / `DimensionMismatch` on
     /// malformed input.
     pub fn respond(&self, req: &SuggestRequest) -> Result<Suggestion, FairRankError> {
-        validate_weights(&req.query, self.core.ds.dim())?;
-        let mut ws = RankWorkspace::new();
-        if self
-            .core
-            .oracle
-            .is_satisfactory(&self.core.ds.rank(&req.query))
-        {
-            return Ok(self.finish(req, Answer::AlreadyFair, false, &mut ws));
-        }
-        let answer = self.core.backend.suggest_unfair(&req.query, &self.ctx())?;
-        Ok(self.finish(req, answer, false, &mut ws))
+        let mut answers = self.respond_batch(std::slice::from_ref(req))?;
+        Ok(answers.pop().expect("one answer per request"))
     }
 
     /// Answer one request with the oracle's fairness verdict supplied by

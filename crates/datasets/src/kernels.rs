@@ -24,6 +24,22 @@
 //!   column: full sort, or `select_nth_unstable` + prefix sort when the
 //!   oracle provably inspects only the top-`k`.
 //!
+//! # Packed ranking keys
+//!
+//! The canonical ranking order is "score descending under
+//! `f64::total_cmp`, then item id ascending". [`top_k_select_into`] does
+//! not sort ids through a comparator that looks both scores up; it packs
+//! each item into one `u128`, `!asc(score.to_bits()) << 32 | id`, and
+//! sorts the keys as plain integers. `asc` is `total_cmp`'s own bit
+//! transform (flip every bit of a negative pattern, set the sign bit of
+//! a positive one), so unsigned order of `asc(bits)` is `total_cmp`
+//! order on every bit pattern, `-NaN < -∞ < … < -0.0 < 0.0 < … < ∞ <
+//! NaN`, with subnormals in place and bit-distinct NaNs ordered by
+//! payload. Complementing it makes the order descending, and the
+//! id in the low 32 bits breaks exact ties. Integer order of the keys
+//! therefore *equals* the comparator order, ties and all, and the
+//! ranking is bit-for-bit the one the comparator would give.
+//!
 //! # Bit-identity contract
 //!
 //! [`score_all_into`] accumulates column `j` into every item's partial
@@ -36,6 +52,7 @@
 //! fallback leg); both paths are proven bit-identical in
 //! `tests/columnar_equivalence.rs`.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -235,29 +252,58 @@ pub fn side_test_batch(scores: &[f64], threshold: f64, out: &mut Vec<i8>) {
 /// descending score via `total_cmp`, ties broken by ascending id — the
 /// canonical ranking comparator of the whole system.
 ///
+/// Each item is packed into one `u128` key (`rank_key`) whose ascending
+/// integer order *is* that comparator, so the selection and sort run
+/// over plain integers (one load and one compare per comparison, instead
+/// of two indirect score loads plus an id tie-break). The ids come back
+/// out as the low 32 bits of the sorted keys.
+///
 /// With `bound = Some(k)`, `0 < k < n`, only the first `k` positions are
 /// guaranteed sorted (placed with `select_nth_unstable` in `O(n)`, then
 /// a `O(k log k)` prefix sort); they are exactly the first `k` of the
-/// full sort because the comparator is a total order. The tail holds the
+/// full sort because the keys are distinct. The tail holds the
 /// remaining ids in unspecified order — still a permutation.
+///
+/// The key buffer is thread-local and reused across calls (it grows to
+/// the largest `n` ranked on the thread and never shrinks), so the
+/// steady state allocates nothing beyond what `out` already holds.
 pub fn top_k_select_into(scores: &[f64], bound: Option<usize>, out: &mut Vec<u32>) {
-    let n = scores.len();
-    out.clear();
-    out.extend(0..n as u32);
-    let cmp = |a: &u32, b: &u32| {
-        scores[*b as usize]
-            .total_cmp(&scores[*a as usize])
-            .then(a.cmp(b))
-    };
-    match bound {
-        // k = 0 would mean "the oracle inspects nothing"; rank fully so
-        // the output stays identical to the full sort.
-        Some(k) if k > 0 && k < n => {
-            out.select_nth_unstable_by(k - 1, cmp);
-            out[..k].sort_unstable_by(cmp);
-        }
-        _ => out.sort_unstable_by(cmp),
+    thread_local! {
+        static KEYS: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
     }
+    let n = scores.len();
+    KEYS.with(|keys| {
+        let mut keys = keys.borrow_mut();
+        keys.clear();
+        keys.extend(
+            scores
+                .iter()
+                .zip(0..n as u32)
+                .map(|(&s, id)| rank_key(s, id)),
+        );
+        match bound {
+            // k = 0 would mean "the oracle inspects nothing"; rank fully
+            // so the output stays identical to the full sort.
+            Some(k) if k > 0 && k < n => {
+                keys.select_nth_unstable(k - 1);
+                keys[..k].sort_unstable();
+            }
+            _ => keys.sort_unstable(),
+        }
+        out.clear();
+        out.extend(keys.iter().map(|&key| key as u32));
+    });
+}
+
+/// The packed ranking key of item `id` with score `score`,
+/// `!asc(score.to_bits()) << 32 | id` (the module docs say why):
+/// ascending key order is score descending under `total_cmp`, then id
+/// ascending, and keys of distinct ids never compare equal.
+#[inline]
+fn rank_key(score: f64, id: u32) -> u128 {
+    let b = score.to_bits();
+    let asc = if b >> 63 == 1 { !b } else { b | 1 << 63 };
+    u128::from(!asc) << 32 | u128::from(id)
 }
 
 #[cfg(test)]
@@ -342,6 +388,59 @@ mod tests {
         // comparator does.
         side_test_batch(&scores, 0.0, &mut out);
         assert_eq!(out, vec![1, 1, 1, 1, -1, 0]);
+    }
+
+    /// The packed keys against the comparator they replace, for every
+    /// bound, on the bit patterns where a key transform can go wrong:
+    /// exact duplicates straddling the cut, signed zeros, negatives,
+    /// subnormals, infinities and NaNs of both signs.
+    #[test]
+    fn packed_keys_match_total_cmp_comparator() {
+        let sub = f64::from_bits(1);
+        let scores = [
+            0.5,
+            -0.0,
+            f64::NAN,
+            0.0,
+            -1.5,
+            0.5,
+            f64::INFINITY,
+            sub,
+            -sub,
+            f64::NEG_INFINITY,
+            0.5,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            -0.0,
+            -1.5,
+            f64::MAX,
+            0.0,
+            0.5,
+            f64::MIN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            -f64::MIN_POSITIVE,
+            0.25,
+            0.5,
+        ];
+        let n = scores.len();
+        let mut expect: Vec<u32> = (0..n as u32).collect();
+        expect.sort_unstable_by(|a, b| {
+            scores[*b as usize]
+                .total_cmp(&scores[*a as usize])
+                .then(a.cmp(b))
+        });
+        let mut full = Vec::new();
+        top_k_select_into(&scores, None, &mut full);
+        assert_eq!(full, expect);
+        for k in 0..=n + 1 {
+            let mut part = Vec::new();
+            top_k_select_into(&scores, Some(k), &mut part);
+            let k_eff = if k == 0 { n } else { k.min(n) };
+            assert_eq!(&part[..k_eff], &expect[..k_eff], "k={k}");
+            let mut sorted = part.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..n as u32).collect::<Vec<u32>>(), "k={k}");
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! * **Buffer reuse** — scores and order live in the workspace (or in a
 //!   caller-owned buffer via [`RankWorkspace::rank_into`]) and are
-//!   recycled across probes; the steady state performs zero allocations.
+//!   recycled across probes; the ranking kernel's key buffer is
+//!   thread-local and recycled too, so the steady state performs zero
+//!   allocations.
 //! * **Partial ranking** — when the oracle provably inspects only the
 //!   top-`k` prefix ([`top_k_bound`]), the workspace places the exact
 //!   top-`k` with `select_nth_unstable` in `O(n)` and sorts only that
@@ -18,10 +20,13 @@
 //!   items are present but unordered — still a permutation, and the
 //!   verdict of any prefix-bounded oracle is identical by contract.
 //!
-//! The comparator is *exactly* the one [`Dataset::rank`] uses (descending
-//! score via `total_cmp`, ties broken by ascending item id), so the
-//! ranked prefix is bit-identical to the full sort's prefix — verified by
-//! the property suite.
+//! Both paths run the one ranking kernel [`Dataset::rank`] uses
+//! ([`kernels::top_k_select_into`]): each item becomes a packed `u128`
+//! key whose integer order is exactly descending score under
+//! `total_cmp`, then ascending item id (the [`kernels`] module docs say
+//! why). The keys are distinct, so the order is total and the ranked
+//! prefix is bit-identical to the full sort's prefix — verified against
+//! an independent comparator-sort model by the property suite.
 //!
 //! [`top_k_bound`]: https://docs.rs/fairrank-fairness (FairnessOracle::top_k_bound)
 
@@ -90,8 +95,9 @@ impl RankWorkspace {
         // The columnar scoring kernel fills the reused score buffer in
         // one vectorized multiply-accumulate sweep (bit-identical to
         // per-item `Dataset::score` — tests/columnar_equivalence.rs),
-        // then the select kernel ranks by it. Both buffers are reused;
-        // the steady state performs zero allocations.
+        // then the select kernel ranks by it (through its thread-local
+        // key buffer). Every buffer is reused; the steady state performs
+        // zero allocations.
         kernels::score_all_into(ds, w, &mut self.scores);
         kernels::top_k_select_into(&self.scores, bound, out);
     }

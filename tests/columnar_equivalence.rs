@@ -93,6 +93,37 @@ fn assert_scores_bit_identical(ds: &Dataset, reference: &RowMajorRef, w: &[f64])
     }
 }
 
+/// A dataset in which many items tie exactly under every query:
+/// `repeated` draws each row from a pool of `n / 4 + 1` distinct uniform
+/// rows (repeated rows); otherwise every attribute is an integer in
+/// `0..=4`, as COMPAS' count attributes are.
+fn tie_heavy(n: usize, d: usize, seed: u64, repeated: bool) -> Dataset {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state >> 11
+    };
+    let rows: Vec<Vec<f64>> = if repeated {
+        let pool: Vec<Vec<f64>> = (0..n / 4 + 1)
+            .map(|_| {
+                (0..d)
+                    .map(|_| next() as f64 / (1u64 << 53) as f64)
+                    .collect()
+            })
+            .collect();
+        (0..n)
+            .map(|_| pool[next() as usize % pool.len()].clone())
+            .collect()
+    } else {
+        (0..n)
+            .map(|_| (0..d).map(|_| (next() % 5) as f64).collect())
+            .collect()
+    };
+    Dataset::from_rows((0..d).map(|j| format!("a{j}")).collect(), &rows).unwrap()
+}
+
 fn query_fan(d: usize, count: usize) -> Vec<Vec<f64>> {
     (0..count)
         .map(|i| {
@@ -129,15 +160,21 @@ proptest! {
     }
 
     /// Full rankings and top-k prefixes match the row-major model, through
-    /// both `Dataset::rank`/`top_k` and the workspace path.
+    /// both `Dataset::rank`/`top_k` and the workspace path, on uniform
+    /// data and on tie-heavy data (repeated rows, integer attributes),
+    /// where the id tie-break decides most of the order.
     #[test]
     fn ranking_matches_row_major_model(
         n in 1usize..200,
         d in 1usize..5,
         seed in 0u64..10_000,
         k in 1usize..50,
+        shape in 0u8..3,
     ) {
-        let ds = generic::uniform(n, d, 0.9, seed);
+        let ds = match shape {
+            0 => generic::uniform(n, d, 0.9, seed),
+            s => tie_heavy(n, d, seed, s == 1),
+        };
         let reference = RowMajorRef::of(&ds);
         let mut ws = RankWorkspace::new();
         for w in query_fan(d, 5) {
