@@ -190,7 +190,7 @@ fn main() {
                 })
                 .collect();
             let mut order: Vec<u32> = Vec::new();
-            kernels::top_k_select_into(&scores, None, &mut order);
+            kernels::top_k_select_into(&scores, None, kernels::PrefixOrder::Sorted, &mut order);
             order
         })),
     );

@@ -14,6 +14,7 @@ use fairrank_geometry::hyperplane::Hyperplane;
 use crate::approximate::{cellplane, coloring, markcell};
 use crate::error::FairRankError;
 use crate::md::hyperpolar::{exchange_hyperplane, exchange_hyperplanes_limited};
+use crate::probes::VerdictRanking;
 use crate::pruning;
 use crate::update::{DatasetUpdate, UpdateCtx};
 
@@ -549,8 +550,8 @@ fn search_one_cell(
     hyperplanes: &[Hyperplane],
     ctx: &mut ProbeCtx,
 ) -> Option<Vec<f64>> {
-    let top_k = oracle.top_k_bound();
-    let kth = match top_k {
+    let placement = VerdictRanking::of(oracle);
+    let kth = match placement.bound() {
         Some(k) if k > 0 && k <= ds.len() => k,
         _ => 0,
     };
@@ -564,7 +565,7 @@ fn search_one_cell(
     let mut probe = |angles: &[f64]| {
         *calls += 1;
         to_cartesian_into(1.0, angles, weights);
-        let ranking = workspace.rank_with_bound(ds, weights, top_k);
+        let ranking = placement.rank(workspace, ds, weights);
         let threshold = if kth > 0 {
             ds.score(weights, ranking[kth - 1] as usize)
         } else {

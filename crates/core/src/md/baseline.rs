@@ -89,14 +89,14 @@ pub fn closest_satisfactory_validated(
     let raw = closest_satisfactory(regions, query)?;
     // One workspace + weight buffer across the whole repair walk: the
     // validation loop can probe the oracle many times on the way to a
-    // fair point, and each probe is allocation-free with a top-k partial
-    // ranking when the oracle exposes a bound.
+    // fair point, and each probe is allocation-free, ranking only the
+    // top-k when the oracle exposes a bound.
     let mut workspace = fairrank_datasets::RankWorkspace::with_capacity(ds.len());
     let mut weights: Vec<f64> = Vec::with_capacity(ds.dim());
-    let top_k = oracle.top_k_bound();
+    let placement = crate::probes::VerdictRanking::of(oracle);
     let mut is_fair = |angles: &[f64]| {
         to_cartesian_into(1.0, angles, &mut weights);
-        oracle.is_satisfactory(workspace.rank_with_bound(ds, &weights, top_k))
+        oracle.is_satisfactory(placement.rank(&mut workspace, ds, &weights))
     };
     if is_fair(&raw.angles) {
         return Some(raw);

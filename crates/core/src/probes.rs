@@ -12,9 +12,49 @@
 //! Verdicts are identical to the serial path by the trait contracts; the
 //! equivalence is property-tested in `tests/batch_equivalence.rs`.
 
+use fairrank_datasets::kernels::PrefixOrder;
 use fairrank_datasets::{Dataset, RankWorkspace};
 use fairrank_fairness::FairnessOracle;
 use fairrank_geometry::polar::to_cartesian_into;
+
+/// How a ranking must be placed for one oracle's verdict: the only place
+/// the sorted-vs-set choice is made. Every verdict ranking — batched
+/// probes, MARKCELL probes, MDBASELINE validation — goes through it.
+///
+/// With a [`top_k_bound`](FairnessOracle::top_k_bound) `k`, only the
+/// top-`k` is placed; when the oracle also declares
+/// [`top_k_is_set`](FairnessOracle::top_k_is_set) that top-`k` is left
+/// unsorted ([`PrefixOrder::Set`]), which skips the `O(k log k)` prefix
+/// sort. Either way position `k - 1` holds exactly the `k`-th ranked
+/// item, so top-`k` threshold scores read off it stay exact.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VerdictRanking {
+    bound: Option<usize>,
+    order: PrefixOrder,
+}
+
+impl VerdictRanking {
+    /// The placement `oracle` needs.
+    pub(crate) fn of(oracle: &dyn FairnessOracle) -> VerdictRanking {
+        let bound = oracle.top_k_bound();
+        let order = if bound.is_some() && oracle.top_k_is_set() {
+            PrefixOrder::Set
+        } else {
+            PrefixOrder::Sorted
+        };
+        VerdictRanking { bound, order }
+    }
+
+    /// The oracle's top-`k` bound, as [`FairnessOracle::top_k_bound`].
+    pub(crate) fn bound(self) -> Option<usize> {
+        self.bound
+    }
+
+    /// Rank `ds` under weights `w` through `ws` for the oracle's verdict.
+    pub(crate) fn rank<'w>(self, ws: &'w mut RankWorkspace, ds: &Dataset, w: &[f64]) -> &'w [u32] {
+        ws.rank_with(ds, w, self.bound, self.order)
+    }
+}
 
 /// Upper bound on rankings materialized at once: large enough to
 /// amortize per-batch oracle setup; the effective chunk size also
@@ -29,8 +69,8 @@ pub const PROBE_BUFFER_BYTES: usize = 4 << 20;
 
 /// Oracle verdicts for a set of candidate angle vectors, batched.
 ///
-/// Ranks each candidate's induced ordering (partially, when the oracle
-/// exposes a [`top_k_bound`](FairnessOracle::top_k_bound)) into a reused
+/// Ranks each candidate's induced ordering (only its top-`k`, when the
+/// oracle exposes a [`top_k_bound`](FairnessOracle::top_k_bound)) into a reused
 /// flat buffer and asks the oracle in memory-capped chunks. Returns one
 /// verdict per candidate, in order. Each candidate counts as exactly one
 /// oracle invocation, as with the serial path. Candidates are borrowed
@@ -53,7 +93,8 @@ pub fn batch_verdicts<A: AsRef<[f64]>>(
 ///
 /// A top-k-bounded oracle only inspects the first `k` positions by
 /// contract, so for those oracles each stored ranking is the exact
-/// k-prefix of the full ranking rather than the whole permutation —
+/// top-`k` of the full ranking rather than the whole permutation (in
+/// order, or as a set for a set-based oracle — see [`VerdictRanking`]) —
 /// verdict-identical, and what keeps the buffer small at scale.
 pub(crate) fn batch_verdicts_by<F>(
     ds: &Dataset,
@@ -83,9 +124,9 @@ where
     H: FnMut(usize, &[u32], &[f64]),
 {
     let n = ds.len();
-    let bound = oracle.top_k_bound();
+    let placement = VerdictRanking::of(oracle);
     // Entries stored per ranking, and the chunk size the byte cap allows.
-    let stride = match bound {
+    let stride = match placement.bound() {
         Some(k) if k > 0 && k < n => k,
         _ => n,
     };
@@ -102,7 +143,7 @@ where
         for i in start..end {
             weights.clear();
             weights_of(i, &mut weights);
-            let ranking = ws.rank_with_bound(ds, &weights, bound);
+            let ranking = placement.rank(&mut ws, ds, &weights);
             on_ranking(i, ranking, &weights);
             flat.extend_from_slice(&ranking[..stride]);
         }
@@ -164,7 +205,8 @@ pub fn batch_verdicts_threaded<A: AsRef<[f64]> + Sync>(
 /// next to the verdict: a later insert/remove whose item scores strictly
 /// below the threshold provably cannot change the verdict, so the probe
 /// is skipped entirely.
-pub(crate) fn batch_verdicts_and_thresholds<A: AsRef<[f64]>>(
+#[must_use]
+pub fn batch_verdicts_and_thresholds<A: AsRef<[f64]>>(
     ds: &Dataset,
     oracle: &dyn FairnessOracle,
     candidates: &[A],

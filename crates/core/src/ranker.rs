@@ -415,12 +415,13 @@ impl FairRanker {
     /// request (property-tested), but amortized: the query rankings for
     /// the paper's "is it already fair?" check (2DONLINE line 8 /
     /// MDBASELINE line 1 / MDONLINE line 1) run through one reused
-    /// [`fairrank_datasets::RankWorkspace`] — partial top-k sorts when
-    /// the oracle exposes a bound, zero allocations on the steady
-    /// path — and the oracle sees them through its batched entry point,
-    /// so per-call setup is paid once per chunk instead of once per
-    /// query. Only queries whose ranking the oracle rejects proceed to
-    /// the index.
+    /// [`fairrank_datasets::RankWorkspace`] — only the top-k placed when
+    /// the oracle exposes a bound, and left unsorted when the oracle
+    /// reads it as a set ([`FairnessOracle::top_k_is_set`]); zero
+    /// allocations on the steady path — and the oracle sees them
+    /// through its batched entry point, so per-call setup is paid once
+    /// per chunk instead of once per query. Only queries whose ranking
+    /// the oracle rejects proceed to the index.
     ///
     /// # Errors
     /// [`FairRankError::InvalidWeights`] / `DimensionMismatch` if *any*

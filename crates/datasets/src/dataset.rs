@@ -319,7 +319,7 @@ impl Dataset {
         SCORES.with(|s| {
             let mut scores = s.borrow_mut();
             kernels::score_all_into(self, w, &mut scores);
-            kernels::top_k_select_into(&scores, bound, &mut out);
+            kernels::top_k_select_into(&scores, bound, kernels::PrefixOrder::Sorted, &mut out);
         });
         out
     }

@@ -21,8 +21,9 @@
 //!   `w · x = b` each item lies on (`total_cmp` semantics, so signed
 //!   zeros and ties are exact).
 //! * [`top_k_select_into`] — the ranking selection consuming the scored
-//!   column: full sort, or `select_nth_unstable` + prefix sort when the
-//!   oracle provably inspects only the top-`k`.
+//!   column: full sort, or `select_nth_unstable` when the oracle provably
+//!   inspects only the top-`k` — followed by a prefix sort, unless the
+//!   oracle reads that top-`k` as a set ([`PrefixOrder::Set`]).
 //!
 //! # Packed ranking keys
 //!
@@ -39,6 +40,13 @@
 //! id in the low 32 bits breaks exact ties. Integer order of the keys
 //! therefore *equals* the comparator order, ties and all, and the
 //! ranking is bit-for-bit the one the comparator would give.
+//!
+//! Because the keys are distinct, the top-`k` is one exact set of items
+//! under any bound. `select_nth_unstable(k - 1)` alone already places
+//! that set in the first `k` positions, with the `k`-th item at position
+//! `k - 1`; [`PrefixOrder::Set`] stops there, and only
+//! [`PrefixOrder::Sorted`] pays the `O(k log k)` prefix sort. Both modes
+//! run over the same keys in the same thread-local buffer.
 //!
 //! # Bit-identity contract
 //!
@@ -248,6 +256,20 @@ pub fn side_test_batch(scores: &[f64], threshold: f64, out: &mut Vec<i8>) {
     }));
 }
 
+/// How [`top_k_select_into`] leaves the first `k` positions of a
+/// bounded ranking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrefixOrder {
+    /// The first `k` positions are exactly the first `k` of the full
+    /// ranking, in ranking order.
+    Sorted,
+    /// The first `k` positions hold the same items as the sorted prefix,
+    /// in unspecified order, except that position `k - 1` holds exactly
+    /// the `k`-th ranked item. For set-based oracles, whose verdict reads
+    /// only *which* items fill the top-`k`.
+    Set,
+}
+
 /// Rank item ids by a scored column into `out` (cleared and refilled):
 /// descending score via `total_cmp`, ties broken by ascending id — the
 /// canonical ranking comparator of the whole system.
@@ -256,18 +278,25 @@ pub fn side_test_batch(scores: &[f64], threshold: f64, out: &mut Vec<i8>) {
 /// integer order *is* that comparator, so the selection and sort run
 /// over plain integers (one load and one compare per comparison, instead
 /// of two indirect score loads plus an id tie-break). The ids come back
-/// out as the low 32 bits of the sorted keys.
+/// out as the low 32 bits of the keys.
 ///
-/// With `bound = Some(k)`, `0 < k < n`, only the first `k` positions are
-/// guaranteed sorted (placed with `select_nth_unstable` in `O(n)`, then
-/// a `O(k log k)` prefix sort); they are exactly the first `k` of the
-/// full sort because the keys are distinct. The tail holds the
-/// remaining ids in unspecified order — still a permutation.
+/// With `bound = Some(k)`, `0 < k < n`, `select_nth_unstable` places the
+/// top-`k` keys in the first `k` positions in `O(n)`, with the `k`-th
+/// key at position `k - 1`; they are exactly the top `k` of the full
+/// sort because the keys are distinct. [`PrefixOrder::Sorted`] then
+/// sorts that prefix (`O(k log k)`); [`PrefixOrder::Set`] leaves it as
+/// selected. The tail holds the remaining ids in unspecified order —
+/// still a permutation. Any other bound ranks fully, whatever `order`.
 ///
 /// The key buffer is thread-local and reused across calls (it grows to
 /// the largest `n` ranked on the thread and never shrinks), so the
 /// steady state allocates nothing beyond what `out` already holds.
-pub fn top_k_select_into(scores: &[f64], bound: Option<usize>, out: &mut Vec<u32>) {
+pub fn top_k_select_into(
+    scores: &[f64],
+    bound: Option<usize>,
+    order: PrefixOrder,
+    out: &mut Vec<u32>,
+) {
     thread_local! {
         static KEYS: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
     }
@@ -286,7 +315,9 @@ pub fn top_k_select_into(scores: &[f64], bound: Option<usize>, out: &mut Vec<u32
             // so the output stays identical to the full sort.
             Some(k) if k > 0 && k < n => {
                 keys.select_nth_unstable(k - 1);
-                keys[..k].sort_unstable();
+                if order == PrefixOrder::Sorted {
+                    keys[..k].sort_unstable();
+                }
             }
             _ => keys.sort_unstable(),
         }
@@ -430,16 +461,30 @@ mod tests {
                 .then(a.cmp(b))
         });
         let mut full = Vec::new();
-        top_k_select_into(&scores, None, &mut full);
+        top_k_select_into(&scores, None, PrefixOrder::Sorted, &mut full);
         assert_eq!(full, expect);
+        let all: Vec<u32> = (0..n as u32).collect();
         for k in 0..=n + 1 {
-            let mut part = Vec::new();
-            top_k_select_into(&scores, Some(k), &mut part);
             let k_eff = if k == 0 { n } else { k.min(n) };
+            let mut part = Vec::new();
+            top_k_select_into(&scores, Some(k), PrefixOrder::Sorted, &mut part);
             assert_eq!(&part[..k_eff], &expect[..k_eff], "k={k}");
             let mut sorted = part.clone();
             sorted.sort_unstable();
-            assert_eq!(sorted, (0..n as u32).collect::<Vec<u32>>(), "k={k}");
+            assert_eq!(sorted, all, "k={k}");
+
+            // Set mode: the same top-k items, the exact k-th at k - 1,
+            // and still a permutation.
+            let mut set = Vec::new();
+            top_k_select_into(&scores, Some(k), PrefixOrder::Set, &mut set);
+            let mut got_head = set[..k_eff].to_vec();
+            let mut want_head = expect[..k_eff].to_vec();
+            got_head.sort_unstable();
+            want_head.sort_unstable();
+            assert_eq!(got_head, want_head, "set k={k}");
+            assert_eq!(set[k_eff - 1], expect[k_eff - 1], "set k-th, k={k}");
+            set.sort_unstable();
+            assert_eq!(set, all, "set k={k}");
         }
     }
 
@@ -450,11 +495,11 @@ mod tests {
         let mut scores = Vec::new();
         score_all_into(&ds, &w, &mut scores);
         let mut full = Vec::new();
-        top_k_select_into(&scores, None, &mut full);
+        top_k_select_into(&scores, None, PrefixOrder::Sorted, &mut full);
         assert_eq!(full, ds.rank(&w));
         for k in [0usize, 1, 7, 59, 60, 100] {
             let mut part = Vec::new();
-            top_k_select_into(&scores, Some(k), &mut part);
+            top_k_select_into(&scores, Some(k), PrefixOrder::Sorted, &mut part);
             let k_eff = if k == 0 { 60 } else { k.min(60) };
             assert_eq!(&part[..k_eff], &full[..k_eff], "k={k}");
             let mut sorted = part.clone();

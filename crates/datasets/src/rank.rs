@@ -19,6 +19,10 @@
 //!   prefix (`O(n + k log k)` instead of `O(n log n)`). The remaining
 //!   items are present but unordered — still a permutation, and the
 //!   verdict of any prefix-bounded oracle is identical by contract.
+//!   When the oracle also reads its top-`k` as a set ([`top_k_is_set`]:
+//!   group counts, not positions), [`RankWorkspace::rank_with`] under
+//!   [`PrefixOrder::Set`] skips the prefix sort too, for `O(n)`; the
+//!   `k`-th ranked item still sits at position `k - 1`.
 //!
 //! Both paths run the one ranking kernel [`Dataset::rank`] uses
 //! ([`kernels::top_k_select_into`]): each item becomes a packed `u128`
@@ -29,9 +33,10 @@
 //! an independent comparator-sort model by the property suite.
 //!
 //! [`top_k_bound`]: https://docs.rs/fairrank-fairness (FairnessOracle::top_k_bound)
+//! [`top_k_is_set`]: https://docs.rs/fairrank-fairness (FairnessOracle::top_k_is_set)
 
 use crate::dataset::Dataset;
-use crate::kernels;
+use crate::kernels::{self, PrefixOrder};
 
 /// Reusable buffers for repeated rankings of one (or more) datasets.
 ///
@@ -79,9 +84,25 @@ impl RankWorkspace {
     /// # Panics
     /// If `w.len() != ds.dim()`.
     pub fn rank_with_bound(&mut self, ds: &Dataset, w: &[f64], bound: Option<usize>) -> &[u32] {
-        let mut order = std::mem::take(&mut self.order);
-        self.rank_into(ds, w, bound, &mut order);
-        self.order = order;
+        self.rank_with(ds, w, bound, PrefixOrder::Sorted)
+    }
+
+    /// [`RankWorkspace::rank_with_bound`] with the prefix order chosen:
+    /// under [`PrefixOrder::Set`] the first `k` positions hold the exact
+    /// top-`k` items unsorted, with the `k`-th ranked item at position
+    /// `k - 1` (see [`kernels::top_k_select_into`]).
+    ///
+    /// # Panics
+    /// If `w.len() != ds.dim()`.
+    pub fn rank_with(
+        &mut self,
+        ds: &Dataset,
+        w: &[f64],
+        bound: Option<usize>,
+        order: PrefixOrder,
+    ) -> &[u32] {
+        kernels::score_all_into(ds, w, &mut self.scores);
+        kernels::top_k_select_into(&self.scores, bound, order, &mut self.order);
         &self.order
     }
 
@@ -99,7 +120,7 @@ impl RankWorkspace {
         // key buffer). Every buffer is reused; the steady state performs
         // zero allocations.
         kernels::score_all_into(ds, w, &mut self.scores);
-        kernels::top_k_select_into(&self.scores, bound, out);
+        kernels::top_k_select_into(&self.scores, bound, PrefixOrder::Sorted, out);
     }
 }
 

@@ -214,6 +214,8 @@ mod tests {
         let a = attr(vec![0, 1]);
         let o = ExposureFairness::new(&a, 2);
         assert_eq!(o.top_k_bound(), Some(2));
+        // Rank-aware: position within the top-k matters.
+        assert!(!o.top_k_is_set());
         assert!(o.describe().contains("exposure"));
     }
 

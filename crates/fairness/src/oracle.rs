@@ -50,6 +50,20 @@ pub trait FairnessOracle: Send + Sync {
         None
     }
 
+    /// Whether the verdict depends only on *which* items fill the first
+    /// [`top_k_bound`](FairnessOracle::top_k_bound) positions, never on
+    /// their order — a set-based measure (group counts in the top-`k`),
+    /// as opposed to a rank-aware one (exposure, per-prefix minimums).
+    ///
+    /// When `true`, verdict rankings may hand the oracle its top-`k`
+    /// unsorted (the rest of the contract is unchanged: the first `k`
+    /// positions hold exactly the top-`k` items of the full ranking),
+    /// which saves the `O(k log k)` prefix sort per probe. Meaningless
+    /// without a bound. Default: `false`.
+    fn top_k_is_set(&self) -> bool {
+        false
+    }
+
     /// Re-bind the oracle to an updated dataset (live insert/remove/
     /// rescore), preserving the fairness *policy* while refreshing any
     /// per-item state the oracle captured at construction (group ids,
@@ -153,6 +167,10 @@ impl<O: FairnessOracle> FairnessOracle for CountingOracle<O> {
     fn top_k_bound(&self) -> Option<usize> {
         self.inner.top_k_bound()
     }
+
+    fn top_k_is_set(&self) -> bool {
+        self.inner.top_k_is_set()
+    }
 }
 
 impl<T: FairnessOracle + ?Sized> FairnessOracle for &T {
@@ -174,6 +192,10 @@ impl<T: FairnessOracle + ?Sized> FairnessOracle for &T {
 
     fn top_k_bound(&self) -> Option<usize> {
         (**self).top_k_bound()
+    }
+
+    fn top_k_is_set(&self) -> bool {
+        (**self).top_k_is_set()
     }
 
     fn rebind(&self, ds: &Dataset) -> Option<Box<dyn FairnessOracle>> {
@@ -202,6 +224,10 @@ impl FairnessOracle for Box<dyn FairnessOracle> {
         (**self).top_k_bound()
     }
 
+    fn top_k_is_set(&self) -> bool {
+        (**self).top_k_is_set()
+    }
+
     fn rebind(&self, ds: &Dataset) -> Option<Box<dyn FairnessOracle>> {
         (**self).rebind(ds)
     }
@@ -220,6 +246,7 @@ mod tests {
         assert_eq!(o.describe(), "item 0 first");
         assert!(o.incremental(&[0, 1, 2]).is_none());
         assert!(o.top_k_bound().is_none());
+        assert!(!o.top_k_is_set());
     }
 
     #[test]

@@ -173,6 +173,8 @@ mod tests {
         let (a, _) = ranking_with_protected_at(5, &[0]);
         let o = PrefixFairness::new(&a, 0, 4, 0.5, 0.0);
         assert_eq!(o.top_k_bound(), Some(4));
+        // Rank-aware: position within the top-k matters.
+        assert!(!o.top_k_is_set());
         assert!(o.describe().contains("FA*IR"));
     }
 

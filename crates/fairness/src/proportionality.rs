@@ -232,6 +232,11 @@ impl FairnessOracle for Proportionality {
         Some(self.k)
     }
 
+    // Head counts are per-group tallies of the top-k: order-free.
+    fn top_k_is_set(&self) -> bool {
+        true
+    }
+
     // Same bounds and (clamped) k, group ids refreshed from the updated
     // dataset's attribute of the same name. Returns `None` when the
     // attribute no longer exists or its group universe shrank below the
@@ -323,6 +328,12 @@ impl FairnessOracle for Conjunction {
     fn top_k_bound(&self) -> Option<usize> {
         // The conjunction inspects up to the largest prefix of its parts.
         self.parts.iter().map(|p| p.k()).max()
+    }
+
+    // Only when every part counts over the same k: a smaller-k part
+    // reads a prefix of the top-k, which an unordered top-k scrambles.
+    fn top_k_is_set(&self) -> bool {
+        self.parts.windows(2).all(|w| w[0].k() == w[1].k())
     }
 
     // Rebinds part-wise; the whole conjunction rebinds only if every part
@@ -423,6 +434,12 @@ mod tests {
         // Top-2 = {0, 3}: a counts 1/1 ok; b counts 1/1 ok.
         assert!(c.is_satisfactory(&[0, 3, 1, 2]));
         assert_eq!(c.top_k_bound(), Some(2));
+        // One shared k: the top-2 is read as a set. Mixed k: a part reads
+        // a prefix of the top-3, so order matters.
+        assert!(c.top_k_is_set());
+        let mixed = c.and(Proportionality::new(&ta, 3));
+        assert_eq!(mixed.top_k_bound(), Some(3));
+        assert!(!mixed.top_k_is_set());
     }
 
     #[test]
@@ -439,6 +456,7 @@ mod tests {
         let serial: Vec<bool> = refs.iter().map(|r| o.is_satisfactory(r)).collect();
         assert_eq!(batch, serial);
         assert_eq!(batch, vec![false, true, true]);
+        assert!(o.top_k_is_set());
     }
 
     #[test]

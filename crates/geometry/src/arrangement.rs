@@ -152,7 +152,7 @@ impl Arrangement {
                     .map(|&(hh, s)| self.hyperplanes[hh as usize].constraint(s, 0.0)),
             );
             if !proper_cut(
-                &constraints,
+                &mut constraints,
                 h,
                 self.dim,
                 self.box_lo,
@@ -189,39 +189,42 @@ impl Arrangement {
     }
 }
 
-/// Does `h` properly cut the region `{θ ∈ box : constraints}` — are both
+/// Does `h` properly cut the region `{θ ∈ box : sigma}` — are both
 /// open sides non-empty?
+///
+/// Each side constraint is pushed onto `sigma` for its LP and popped
+/// after, so `sigma` comes back unchanged and no constraint is copied.
 pub(crate) fn proper_cut(
-    constraints: &[Constraint],
+    sigma: &mut Vec<Constraint>,
     h: &Hyperplane,
     dim: usize,
     lo: f64,
     hi: f64,
     margin: f64,
 ) -> bool {
-    let mut with_side = Vec::with_capacity(constraints.len() + 1);
-    with_side.extend_from_slice(constraints);
-    with_side.push(h.constraint(Sign::Minus, margin));
-    if !fast_feasible(&with_side, dim, lo, hi) {
-        return false;
-    }
-    *with_side.last_mut().expect("non-empty") = h.constraint(Sign::Plus, margin);
-    fast_feasible(&with_side, dim, lo, hi)
+    sigma.push(h.constraint(Sign::Minus, margin));
+    let cut = fast_feasible(sigma, dim, lo, hi) && {
+        *sigma.last_mut().expect("side just pushed") = h.constraint(Sign::Plus, margin);
+        fast_feasible(sigma, dim, lo, hi)
+    };
+    sigma.pop();
+    cut
 }
 
 /// Does `h` touch the region at all (used for subtree pruning in the
 /// arrangement tree: feasibility of the region together with `a·θ = b`)?
+/// `sigma` comes back unchanged, as in [`proper_cut`].
 pub(crate) fn touches(
-    constraints: &[Constraint],
+    sigma: &mut Vec<Constraint>,
     h: &Hyperplane,
     dim: usize,
     lo: f64,
     hi: f64,
 ) -> bool {
-    let mut with_eq = Vec::with_capacity(constraints.len() + 1);
-    with_eq.extend_from_slice(constraints);
-    with_eq.push(h.equality());
-    fast_feasible(&with_eq, dim, lo, hi)
+    sigma.push(h.equality());
+    let touched = fast_feasible(sigma, dim, lo, hi);
+    sigma.pop();
+    touched
 }
 
 /// Feasibility via Seidel with simplex fallback.

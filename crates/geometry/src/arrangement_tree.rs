@@ -209,12 +209,11 @@ impl ArrangementTree {
                 Some(idx)
             }
             Some(i) => {
-                let node_h = self.nodes[i as usize].h.clone();
                 for side in [Sign::Minus, Sign::Plus] {
                     if found.is_some() {
                         break;
                     }
-                    sigma.push(node_h.constraint(side, 0.0));
+                    sigma.push(self.nodes[i as usize].h.constraint(side, 0.0));
                     self.lp_calls += 1;
                     if touches(sigma, h, self.dim, self.box_lo, self.box_hi) {
                         let child = match side {

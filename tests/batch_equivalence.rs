@@ -6,11 +6,14 @@
 use proptest::prelude::*;
 
 use fairrank::approximate::{ApproxIndex, BuildOptions};
-use fairrank::probes::batch_verdicts;
+use fairrank::probes::{batch_verdicts, batch_verdicts_and_thresholds};
 use fairrank::{FairRanker, KnownFairness, Strategy, SuggestRequest};
 use fairrank_datasets::synthetic::generic;
-use fairrank_datasets::RankWorkspace;
-use fairrank_fairness::{CountingOracle, FairnessOracle, Proportionality};
+use fairrank_datasets::{Dataset, RankWorkspace, TypeAttribute};
+use fairrank_fairness::{
+    Conjunction, CountingOracle, ExposureFairness, FairnessOracle, FnOracle, PrefixFairness,
+    Proportionality,
+};
 use fairrank_geometry::polar::to_cartesian;
 use fairrank_geometry::HALF_PI;
 
@@ -84,17 +87,22 @@ proptest! {
     }
 
     /// `batch_verdicts` equals serial oracle probing for random
-    /// candidate sets.
+    /// candidate sets, for every oracle kind: set-based (proportionality,
+    /// a conjunction sharing one `k`), rank-aware (a conjunction of mixed
+    /// `k`, exposure, FA*IR prefix) and a closure with no bound. The data
+    /// ties exactly across the `k`-th position, so the id tie-break
+    /// decides which items fill the top-k. The batched thresholds are the
+    /// full ranking's `k`-th score.
     #[test]
     fn batched_probe_verdicts_equal_serial(
         seed in 0u64..500,
         n in 10usize..50,
         probes in 1usize..150,
+        shape in 0u8..2,
     ) {
-        let ds = generic::uniform(n, 3, 0.8, seed);
+        let ds = tie_heavy_grouped(n, seed, shape == 1);
         let attr = ds.type_attribute("group").unwrap().clone();
         let k = (n / 3).max(2);
-        let oracle = Proportionality::new(&attr, k).with_max_count(0, (k / 2).max(1));
         let candidates: Vec<Vec<f64>> = (0..probes)
             .map(|i| {
                 vec![
@@ -103,13 +111,108 @@ proptest! {
                 ]
             })
             .collect();
-        let batched = batch_verdicts(&ds, &oracle, &candidates);
-        prop_assert_eq!(batched.len(), candidates.len());
-        for (c, v) in candidates.iter().zip(batched) {
-            let serial = oracle.is_satisfactory(&ds.rank(&to_cartesian(1.0, c)));
-            prop_assert_eq!(v, serial);
+        for (name, oracle) in oracle_kinds(&attr, k) {
+            let batched = batch_verdicts(&ds, oracle.as_ref(), &candidates);
+            let with_thresholds = batch_verdicts_and_thresholds(&ds, oracle.as_ref(), &candidates);
+            prop_assert_eq!(batched.len(), candidates.len());
+            prop_assert_eq!(with_thresholds.len(), candidates.len());
+            for ((c, v), (tv, t)) in candidates.iter().zip(batched).zip(with_thresholds) {
+                let w = to_cartesian(1.0, c);
+                let full = ds.rank(&w);
+                let serial = oracle.is_satisfactory(&full);
+                prop_assert_eq!(v, serial, "{} at {:?}", name, c);
+                prop_assert_eq!(tv, serial, "{} (thresholds pass) at {:?}", name, c);
+                match oracle.top_k_bound() {
+                    Some(kb) if kb <= n => prop_assert_eq!(
+                        t.to_bits(),
+                        ds.score(&w, full[kb - 1] as usize).to_bits(),
+                        "{} threshold at {:?}", name, c
+                    ),
+                    _ => prop_assert!(t.is_nan(), "{} threshold without a bound", name),
+                }
+            }
         }
     }
+}
+
+/// A tie-heavy dataset (d = 3) with a binary `group` attribute:
+/// `repeated` draws each row from a pool of `n / 4 + 1` distinct uniform
+/// rows; otherwise every attribute is an integer in `0..=4`. Either way
+/// many items tie exactly under every weight vector. Groups lean toward
+/// the first attribute but are drawn per item, so tied items often sit
+/// in different groups and the id tie-break decides the top-k counts.
+fn tie_heavy_grouped(n: usize, seed: u64, repeated: bool) -> Dataset {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state >> 11
+    };
+    let mut uniform = || next() as f64 / (1u64 << 53) as f64;
+    let rows: Vec<Vec<f64>> = if repeated {
+        let pool: Vec<Vec<f64>> = (0..n / 4 + 1)
+            .map(|_| (0..3).map(|_| uniform()).collect())
+            .collect();
+        (0..n)
+            .map(|_| pool[(uniform() * pool.len() as f64) as usize].clone())
+            .collect()
+    } else {
+        (0..n)
+            .map(|_| (0..3).map(|_| (uniform() * 5.0).floor()).collect())
+            .collect()
+    };
+    let top = if repeated { 1.0 } else { 4.0 };
+    let groups: Vec<u32> = rows
+        .iter()
+        .map(|r| u32::from(uniform() < 0.2 + 0.6 * r[0] / top))
+        .collect();
+    let mut ds = Dataset::from_rows(vec!["a0".into(), "a1".into(), "a2".into()], &rows).unwrap();
+    ds.add_type_attribute("group", vec!["g0".into(), "g1".into()], groups)
+        .unwrap();
+    ds
+}
+
+/// One oracle of every kind over `attr` and top-`k`, each named.
+fn oracle_kinds(attr: &TypeAttribute, k: usize) -> Vec<(&'static str, Box<dyn FairnessOracle>)> {
+    let cap = (k / 2).max(1);
+    let prop = Proportionality::new(attr, k).with_max_count(1, cap);
+    let half = (k / 2).max(1);
+    let closure_inner = prop.clone();
+    vec![
+        ("proportionality", Box::new(prop.clone())),
+        (
+            "conjunction, one k",
+            Box::new(
+                Conjunction::new()
+                    .and(prop.clone())
+                    .and(Proportionality::new(attr, k).with_min_count(1, (k / 4).max(1))),
+            ),
+        ),
+        (
+            "conjunction, mixed k",
+            Box::new(
+                Conjunction::new()
+                    .and(prop.clone())
+                    .and(Proportionality::new(attr, half).with_max_count(1, (half / 2).max(1))),
+            ),
+        ),
+        (
+            "exposure",
+            Box::new(ExposureFairness::new(attr, k).with_share_bounds(1, 0.0, 0.55)),
+        ),
+        (
+            "FA*IR prefix",
+            Box::new(PrefixFairness::new(attr, 0, k, 0.4, 0.5)),
+        ),
+        (
+            "closure",
+            Box::new(FnOracle::new(
+                "closure over proportionality",
+                move |r: &[u32]| closure_inner.is_satisfactory(r),
+            )),
+        ),
+    ]
 }
 
 /// Under concurrent MARKCELL, a `CountingOracle` shared across workers
