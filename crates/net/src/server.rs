@@ -1,18 +1,22 @@
 //! The HTTP front door over [`FairRankService`].
 //!
 //! ```text
-//!  TcpListener ──accept──▶ bounded connection queue ──▶ worker threads
-//!                                                          │ per conn:
-//!                                                          │ read → parse
-//!                                                          │ → route →
-//!                                                          ▼ respond
-//!                              FairRankService::submit_timeout(...)
+//!  TcpListener ──accept──▶ FIFO connection queue ──▶ worker threads
+//!                                                      │ per conn:
+//!                                                      │ read → parse
+//!                                                      │ → route →
+//!                                                      ▼ respond
+//!                  FairRankService::suggest_timeout(...)   (/suggest)
+//!                  FairRankService::submit_timeout(...)    (/suggest_batch)
 //! ```
 //!
 //! One acceptor thread feeds a small fixed pool of connection threads
 //! (keep-alive: each thread owns its connection until the peer closes,
 //! so the pool size bounds concurrent *connections*, and the service's
-//! own queue bounds concurrent *requests*). Endpoints:
+//! own queue bounds concurrent *requests*). Accepted connections wait
+//! in arrival order. A `/suggest` connection thread blocks on its own
+//! answer, so it serves the service's queue itself while a batch slot
+//! is free (see [`FairRankService::suggest_timeout`]). Endpoints:
 //!
 //! * `POST /suggest` — one [`SuggestRequest`] in, one suggestion out.
 //! * `POST /suggest_batch` — `{"requests":[…]}` in,
@@ -37,6 +41,7 @@
 //!
 //! [`SuggestRequest`]: fairrank::SuggestRequest
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,6 +62,7 @@ pub struct ServerConfig {
     /// a time). Default 4.
     pub threads: usize,
     /// Per-request admission deadline passed to
+    /// [`FairRankService::suggest_timeout`] and
     /// [`FairRankService::submit_timeout`]: how long a request may wait
     /// for queue space before the server answers 503. Default 20 ms.
     pub submit_timeout: Duration,
@@ -144,8 +150,8 @@ struct ServerShared {
     submit_timeout: Duration,
     health: Option<crate::health::HealthHandle>,
     shutdown: AtomicBool,
-    /// Pending accepted connections awaiting a worker.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Pending accepted connections awaiting a worker, oldest first.
+    conns: Mutex<VecDeque<TcpStream>>,
     conn_ready: Condvar,
     /// The service's metric registry; the HTTP tier registers its own
     /// families here so one `GET /metrics` scrape covers the stack.
@@ -241,7 +247,7 @@ impl HttpServer {
             submit_timeout: config.submit_timeout,
             health: config.health,
             shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(VecDeque::new()),
             conn_ready: Condvar::new(),
             stage_parse: stage("net_parse"),
             stage_write: stage("net_write"),
@@ -313,7 +319,7 @@ fn accept_loop(listener: &TcpListener, shared: &ServerShared) {
                     return;
                 }
                 let mut conns = shared.conns.lock().expect("conn queue poisoned");
-                conns.push(stream);
+                conns.push_back(stream);
                 drop(conns);
                 shared.conn_ready.notify_one();
             }
@@ -335,7 +341,7 @@ fn connection_worker(shared: &ServerShared) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if let Some(stream) = conns.pop() {
+                if let Some(stream) = conns.pop_front() {
                     break stream;
                 }
                 conns = shared.conn_ready.wait(conns).expect("conn queue poisoned");
@@ -555,8 +561,7 @@ fn suggest_one(shared: &ServerShared, body: &[u8], keep_alive: bool, out: &mut V
     let started = Instant::now();
     match shared
         .service
-        .submit_timeout(request, shared.submit_timeout)
-        .and_then(fairrank_serve::SuggestionFuture::wait)
+        .suggest_timeout(request, shared.submit_timeout)
     {
         Ok(suggestion) => {
             let elapsed = started.elapsed();
@@ -605,8 +610,9 @@ fn suggest_batch(shared: &ServerShared, body: &[u8], keep_alive: bool, out: &mut
             }
         }
     }
-    // Submit the whole burst before awaiting anything: requests that
-    // queue while the service's workers are busy drain together.
+    // Submit the whole burst before awaiting anything: each submission
+    // wakes a pool worker, so the burst is served in parallel, and the
+    // waits below help serve it.
     let started = Instant::now();
     let mut futures = Vec::with_capacity(requests.len());
     for request in requests {

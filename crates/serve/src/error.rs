@@ -21,9 +21,9 @@ pub enum ServiceError {
         /// The configured queue capacity that was hit.
         capacity: usize,
         /// Requests outstanding at rejection time: everything queued
-        /// plus everything in flight inside the worker pool. An HTTP
-        /// front end divides this by its observed service rate to emit
-        /// an honest `Retry-After` instead of a constant.
+        /// plus everything already being served. An HTTP front end
+        /// divides this by its observed service rate to emit an honest
+        /// `Retry-After` instead of a constant.
         depth: usize,
     },
     /// The service has been shut down; no new requests are accepted
@@ -32,6 +32,10 @@ pub enum ServiceError {
     Closed,
     /// The underlying ranker rejected the request or update.
     Rank(FairRankError),
+    /// Serving this request's micro-batch panicked (in the oracle, for
+    /// instance), with the panic message. Only that batch's callers see
+    /// it: the service keeps serving.
+    Panicked(String),
 }
 
 impl fmt::Display for ServiceError {
@@ -45,6 +49,7 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Closed => write!(f, "service is shut down"),
             ServiceError::Rank(e) => write!(f, "ranker error: {e}"),
+            ServiceError::Panicked(message) => write!(f, "serving panicked: {message}"),
         }
     }
 }
@@ -81,5 +86,8 @@ mod tests {
         let rank = ServiceError::from(FairRankError::EmptyDataset);
         assert!(rank.to_string().contains("empty"));
         assert!(std::error::Error::source(&rank).is_some());
+        let panicked = ServiceError::Panicked("oracle blew up".to_string());
+        assert_eq!(panicked.to_string(), "serving panicked: oracle blew up");
+        assert!(std::error::Error::source(&panicked).is_none());
     }
 }

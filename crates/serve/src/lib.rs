@@ -25,16 +25,20 @@
 //! service.shutdown();
 //! ```
 //!
-//! Internally a worker pool drains a bounded MPSC submission queue
-//! (each worker takes what is queued, up to `max_batch`, without
-//! waiting for more), executes each micro-batch through
-//! [`FairRanker::respond_batch`] on a point-in-time
-//! [`FairRanker::snapshot`], and completes per-request one-shot
-//! futures. Repeated traffic takes a fast path: a
-//! [`SuggestionCache`] memoizes the oracle's fairness verdict per
-//! certified weight-space region
-//! ([`fairrank::IndexBackend::region_of`]), so a hit skips the
-//! `O(n log n)` ranking pass while producing bit-identical answers.
+//! Internally requests wait in a bounded FIFO submission queue. A
+//! thread that blocks on its own answer ([`SuggestionFuture::wait`],
+//! [`FairRankService::suggest`], [`FairRankService::suggest_timeout`])
+//! serves the queue itself while one of the `workers` batch slots is
+//! free; a worker pool serves the rest. Either way the executor takes
+//! what is queued, up to `max_batch`, without waiting for more, runs
+//! the micro-batch through [`FairRanker::respond_batch`] on a
+//! point-in-time [`FairRanker::snapshot`], and completes per-request
+//! one-shot futures. At most `workers` batches run at once, and a panic
+//! inside one fails only its callers ([`ServiceError::Panicked`]).
+//! Repeated traffic takes a fast path: a [`SuggestionCache`] memoizes
+//! the oracle's fairness verdict per certified weight-space region
+//! ([`fairrank::IndexBackend::region_of`]), so a hit skips the oracle's
+//! top-k selection pass while producing bit-identical answers.
 //! [`FairRankService::try_suggest`] surfaces backpressure as
 //! [`ServiceError::Overloaded`]; [`FairRankService::update`] serializes
 //! writers, swaps generations copy-on-write so readers never block

@@ -8,13 +8,14 @@
 //!
 //! * [`block_on`] — drive any future to completion on the current
 //!   thread, parking between polls (a thread-parking [`Waker`]).
-//! * [`oneshot`] — a `Waker`-integrated single-value channel: the worker
-//!   pool completes one per request, and the caller either `.await`s the
-//!   receiver (it is a [`Future`]) or blocks on [`oneshot::Receiver::wait`].
-//! * [`Deadline`] — the micro-batcher's timer: a monotonic expiry point
-//!   with saturating remaining-time queries, driven by
-//!   [`Condvar::wait_timeout`](std::sync::Condvar::wait_timeout) inside
-//!   the worker loop.
+//! * [`oneshot`] — a `Waker`-integrated single-value channel: whoever
+//!   serves a request's batch completes one, and the caller either
+//!   `.await`s the receiver (it is a [`Future`]) or blocks on
+//!   [`oneshot::Receiver::wait`].
+//! * [`Deadline`] — the admission timer: a monotonic expiry point with
+//!   saturating remaining-time queries, driven by
+//!   [`Condvar::wait_timeout`](std::sync::Condvar::wait_timeout) while a
+//!   submitter waits for queue space.
 //!
 //! Everything here is runtime-agnostic: the oneshot receivers are plain
 //! futures, so they compose with any executor a downstream application
@@ -54,7 +55,7 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
     }
 }
 
-/// A monotonic expiry point — the micro-batcher's deadline trigger.
+/// A monotonic expiry point — the admission deadline of a submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
     at: Instant,
@@ -84,16 +85,16 @@ impl Deadline {
     }
 }
 
-/// A `Waker`-based single-value channel: the bridge between the worker
-/// pool (which completes answers) and callers (which await them).
+/// A `Waker`-based single-value channel: the bridge between whoever
+/// serves a batch (and completes its answers) and callers (which await
+/// them).
 pub mod oneshot {
     use std::future::Future;
     use std::pin::Pin;
     use std::sync::{Arc, Condvar, Mutex};
     use std::task::{Context, Poll, Waker};
 
-    /// The sending half vanished without producing a value (worker
-    /// panic or service teardown race).
+    /// The sending half vanished without producing a value.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct Canceled;
 
@@ -183,6 +184,14 @@ pub mod oneshot {
     }
 
     impl<T> Receiver<T> {
+        /// Has the value (or cancellation) arrived? A peek: a `true`
+        /// means [`wait`](Receiver::wait) returns without blocking.
+        #[must_use]
+        pub fn is_ready(&self) -> bool {
+            let state = self.inner.state.lock().expect("oneshot lock poisoned");
+            state.value.is_some() || !state.tx_alive
+        }
+
         /// Block the current thread until the value (or cancellation)
         /// arrives — the synchronous twin of `.await`.
         ///
@@ -258,6 +267,19 @@ mod tests {
         });
         assert_eq!(rx.wait(), Ok(5));
         sender.join().unwrap();
+    }
+
+    #[test]
+    fn oneshot_is_ready_peeks() {
+        let (tx, rx) = oneshot::channel();
+        assert!(!rx.is_ready());
+        tx.send(3u8).unwrap();
+        assert!(rx.is_ready());
+        assert!(rx.is_ready(), "peeking must not consume the value");
+        assert_eq!(rx.wait(), Ok(3));
+        let (tx, rx) = oneshot::channel::<u8>();
+        drop(tx);
+        assert!(rx.is_ready(), "cancellation counts as ready");
     }
 
     #[test]

@@ -6,18 +6,36 @@
 //! the two shapes:
 //!
 //! ```text
-//!  callers ──try_suggest/submit──▶ bounded MPSC queue ──▶ worker pool
-//!     ▲                                                      │
-//!     │           one-shot future per request                │
-//!     ╰──────────────◀── Suggestion ◀── respond_batch(micro-batch)
+//!  suggest / suggest_timeout ──┐  enqueue only
+//!  submit / try_suggest ───────┤  enqueue + wake a pool worker
+//!                              ▼
+//!                 bounded FIFO submission queue
+//!                              │  drained, up to max_batch, by whoever
+//!                              │  claims one of `workers` batch slots
+//!                ┌─────────────┴─────────────┐
+//!                ▼                           ▼
+//!     a blocked caller (wait)          a pool worker
+//!                └─────────────┬─────────────┘
+//!                              ▼
+//!               serve_batch ─▶ respond_batch(micro-batch)
+//!                              │
+//!                              ▼
+//!           one-shot per request ─▶ Suggestion to its caller
 //! ```
 //!
-//! * **Micro-batching.** A worker drains what is queued, up to
-//!   [`ServiceBuilder::max_batch`], and executes it through
-//!   [`FairRanker::respond_batch`]. It never waits for a batch to fill:
-//!   batches form only from requests that queued while every worker was
-//!   busy, so a lone request is served at once and a backlog still gets
-//!   the amortized batch machinery.
+//! * **Caller-runs micro-batching.** Whoever serves drains what is
+//!   queued, up to [`ServiceBuilder::max_batch`], and executes it through
+//!   [`FairRanker::respond_batch`]; it never waits for a batch to fill. A
+//!   thread about to block on its own answer
+//!   ([`SuggestionFuture::wait`], [`suggest`](FairRankService::suggest),
+//!   [`suggest_timeout`](FairRankService::suggest_timeout)) serves the
+//!   head of the queue itself while a batch slot is free, so a request
+//!   need not cross threads on its way to the ranker and back. Pool
+//!   workers serve what no blocked caller picks up: futures that are
+//!   `.await`ed, and requests queued while every slot was busy. Both
+//!   executors run the same `serve_batch`, and at most
+//!   [`ServiceBuilder::workers`] batches run at once, so capacity and
+//!   [`ServiceError::Overloaded`] mean what they did with a pool alone.
 //! * **Backpressure.** The queue is bounded
 //!   ([`ServiceBuilder::queue_capacity`]):
 //!   [`try_suggest`](FairRankService::try_suggest) fails fast with
@@ -29,6 +47,10 @@
 //!   serving slot, so in-flight micro-batches keep answering from the
 //!   `Arc<Dataset>` snapshot they captured — readers are never blocked
 //!   behind index maintenance.
+//! * **Panics stay in their batch.** A panic while answering a batch (an
+//!   oracle closure, say) fails only that batch's callers with
+//!   [`ServiceError::Panicked`]; the slot is released and serving goes
+//!   on, whichever executor ran the batch.
 //! * **Graceful shutdown.** [`shutdown`](FairRankService::shutdown)
 //!   (and `Drop`) closes the queue, drains every already-queued request
 //!   to completion, and joins the workers.
@@ -38,7 +60,8 @@
 //! gated by `tests/service_equivalence.rs`.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -67,15 +90,16 @@ pub struct ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Number of worker threads draining the queue. `0` (the default)
-    /// uses [`std::thread::available_parallelism`].
+    /// At most this many batches run at once, on pool threads or on
+    /// blocked callers; the pool has this many threads. `0` (the
+    /// default) uses [`std::thread::available_parallelism`].
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// Micro-batch size cap: a worker drains what is queued, up to this
-    /// many requests (clamped to at least 1; default 16).
+    /// Micro-batch size cap: whoever serves drains what is queued, up to
+    /// this many requests (clamped to at least 1; default 16).
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
         self
@@ -145,10 +169,12 @@ impl ServiceBuilder {
             .then(|| StageTimers::register(&registry));
         let shared = Arc::new(Shared {
             dim: self.ranker.dataset().dim(),
+            workers,
             max_batch: self.max_batch,
             capacity: self.queue_capacity,
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
+                busy: 0,
                 closed: false,
             }),
             not_empty: Condvar::new(),
@@ -188,6 +214,18 @@ enum Backpressure {
     Deadline(Deadline),
 }
 
+impl Backpressure {
+    /// An admission deadline `timeout` from now; `Duration::ZERO` fails
+    /// fast.
+    fn within(timeout: Duration) -> Backpressure {
+        if timeout.is_zero() {
+            Backpressure::Fail
+        } else {
+            Backpressure::Deadline(Deadline::after(timeout))
+        }
+    }
+}
+
 /// One queued request: the submission, the one-shot completion, and the
 /// queue-wait stopwatch (inert unless stage timing is on).
 struct Pending {
@@ -198,6 +236,10 @@ struct Pending {
 
 struct QueueState {
     pending: VecDeque<Pending>,
+    /// Batches running right now, on pool threads or on blocked callers;
+    /// never more than [`Shared::workers`]. Changed only under the queue
+    /// lock, through [`Shared::take_batch`] and [`SlotGuard`].
+    busy: usize,
     closed: bool,
 }
 
@@ -210,10 +252,11 @@ struct Metrics {
     completed: Counter,
     batches: Counter,
     rejected: Counter,
-    /// Live gauge (not a terminal counter): requests a worker has drained
-    /// from the queue but not yet answered. `queued + in_flight` is the
-    /// service's total outstanding depth — what a load shedder divides by
-    /// its service rate to predict drain time.
+    /// Live gauge (not a terminal counter): requests drained from the
+    /// queue (by a pool worker or a blocked caller) but not yet answered.
+    /// `queued + in_flight` is the service's total outstanding depth —
+    /// what a load shedder divides by its service rate to predict drain
+    /// time.
     in_flight: Gauge,
 }
 
@@ -314,6 +357,8 @@ impl StageTimers {
 
 struct Shared {
     dim: usize,
+    /// The most batches that run at once ([`ServiceBuilder::workers`]).
+    workers: usize,
     max_batch: usize,
     capacity: usize,
     queue: Mutex<QueueState>,
@@ -349,8 +394,8 @@ struct Shared {
 pub struct ServiceStats {
     /// Requests currently waiting in the submission queue.
     pub queued: usize,
-    /// Requests currently being served by the worker pool: drained from
-    /// the queue but not yet answered. A live gauge — with `queued` it
+    /// Requests currently being served (by a pool worker or a blocked
+    /// caller): drained from the queue but not yet answered. A live gauge — with `queued` it
     /// observes saturation directly instead of inferring it from
     /// [`ServiceError::Overloaded`] rejections.
     pub in_flight: u64,
@@ -362,29 +407,43 @@ pub struct ServiceStats {
     pub batches: u64,
     /// Submissions rejected with [`ServiceError::Overloaded`].
     pub rejected: u64,
-    /// Worker threads in the pool.
+    /// Worker threads in the pool, which is also the most batches that
+    /// run at once.
     pub workers: usize,
     /// Region-identity cache counters; `None` when the cache is disabled
     /// ([`ServiceBuilder::cache`]).
     pub cache: Option<CacheStats>,
 }
 
-/// An awaitable [`Suggestion`]: resolves when a worker completes the
-/// request. Runtime-agnostic — `.await` it from any executor, drive it
+/// An awaitable [`Suggestion`]: resolves when the request's batch is
+/// served. Runtime-agnostic — `.await` it from any executor, drive it
 /// with [`crate::runtime::block_on`], or block with
 /// [`SuggestionFuture::wait`].
 pub struct SuggestionFuture {
     rx: oneshot::Receiver<Result<Suggestion, ServiceError>>,
+    shared: Arc<Shared>,
 }
 
 impl SuggestionFuture {
-    /// Block the current thread until the answer arrives.
+    /// Block the current thread until the answer arrives, lending the
+    /// thread to the service meanwhile: while the answer is missing and
+    /// fewer than [`ServiceBuilder::workers`] batches are running, it
+    /// drains the head of the queue (FIFO, up to `max_batch`, whoever
+    /// submitted it) and serves that batch itself. Once no slot is free,
+    /// or nothing is queued, it sleeps until its answer arrives, as an
+    /// `.await` does. Polling the future never runs a batch.
     ///
     /// # Errors
     /// [`ServiceError`] from the serving pipeline, or
-    /// [`ServiceError::Closed`] if the worker vanished without
-    /// answering.
+    /// [`ServiceError::Closed`] if the request was dropped unanswered.
     pub fn wait(self) -> Result<Suggestion, ServiceError> {
+        while !self.rx.is_ready() {
+            let Ok((slot, batch)) = self.shared.take_batch(self.shared.lock_queue()) else {
+                break;
+            };
+            serve_batch(&self.shared, batch);
+            drop(slot);
+        }
         self.rx.wait().unwrap_or(Err(ServiceError::Closed))
     }
 }
@@ -429,14 +488,16 @@ impl FairRankService {
 
     /// Submit without blocking: fails fast with
     /// [`ServiceError::Overloaded`] when the bounded queue is full — the
-    /// caller's backpressure signal.
+    /// caller's backpressure signal. Like every `submit*` entry point it
+    /// wakes a pool worker, so the answer arrives even if the future is
+    /// only ever polled.
     ///
     /// # Errors
     /// [`ServiceError::Overloaded`] (queue full), [`ServiceError::Closed`]
     /// (after shutdown), [`ServiceError::Rank`] (malformed request —
     /// validated here, so queued batches never fail collectively).
     pub fn try_suggest(&self, req: SuggestRequest) -> Result<SuggestionFuture, ServiceError> {
-        self.enqueue(req, Backpressure::Fail)
+        self.enqueue(req, Backpressure::Fail, true)
     }
 
     /// Submit with blocking backpressure: waits for queue space instead
@@ -446,7 +507,7 @@ impl FairRankService {
     /// # Errors
     /// [`ServiceError::Closed`], [`ServiceError::Rank`].
     pub fn submit(&self, req: SuggestRequest) -> Result<SuggestionFuture, ServiceError> {
-        self.enqueue(req, Backpressure::Block)
+        self.enqueue(req, Backpressure::Block, true)
     }
 
     /// Submit with a per-request admission deadline: waits up to
@@ -468,30 +529,54 @@ impl FairRankService {
         req: SuggestRequest,
         timeout: Duration,
     ) -> Result<SuggestionFuture, ServiceError> {
-        if timeout.is_zero() {
-            return self.enqueue(req, Backpressure::Fail);
-        }
-        self.enqueue(req, Backpressure::Deadline(Deadline::after(timeout)))
+        self.enqueue(req, Backpressure::within(timeout), true)
     }
 
-    /// Submit and block until the answer arrives — the synchronous
-    /// convenience wrapper around [`submit`](FairRankService::submit).
+    /// Submit and block until the answer arrives — the synchronous twin
+    /// of [`submit`](FairRankService::submit). No pool worker is woken:
+    /// the calling thread serves the queue itself through
+    /// [`SuggestionFuture::wait`] while a batch slot is free.
     ///
     /// # Errors
     /// As [`FairRankService::submit`], plus any serving-side error.
     pub fn suggest(&self, req: SuggestRequest) -> Result<Suggestion, ServiceError> {
-        self.submit(req)?.wait()
+        self.enqueue(req, Backpressure::Block, false)?.wait()
     }
 
+    /// Submit with an admission deadline and block until the answer
+    /// arrives — the blocking twin of
+    /// [`submit_timeout`](FairRankService::submit_timeout), and what an
+    /// HTTP connection thread calls per request. As with
+    /// [`suggest`](FairRankService::suggest), no pool worker is woken:
+    /// the calling thread serves the queue while a slot is free. The
+    /// deadline bounds only the wait for queue space.
+    ///
+    /// # Errors
+    /// As [`FairRankService::submit_timeout`], plus any serving-side
+    /// error.
+    pub fn suggest_timeout(
+        &self,
+        req: SuggestRequest,
+        timeout: Duration,
+    ) -> Result<Suggestion, ServiceError> {
+        self.enqueue(req, Backpressure::within(timeout), false)?
+            .wait()
+    }
+
+    /// Queue `req` under `mode`'s backpressure. `wake_pool` is set by the
+    /// entry points whose caller may never run a batch (`submit*`,
+    /// `try_suggest`); the blocking `suggest*` entry points leave it
+    /// unset, because their caller serves the queue next.
     fn enqueue(
         &self,
         req: SuggestRequest,
         mode: Backpressure,
+        wake_pool: bool,
     ) -> Result<SuggestionFuture, ServiceError> {
         // Validate before queueing: a malformed request fails its caller
         // alone, never the micro-batch it would have joined.
         validate_weights(&req.query, self.shared.dim).map_err(ServiceError::Rank)?;
-        let mut queue = self.shared.queue.lock().expect("queue lock poisoned");
+        let mut queue = self.shared.lock_queue();
         loop {
             if queue.closed {
                 return Err(ServiceError::Closed);
@@ -533,13 +618,18 @@ impl FairRankService {
         });
         drop(queue);
         self.shared.metrics.submitted.inc();
-        self.shared.not_empty.notify_one();
-        Ok(SuggestionFuture { rx })
+        if wake_pool {
+            self.shared.not_empty.notify_one();
+        }
+        Ok(SuggestionFuture {
+            rx,
+            shared: Arc::clone(&self.shared),
+        })
     }
 
     /// Record a rejection and build the structured [`ServiceError::Overloaded`]
-    /// payload: depth is everything queued plus everything already inside
-    /// the worker pool, so front ends can derive an honest retry delay.
+    /// payload: depth is everything queued plus everything already being
+    /// served, so front ends can derive an honest retry delay.
     fn reject(&self, queued: usize) -> ServiceError {
         self.shared.metrics.rejected.inc();
         let in_flight = self.shared.metrics.in_flight.get().max(0) as usize;
@@ -711,13 +801,7 @@ impl FairRankService {
     /// counters themselves are shared cells and agree by construction.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
-        let queued = self
-            .shared
-            .queue
-            .lock()
-            .expect("queue lock poisoned")
-            .pending
-            .len();
+        let queued = self.shared.lock_queue().pending.len();
         let cache = self.shared.cache.as_ref().map(SuggestionCache::stats);
         self.shared.derived.queue_depth.set(queued as i64);
         self.shared
@@ -732,7 +816,7 @@ impl FairRankService {
             completed: self.shared.metrics.completed.get(),
             batches: self.shared.metrics.batches.get(),
             rejected: self.shared.metrics.rejected.get(),
-            workers: self.workers.len(),
+            workers: self.shared.workers,
             cache,
         }
     }
@@ -762,10 +846,7 @@ impl FairRankService {
     /// keep draining — and answering — everything already queued.
     /// [`shutdown`](FairRankService::shutdown) closes and then joins.
     pub fn close(&self) {
-        {
-            let mut queue = self.shared.queue.lock().expect("queue lock poisoned");
-            queue.closed = true;
-        }
+        self.shared.lock_queue().closed = true;
         // Wake every waiter: idle workers exit once the queue drains,
         // blocked submitters observe `Closed`.
         self.shared.not_empty.notify_all();
@@ -774,28 +855,22 @@ impl FairRankService {
 
     /// Graceful shutdown: stop accepting submissions, drain and answer
     /// every request already queued, and join the worker pool. Dropping
-    /// the service does the same.
-    pub fn shutdown(mut self) {
-        self.close_and_join(true);
-    }
-
-    fn close_and_join(&mut self, propagate_panics: bool) {
-        self.close();
-        for handle in self.workers.drain(..) {
-            if let Err(panic) = handle.join() {
-                if propagate_panics {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
+    /// the service does the same. A panic while serving never reaches
+    /// here: it fails its own batch's callers (see
+    /// [`ServiceError::Panicked`]).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for FairRankService {
     fn drop(&mut self) {
-        // Never propagate worker panics out of Drop (aborts during
-        // unwinding); `shutdown()` is the loud path.
-        self.close_and_join(false);
+        self.close();
+        for handle in self.workers.drain(..) {
+            // `serve_batch` catches every panic of the serving code, so a
+            // worker thread only ends by returning.
+            let _ = handle.join();
+        }
     }
 }
 
@@ -810,183 +885,252 @@ impl std::fmt::Debug for FairRankService {
     }
 }
 
-/// One worker: drain a micro-batch of what is queued (up to `max_batch`),
-/// serve it on a point-in-time snapshot — region-cache hits through the
-/// verdict fast path, everything else through [`FairRanker::respond_batch`]
-/// — complete the one-shots, repeat until the queue is closed *and*
-/// drained.
-fn worker_loop(shared: &Shared) {
-    loop {
-        let batch = match collect_batch(shared) {
-            Some(batch) => batch,
-            None => return,
+/// One of the [`ServiceBuilder::workers`] batch slots, claimed by
+/// [`Shared::take_batch`]. Dropping it frees the slot and, if requests
+/// are still queued, wakes a pool worker for them: a caller that found
+/// every slot taken sleeps on its answer, and this wake is what serves
+/// it.
+struct SlotGuard<'a>(&'a Shared);
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        let more = {
+            // No panic in `Drop`: every update of the queue state is
+            // complete under its lock, so a poisoned guard is still valid.
+            let mut queue = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            queue.busy -= 1;
+            !queue.pending.is_empty()
         };
-        // The gauge covers the whole span from drain to answer: capacity
-        // freed at drain time reappears here as in-flight, so
-        // `queued + in_flight` tracks total outstanding work without a
-        // gap a stats reader could fall through.
-        shared.metrics.in_flight.add(batch.len() as i64);
-        // Serve outside every lock, on a snapshot pinned for exactly
-        // this batch: a concurrent update advances the slot without
-        // touching the generation we're answering from.
-        let ranker = shared.slot.read().expect("slot lock poisoned").snapshot();
-        let version = ranker.version();
-        let cache = shared.cache.as_ref();
-        let timers = shared.timers.as_ref();
-
-        // Route each request: classify against the region cache first,
-        // then serve hits through the verdict fast path and misses
-        // through one `respond_batch` call — the same answers in the
-        // same completion order as the unstaged loop, but with each
-        // phase (`cache_lookup` → `fastpath` → `oracle_pass`)
-        // observable as a per-batch span. A cached region verdict skips
-        // the oracle ranking pass entirely
-        // ([`FairRanker::respond_with_verdict`] runs the same
-        // suggestion/finish code as the batch path, so answers stay
-        // bit-identical); misses seed the cache on the way out.
-        let mut txs = Vec::with_capacity(batch.len());
-        let mut answers: Vec<Option<Result<Suggestion, ServiceError>>> =
-            Vec::with_capacity(batch.len());
-        let mut hit_reqs: Vec<(usize, SuggestRequest, bool)> = Vec::new();
-        let mut miss_reqs: Vec<SuggestRequest> = Vec::new();
-        let mut miss_slots: Vec<(usize, Option<CacheKey>)> = Vec::new();
-        let lookup = Stopwatch::start_if(timers.is_some());
-        for pending in batch {
-            if let Some(timers) = timers {
-                // Queue wait spans submit → this worker picking the
-                // request up for classification (coalescing included —
-                // it is time the caller spent waiting either way).
-                pending.queued_at.record(&timers.queue_wait);
-            }
-            let key = cache.and_then(|cache| match ranker.region_of(&pending.req.query) {
-                Some(region) => Some(CacheKey {
-                    region,
-                    k: pending.req.k,
-                    options: pending.req.options,
-                    version,
-                }),
-                None => {
-                    // Uncertified queries still count in the hit-rate
-                    // denominator — a backend that certifies nothing
-                    // must read as 0% hits, not as no traffic.
-                    cache.note_uncacheable();
-                    None
-                }
-            });
-            let hit = match (&key, cache) {
-                (Some(key), Some(cache)) => cache.get(key),
-                _ => None,
-            };
-            match hit {
-                Some(fair) => {
-                    // Version coherence: the key embeds the snapshot's
-                    // version, so a hit replays a verdict from exactly
-                    // the generation answering this batch.
-                    debug_assert_eq!(key.map(|k| k.version), Some(version));
-                    hit_reqs.push((answers.len(), pending.req, fair));
-                    answers.push(None);
-                }
-                None => {
-                    miss_slots.push((answers.len(), key));
-                    answers.push(None);
-                    miss_reqs.push(pending.req);
-                }
-            }
-            txs.push(pending.tx);
+        if more {
+            self.0.not_empty.notify_one();
         }
-        if let Some(timers) = timers {
-            lookup.record(&timers.cache_lookup);
-        }
-
-        if !hit_reqs.is_empty() {
-            let fastpath = Stopwatch::start_if(timers.is_some());
-            for (slot, req, fair) in hit_reqs {
-                let answer = ranker
-                    .respond_with_verdict(&req, fair)
-                    .map_err(ServiceError::Rank);
-                if let Ok(suggestion) = &answer {
-                    debug_assert_eq!(
-                        suggestion.version, version,
-                        "cache hit answered from a different generation"
-                    );
-                }
-                answers[slot] = Some(answer);
-            }
-            if let Some(timers) = timers {
-                fastpath.record(&timers.fastpath);
-            }
-        }
-
-        if !miss_reqs.is_empty() {
-            let oracle_pass = Stopwatch::start_if(timers.is_some());
-            match ranker.respond_batch(&miss_reqs) {
-                Ok(batch_answers) => {
-                    for ((slot, key), answer) in miss_slots.into_iter().zip(batch_answers) {
-                        if let (Some(cache), Some(key)) = (cache, key) {
-                            // `AlreadyFair` is exactly the oracle-fair
-                            // verdict the fast path needs; Suggested and
-                            // Infeasible both replay through
-                            // `suggest_unfair`.
-                            cache.insert(key, answer.is_already_fair());
-                        }
-                        answers[slot] = Some(Ok(answer));
-                    }
-                }
-                Err(e) => {
-                    // Unreachable for queue-validated requests;
-                    // defensively fail the batch's callers rather than
-                    // the worker.
-                    let e = ServiceError::Rank(e);
-                    for (slot, _) in miss_slots {
-                        answers[slot] = Some(Err(e.clone()));
-                    }
-                }
-            }
-            if let Some(timers) = timers {
-                oracle_pass.record(&timers.oracle_pass);
-            }
-        }
-        shared.metrics.batches.inc();
-        // Count before completing the one-shots: a caller must never
-        // observe its answer while the counters miss it — and only
-        // genuinely answered requests count.
-        let completed = answers.iter().filter(|a| matches!(a, Some(Ok(_)))).count() as u64;
-        shared.metrics.completed.add(completed);
-        let served = txs.len() as i64;
-        for (tx, answer) in txs.into_iter().zip(answers) {
-            // A dropped receiver just means the caller stopped caring;
-            // serving the rest of the batch is unaffected.
-            let _ = tx.send(answer.expect("every routed request has an answer"));
-        }
-        shared.metrics.in_flight.add(-served);
     }
 }
 
-/// Block until at least one request is queued (or return `None` once the
-/// queue is closed and drained), then drain up to `max_batch` of the
-/// requests already queued. Work-conserving: a worker never waits for a
-/// batch to fill, so no request waits for company.
-fn collect_batch(shared: &Shared) -> Option<Vec<Pending>> {
-    let mut queue = shared.queue.lock().expect("queue lock poisoned");
-    // Another worker may have drained the request that woke us: sleep
-    // again rather than executing a phantom batch.
-    while queue.pending.is_empty() {
-        if queue.closed {
-            return None;
+impl Shared {
+    fn lock_queue(&self) -> MutexGuard<'_, QueueState> {
+        self.queue.lock().expect("queue lock poisoned")
+    }
+
+    /// Claim a batch slot and drain the head of the queue, up to
+    /// `max_batch` requests, releasing the queue lock. Hands the lock
+    /// back when nothing is queued or all `workers` slots are taken.
+    /// Work-conserving: nobody waits for a batch to fill.
+    fn take_batch<'a>(
+        &'a self,
+        mut queue: MutexGuard<'a, QueueState>,
+    ) -> Result<(SlotGuard<'a>, Vec<Pending>), MutexGuard<'a, QueueState>> {
+        if queue.pending.is_empty() || queue.busy >= self.workers {
+            return Err(queue);
         }
-        queue = shared.not_empty.wait(queue).expect("queue lock poisoned");
+        // The coalesce stage: pickup → batch drained. Distinct from queue
+        // wait (which is per-request and includes this).
+        let coalesce = Stopwatch::start_if(self.timers.is_some());
+        queue.busy += 1;
+        let take = queue.pending.len().min(self.max_batch);
+        let batch = queue.pending.drain(..take).collect();
+        drop(queue);
+        let slot = SlotGuard(self);
+        // Capacity frees at *drain* time, not when the batch finishes
+        // serving: release blocked submitters immediately.
+        self.not_full.notify_all();
+        if let Some(timers) = &self.timers {
+            coalesce.record(&timers.coalesce);
+        }
+        Ok((slot, batch))
     }
-    // The coalesce stage: pickup → batch drained. Distinct from queue
-    // wait (which is per-request and includes this).
-    let coalesce = Stopwatch::start_if(shared.timers.is_some());
-    let take = queue.pending.len().min(shared.max_batch);
-    let batch = queue.pending.drain(..take).collect();
-    drop(queue);
-    // Capacity frees at *drain* time, not when the batch finishes
-    // serving: release blocked submitters immediately.
-    shared.not_full.notify_all();
-    if let Some(timers) = &shared.timers {
-        coalesce.record(&timers.coalesce);
+}
+
+/// One pool worker: take a batch whenever one is queued and a slot is
+/// free, serve it, repeat until the queue is closed *and* drained.
+fn worker_loop(shared: &Shared) {
+    loop {
+        let mut queue = shared.lock_queue();
+        let (slot, batch) = loop {
+            // A caller or another worker may have drained the request
+            // that woke us, or hold the last slot: sleep again rather
+            // than exceed `workers` or run a phantom batch.
+            match shared.take_batch(queue) {
+                Ok(claimed) => break claimed,
+                Err(idle) if idle.closed && idle.pending.is_empty() => return,
+                Err(idle) => queue = shared.not_empty.wait(idle).expect("queue lock poisoned"),
+            }
+        };
+        serve_batch(shared, batch);
+        drop(slot);
     }
-    Some(batch)
+}
+
+/// Serve one drained micro-batch and complete its one-shots: the single
+/// serving path, run by pool workers and by blocked callers alike. A
+/// panic while answering fails this batch's callers with
+/// [`ServiceError::Panicked`] and leaves the service serving.
+fn serve_batch(shared: &Shared, batch: Vec<Pending>) {
+    let served = batch.len();
+    // The gauge covers the whole span from drain to answer: capacity
+    // freed at drain time reappears here as in-flight, so
+    // `queued + in_flight` tracks total outstanding work without a gap a
+    // stats reader could fall through.
+    shared.metrics.in_flight.add(served as i64);
+    let mut reqs = Vec::with_capacity(served);
+    let mut txs = Vec::with_capacity(served);
+    for pending in batch {
+        if let Some(timers) = &shared.timers {
+            // Queue wait spans submit → the batch being picked up
+            // (coalescing included — it is time the caller spent waiting
+            // either way).
+            pending.queued_at.record(&timers.queue_wait);
+        }
+        reqs.push(pending.req);
+        txs.push(pending.tx);
+    }
+    // The one-shots stay outside the unwind boundary, so a panic cannot
+    // drop them unanswered.
+    let answers = panic::catch_unwind(AssertUnwindSafe(|| answer_batch(shared, reqs)))
+        .unwrap_or_else(|payload| {
+            let e = ServiceError::Panicked(panic_message(payload.as_ref()));
+            vec![Err(e); served]
+        });
+    shared.metrics.batches.inc();
+    // Count before completing the one-shots: a caller must never observe
+    // its answer while the counters miss it (or still hold it in flight)
+    // — and only genuinely answered requests count.
+    let completed = answers.iter().filter(|a| a.is_ok()).count() as u64;
+    shared.metrics.completed.add(completed);
+    shared.metrics.in_flight.add(-(served as i64));
+    for (tx, answer) in txs.into_iter().zip(answers) {
+        // A dropped receiver just means the caller stopped caring;
+        // serving the rest of the batch is unaffected.
+        let _ = tx.send(answer);
+    }
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format
+/// string); other payloads get a fixed description.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Answer `reqs` in order on a point-in-time snapshot: region-cache hits
+/// through the verdict fast path, everything else through one
+/// [`FairRanker::respond_batch`].
+fn answer_batch(
+    shared: &Shared,
+    reqs: Vec<SuggestRequest>,
+) -> Vec<Result<Suggestion, ServiceError>> {
+    // Serve outside every lock, on a snapshot pinned for exactly this
+    // batch: a concurrent update advances the slot without touching the
+    // generation we're answering from.
+    let ranker = shared.slot.read().expect("slot lock poisoned").snapshot();
+    let version = ranker.version();
+    let cache = shared.cache.as_ref();
+    let timers = shared.timers.as_ref();
+
+    // Route each request: classify against the region cache first, then
+    // serve hits through the verdict fast path and misses through one
+    // `respond_batch` call — the same answers in the same completion
+    // order as the unstaged loop, but with each phase (`cache_lookup` →
+    // `fastpath` → `oracle_pass`) observable as a per-batch span. A
+    // cached region verdict skips the oracle ranking pass entirely
+    // ([`FairRanker::respond_with_verdict`] runs the same
+    // suggestion/finish code as the batch path, so answers stay
+    // bit-identical); misses seed the cache on the way out.
+    let mut answers: Vec<Option<Result<Suggestion, ServiceError>>> = Vec::with_capacity(reqs.len());
+    let mut hit_reqs: Vec<(usize, SuggestRequest, bool)> = Vec::new();
+    let mut miss_reqs: Vec<SuggestRequest> = Vec::new();
+    let mut miss_slots: Vec<(usize, Option<CacheKey>)> = Vec::new();
+    let lookup = Stopwatch::start_if(timers.is_some());
+    for req in reqs {
+        let key = cache.and_then(|cache| match ranker.region_of(&req.query) {
+            Some(region) => Some(CacheKey {
+                region,
+                k: req.k,
+                options: req.options,
+                version,
+            }),
+            None => {
+                // Uncertified queries still count in the hit-rate
+                // denominator — a backend that certifies nothing must
+                // read as 0% hits, not as no traffic.
+                cache.note_uncacheable();
+                None
+            }
+        });
+        let hit = match (&key, cache) {
+            (Some(key), Some(cache)) => cache.get(key),
+            _ => None,
+        };
+        match hit {
+            Some(fair) => {
+                // Version coherence: the key embeds the snapshot's
+                // version, so a hit replays a verdict from exactly the
+                // generation answering this batch.
+                debug_assert_eq!(key.map(|k| k.version), Some(version));
+                hit_reqs.push((answers.len(), req, fair));
+            }
+            None => {
+                miss_slots.push((answers.len(), key));
+                miss_reqs.push(req);
+            }
+        }
+        answers.push(None);
+    }
+    if let Some(timers) = timers {
+        lookup.record(&timers.cache_lookup);
+    }
+
+    if !hit_reqs.is_empty() {
+        let fastpath = Stopwatch::start_if(timers.is_some());
+        for (slot, req, fair) in hit_reqs {
+            let answer = ranker
+                .respond_with_verdict(&req, fair)
+                .map_err(ServiceError::Rank);
+            if let Ok(suggestion) = &answer {
+                debug_assert_eq!(
+                    suggestion.version, version,
+                    "cache hit answered from a different generation"
+                );
+            }
+            answers[slot] = Some(answer);
+        }
+        if let Some(timers) = timers {
+            fastpath.record(&timers.fastpath);
+        }
+    }
+
+    if !miss_reqs.is_empty() {
+        let oracle_pass = Stopwatch::start_if(timers.is_some());
+        match ranker.respond_batch(&miss_reqs) {
+            Ok(batch_answers) => {
+                for ((slot, key), answer) in miss_slots.into_iter().zip(batch_answers) {
+                    if let (Some(cache), Some(key)) = (cache, key) {
+                        // `AlreadyFair` is exactly the oracle-fair verdict
+                        // the fast path needs; Suggested and Infeasible
+                        // both replay through `suggest_unfair`.
+                        cache.insert(key, answer.is_already_fair());
+                    }
+                    answers[slot] = Some(Ok(answer));
+                }
+            }
+            Err(e) => {
+                // Unreachable for queue-validated requests; defensively
+                // fail the batch's callers rather than the executor.
+                let e = ServiceError::Rank(e);
+                for (slot, _) in miss_slots {
+                    answers[slot] = Some(Err(e.clone()));
+                }
+            }
+        }
+        if let Some(timers) = timers {
+            oracle_pass.record(&timers.oracle_pass);
+        }
+    }
+    answers
+        .into_iter()
+        .map(|a| a.expect("every routed request has an answer"))
+        .collect()
 }

@@ -49,9 +49,10 @@ fn main() {
         .expect("2-D build");
 
     // --- service build ---------------------------------------------------
-    // 2 workers drain the queue; a worker takes what is queued, up to
-    // 16 requests, without waiting for more. The queue holds at most 256
-    // submissions.
+    // At most 2 batches run at once, on the 2 pool workers or on callers
+    // blocked in `suggest`/`wait`; whoever serves takes what is queued,
+    // up to 16 requests, without waiting for more. The queue holds at
+    // most 256 submissions.
     let service = FairRankService::builder(ranker)
         .workers(2)
         .max_batch(16)
@@ -59,8 +60,8 @@ fn main() {
         .build();
 
     // --- concurrent submitters ------------------------------------------
-    // Four "users" submit independently; requests that queue while the
-    // workers are busy share the next micro-batch.
+    // Four "users" submit independently; requests that queue while both
+    // batch slots are busy share the next micro-batch.
     std::thread::scope(|scope| {
         for user in 0..4 {
             let service = &service;

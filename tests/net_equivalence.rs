@@ -8,9 +8,12 @@
 //! * replicas catch up after a burst of live updates and converge to
 //!   the writer's version (reported through `/healthz`);
 //! * overload maps to 503 with a `Retry-After` hint, not to dropped
-//!   connections or wrong answers.
+//!   connections or wrong answers;
+//! * connections waiting for a connection thread are served oldest
+//!   first.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -225,6 +228,53 @@ fn overload_maps_to_503_with_retry_after() {
     let shed: u64 = outcomes.iter().map(|(_, r)| r).sum();
     assert!(served > 0, "some requests must get through");
     assert!(shed > 0, "8 clients x 2ms oracle x 2-slot queue must shed");
+    server.shutdown();
+}
+
+/// Regression: waiting connections are served in arrival order. With one
+/// connection thread held by client X, A connects and sends a request,
+/// then B connects, sends one and stays open and idle. When X closes, A
+/// must be answered. (Served newest-first, B would take the thread and
+/// its idle keep-alive would starve A.)
+#[test]
+fn waiting_connections_are_served_oldest_first() {
+    let service = Arc::new(
+        FairRankService::builder(build_ranker(20, 74))
+            .workers(1)
+            .build(),
+    );
+    let server = HttpServer::bind(
+        service,
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let healthz = b"GET /healthz HTTP/1.1\r\ncontent-length: 0\r\n\r\n";
+
+    let mut x = Client::connect(addr).unwrap();
+    assert_eq!(x.request("GET", "/healthz", b"").unwrap().status, 200);
+    // A's handshake completes before B's starts, so the listener's
+    // accept queue, and the acceptor, see A first.
+    let mut a = TcpStream::connect(addr).unwrap();
+    a.write_all(healthz).unwrap();
+    let mut b = TcpStream::connect(addr).unwrap();
+    b.write_all(healthz).unwrap();
+    // Give the acceptor time to queue both before the thread frees up;
+    // were it slower, only A would be waiting and the check would pass
+    // trivially, never wrongly.
+    std::thread::sleep(Duration::from_millis(100));
+    drop(x);
+
+    a.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let mut head = [0u8; 12];
+    a.read_exact(&mut head)
+        .expect("the oldest waiting connection must be served first");
+    assert_eq!(&head, b"HTTP/1.1 200");
+    drop(b);
     server.shutdown();
 }
 

@@ -5,12 +5,15 @@
 //! live updates advance the dataset version (snapshot semantics), and
 //! through a shutdown that drains pending requests. Also the regression
 //! gate for consistent [`BackendStats`](fairrank::BackendStats) counter
-//! snapshots under the service's worker pool.
+//! snapshots under the service's worker pool, for the bound on batches
+//! running at once whether pool workers or blocked callers run them, and
+//! for a panicking oracle failing only its own batch.
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use fairrank::approximate::BuildOptions;
 use fairrank::md::SatRegionsOptions;
@@ -439,4 +442,288 @@ fn cached_and_uncached_services_answer_bit_identically() {
         cached.shutdown();
         uncached.shutdown();
     }
+}
+
+thread_local! {
+    /// Set on a thread while it applies an update: the writer's index
+    /// maintenance may consult the oracle, and that is not serving.
+    static WRITER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts concurrent oracle calls made while serving, and their peak.
+#[derive(Default)]
+struct OverlapProbe {
+    counting: AtomicBool,
+    active: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+/// A 2-D ranker whose oracle (`build`'s) reports to the returned probe
+/// while it is counting, and then holds each call for `hold` so that
+/// batches running at once overlap inside the oracle.
+fn build_probed(ds: &Dataset, hold: Duration) -> (FairRanker, Arc<OverlapProbe>) {
+    let fair = oracle_for(ds, 0.25, 0.6);
+    let probe = Arc::new(OverlapProbe::default());
+    let seen = Arc::clone(&probe);
+    let oracle = FnOracle::new("overlap-probe", move |ranking: &[u32]| {
+        let count = seen.counting.load(Ordering::SeqCst) && !WRITER.with(Cell::get);
+        if count {
+            let now = seen.active.fetch_add(1, Ordering::SeqCst) + 1;
+            seen.peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(hold);
+        }
+        let verdict = fair.is_satisfactory(ranking);
+        if count {
+            seen.active.fetch_sub(1, Ordering::SeqCst);
+        }
+        verdict
+    });
+    (build_with(ds, Strategy::TwoD, Box::new(oracle)), probe)
+}
+
+/// Every entry point at once: threads calling `suggest`,
+/// `suggest_timeout`, `submit` + `block_on`, `submit` + `wait` and
+/// `try_suggest` + `wait`, with live updates in between. Blocked callers
+/// serve batches themselves, yet no more than `workers` batches ever run
+/// at once; every answer equals `respond` on the snapshot of its version,
+/// and the counters balance at the end.
+#[test]
+fn caller_run_and_pool_run_batches_stay_within_workers() {
+    const WORKERS: usize = 2;
+    const PER_THREAD: usize = 24;
+    let ds = generic::uniform(40, 2, 0.9, 101);
+    let (ranker, probe) = build_probed(&ds, Duration::from_micros(300));
+    let service = FairRankService::builder(ranker)
+        .workers(WORKERS)
+        .max_batch(4)
+        .build();
+    let references = Mutex::new(HashMap::from([(0u64, service.snapshot())]));
+    let reqs = fan(2, 18);
+    probe.counting.store(true, Ordering::SeqCst);
+    let answers: Vec<(SuggestRequest, fairrank::Suggestion)> = std::thread::scope(|scope| {
+        let service = &service;
+        let references = &references;
+        let updater = scope.spawn(move || {
+            WRITER.with(|w| w.set(true));
+            // Rescores only: the probe's oracle reads the launch dataset's
+            // groups, so the item set must not change.
+            for i in 0..4u32 {
+                std::thread::sleep(Duration::from_millis(3));
+                service
+                    .update(DatasetUpdate::Rescore {
+                        item: 3 * i,
+                        scores: vec![0.35 + 0.1 * f64::from(i), 0.65],
+                    })
+                    .unwrap();
+                references
+                    .lock()
+                    .unwrap()
+                    .insert(service.version(), service.snapshot());
+            }
+        });
+        let callers: Vec<_> = (0..10usize)
+            .map(|t| {
+                let reqs = &reqs;
+                scope.spawn(move || {
+                    let mut got = Vec::with_capacity(PER_THREAD);
+                    for req in reqs.iter().cycle().skip(t).take(PER_THREAD) {
+                        let answer = match t % 5 {
+                            0 => service.suggest(req.clone()),
+                            1 => service.suggest_timeout(req.clone(), Duration::from_secs(5)),
+                            2 => runtime::block_on(service.submit(req.clone()).unwrap()),
+                            3 => service.submit(req.clone()).unwrap().wait(),
+                            _ => loop {
+                                match service.try_suggest(req.clone()) {
+                                    Ok(fut) => break fut.wait(),
+                                    Err(ServiceError::Overloaded { .. }) => {
+                                        std::thread::yield_now()
+                                    }
+                                    Err(other) => panic!("unexpected error {other:?}"),
+                                }
+                            },
+                        };
+                        got.push((req.clone(), answer.unwrap()));
+                    }
+                    got
+                })
+            })
+            .collect();
+        updater.join().unwrap();
+        callers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    probe.counting.store(false, Ordering::SeqCst);
+    let peak = probe.peak.load(Ordering::SeqCst);
+    assert!(
+        (1..=WORKERS).contains(&peak),
+        "{peak} oracle calls ran at once on a {WORKERS}-worker service"
+    );
+    let references = references.into_inner().unwrap();
+    for (req, got) in &answers {
+        let want = references[&got.version].respond(req).unwrap();
+        assert_eq!(got, &want, "diverged at version {} {req:?}", got.version);
+    }
+    let stats = service.stats();
+    assert_eq!(answers.len(), 10 * PER_THREAD);
+    assert_eq!(stats.submitted, answers.len() as u64);
+    assert_eq!(stats.completed, stats.submitted);
+    assert_eq!(stats.in_flight, 0);
+    assert_eq!(stats.queued, 0);
+    service.shutdown();
+}
+
+/// With one worker and its only slot held by a slow `submit` burst, a
+/// blocking `suggest` must wait for the slot instead of running a second
+/// batch beside it — and still answer bit-identically.
+#[test]
+fn blocked_caller_waits_for_a_free_slot() {
+    let ds = generic::uniform(30, 2, 0.9, 103);
+    let (ranker, probe) = build_probed(&ds, Duration::from_millis(100));
+    let reference = ranker.snapshot();
+    let service = FairRankService::builder(ranker)
+        .workers(1)
+        .max_batch(1)
+        .build();
+    probe.counting.store(true, Ordering::SeqCst);
+    let burst = [
+        SuggestRequest::new(vec![1.0, 0.1]),
+        SuggestRequest::new(vec![0.4, 1.0]),
+    ];
+    let futures: Vec<_> = burst
+        .iter()
+        .map(|r| service.submit(r.clone()).unwrap())
+        .collect();
+    // The pool worker is inside the oracle, holding the only slot for
+    // the next 100 ms; a second batch would raise the peak to 2.
+    let start = Instant::now();
+    while probe.active.load(Ordering::SeqCst) == 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "burst never started"
+        );
+        std::thread::yield_now();
+    }
+    let probe_req = SuggestRequest::new(vec![1.0, 0.35]);
+    let got = service.suggest(probe_req.clone()).unwrap();
+    for (req, fut) in burst.iter().zip(futures) {
+        assert_eq!(fut.wait().unwrap(), reference.respond(req).unwrap());
+    }
+    probe.counting.store(false, Ordering::SeqCst);
+    assert_eq!(got, reference.respond(&probe_req).unwrap());
+    assert_eq!(
+        probe.peak.load(Ordering::SeqCst),
+        1,
+        "a second batch ran beside the one holding the only slot"
+    );
+    let stats = service.stats();
+    let total = burst.len() as u64 + 1;
+    assert_eq!(stats.completed, total);
+    assert_eq!(stats.batches, total, "max_batch 1: one batch per request");
+    service.shutdown();
+}
+
+/// A caller that frees its slot while another caller sleeps on a request
+/// still queued must wake the pool for it. With one slot, held by a
+/// `suggest` serving its own batch, a second `suggest` finds the slot
+/// taken and sleeps; its request is answered once the slot frees.
+#[test]
+fn a_freed_slot_wakes_the_pool_for_queued_requests() {
+    let ds = generic::uniform(30, 2, 0.9, 107);
+    let (ranker, probe) = build_probed(&ds, Duration::from_millis(100));
+    let reference = ranker.snapshot();
+    let service = Arc::new(FairRankService::builder(ranker).workers(1).build());
+    probe.counting.store(true, Ordering::SeqCst);
+    let reqs = [
+        SuggestRequest::new(vec![1.0, 0.1]),
+        SuggestRequest::new(vec![0.4, 1.0]),
+    ];
+    let (tx, rx) = mpsc::channel();
+    for (i, req) in reqs.iter().enumerate() {
+        let (service, req, tx) = (Arc::clone(&service), req.clone(), tx.clone());
+        std::thread::spawn(move || {
+            let _ = tx.send((i, service.suggest(req)));
+        });
+        // The first caller is inside the oracle, holding the only slot.
+        let start = Instant::now();
+        while probe.active.load(Ordering::SeqCst) == 0 {
+            assert!(start.elapsed() < Duration::from_secs(10), "never served");
+            std::thread::yield_now();
+        }
+    }
+    for _ in 0..reqs.len() {
+        let (i, got) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a queued request was left unserved");
+        assert_eq!(got.unwrap(), reference.respond(&reqs[i]).unwrap());
+    }
+    probe.counting.store(false, Ordering::SeqCst);
+    assert_eq!(probe.peak.load(Ordering::SeqCst), 1);
+}
+
+/// Regression: a panicking oracle used to kill the only pool worker; its
+/// caller got a misleading `Closed` and every later request hung. Now the
+/// panic fails only its own batch, with `Panicked`, whichever executor
+/// ran it (a pool worker for `submit`, the blocked caller for
+/// `suggest`), and the next request answers bit-identically.
+#[test]
+fn oracle_panic_fails_its_batch_and_serving_continues() {
+    let ds = generic::uniform(30, 2, 0.9, 105);
+    let fair = oracle_for(&ds, 0.25, 0.6);
+    let armed = Arc::new(AtomicBool::new(false));
+    let trigger = Arc::clone(&armed);
+    let oracle = FnOracle::new("panicking", move |ranking: &[u32]| {
+        assert!(!trigger.load(Ordering::SeqCst), "oracle exploded");
+        fair.is_satisfactory(ranking)
+    });
+    let ranker = build_with(&ds, Strategy::TwoD, Box::new(oracle));
+    let reference = ranker.snapshot();
+    let service = Arc::new(FairRankService::builder(ranker).workers(1).build());
+    let reqs = fan(2, 4);
+
+    // Each step runs on its own thread under a deadline: a wedged
+    // service must fail the test, not hang it.
+    let within = |f: Box<dyn FnOnce() -> Result<fairrank::Suggestion, ServiceError> + Send>| {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("service stopped answering")
+    };
+    let pool_run = |req: &SuggestRequest| {
+        let (service, req) = (Arc::clone(&service), req.clone());
+        within(Box::new(move || {
+            runtime::block_on(service.submit(req).unwrap())
+        }))
+    };
+    let caller_run = |req: &SuggestRequest| {
+        let (service, req) = (Arc::clone(&service), req.clone());
+        within(Box::new(move || service.suggest(req)))
+    };
+
+    armed.store(true, Ordering::SeqCst);
+    for got in [pool_run(&reqs[0]), caller_run(&reqs[1])] {
+        match got {
+            Err(ServiceError::Panicked(message)) => {
+                assert!(message.contains("oracle exploded"), "{message}");
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+    }
+    armed.store(false, Ordering::SeqCst);
+    for (req, got) in [
+        (&reqs[2], pool_run(&reqs[2])),
+        (&reqs[3], caller_run(&reqs[3])),
+    ] {
+        assert_eq!(got.unwrap(), reference.respond(req).unwrap());
+    }
+    let stats = service.stats();
+    assert_eq!(stats.submitted, 4);
+    assert_eq!(
+        stats.completed, 2,
+        "failed requests do not count as answered"
+    );
+    assert_eq!(stats.in_flight, 0);
 }
