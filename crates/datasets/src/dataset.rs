@@ -311,12 +311,8 @@ impl Dataset {
     /// columnar kernels into a thread-local workspace buffer, then
     /// select/sort into the returned permutation.
     fn rank_bounded(&self, w: &[f64], bound: Option<usize>) -> Vec<u32> {
-        use std::cell::RefCell;
-        thread_local! {
-            static SCORES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-        }
         let mut out = Vec::new();
-        SCORES.with(|s| {
+        kernels::SCORES.with(|s| {
             let mut scores = s.borrow_mut();
             kernels::score_all_into(self, w, &mut scores);
             kernels::top_k_select_into(&scores, bound, kernels::PrefixOrder::Sorted, &mut out);

@@ -290,16 +290,14 @@ pub enum PrefixOrder {
 ///
 /// The key buffer is thread-local and reused across calls (it grows to
 /// the largest `n` ranked on the thread and never shrinks), so the
-/// steady state allocates nothing beyond what `out` already holds.
+/// steady state allocates nothing beyond what `out` already holds. See
+/// [`RankScratch`] for lending a thread a buffer instead.
 pub fn top_k_select_into(
     scores: &[f64],
     bound: Option<usize>,
     order: PrefixOrder,
     out: &mut Vec<u32>,
 ) {
-    thread_local! {
-        static KEYS: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
-    }
     let n = scores.len();
     KEYS.with(|keys| {
         let mut keys = keys.borrow_mut();
@@ -324,6 +322,45 @@ pub fn top_k_select_into(
         out.clear();
         out.extend(keys.iter().map(|&key| key as u32));
     });
+}
+
+thread_local! {
+    /// The key buffer of [`top_k_select_into`].
+    static KEYS: RefCell<Vec<u128>> = const { RefCell::new(Vec::new()) };
+    /// The score buffer of [`Dataset::rank`] and [`Dataset::top_k`].
+    pub(crate) static SCORES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The ranking scratch that every thread keeps: the key buffer of
+/// [`top_k_select_into`] and the score buffer of [`Dataset::rank`] and
+/// [`Dataset::top_k`]. Once a thread has ranked `n` items it holds about
+/// `24·n` bytes, and the buffers never shrink.
+///
+/// A server that ranks on many threads, but on only a few at once, can
+/// keep one `RankScratch` per concurrent ranking and lend it to whichever
+/// thread ranks ([`RankScratch::swap_with_thread`]). Retained memory then
+/// follows the number of rankings at once, not the number of threads.
+#[derive(Debug, Default)]
+pub struct RankScratch {
+    keys: Vec<u128>,
+    scores: Vec<f64>,
+}
+
+impl RankScratch {
+    /// Exchange these buffers with the calling thread's. A second call
+    /// swaps them back: lend before ranking, take back after. Must not
+    /// be called from inside a ranking on the same thread.
+    pub fn swap_with_thread(&mut self) {
+        KEYS.with(|keys| std::mem::swap(&mut *keys.borrow_mut(), &mut self.keys));
+        SCORES.with(|scores| std::mem::swap(&mut *scores.borrow_mut(), &mut self.scores));
+    }
+
+    /// Heap bytes these buffers hold (their capacity, not their length).
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<u128>()
+            + self.scores.capacity() * std::mem::size_of::<f64>()
+    }
 }
 
 /// The packed ranking key of item `id` with score `score`,
@@ -506,5 +543,26 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(sorted, (0..60).collect::<Vec<u32>>());
         }
+    }
+
+    #[test]
+    fn lent_scratch_takes_the_growth_and_swaps_back() {
+        let ds = ds(500, 2, 9);
+        std::thread::spawn(move || {
+            let mut lent = RankScratch::default();
+            lent.swap_with_thread();
+            let ranked = ds.rank(&[0.3, 0.7]);
+            lent.swap_with_thread();
+            // 500 keys of 16 bytes and 500 scores of 8 bytes, at least.
+            assert!(lent.bytes() >= 24 * 500, "{} bytes", lent.bytes());
+            let mut own = RankScratch::default();
+            own.swap_with_thread();
+            assert_eq!(own.bytes(), 0, "the thread kept buffers of its own");
+            own.swap_with_thread();
+            lent.swap_with_thread();
+            assert_eq!(ds.rank(&[0.3, 0.7]), ranked);
+        })
+        .join()
+        .unwrap();
     }
 }

@@ -701,7 +701,9 @@ fn service_error_response(
             );
         }
         _ => {
-            let body = error_body(&error.to_string());
+            // A fixed body: the error text (a panic message, say) is for
+            // the service's own callers and logs, not for remote clients.
+            let body = error_body("internal error");
             write_response(
                 out,
                 500,

@@ -36,6 +36,10 @@
 //!   executors run the same `serve_batch`, and at most
 //!   [`ServiceBuilder::workers`] batches run at once, so capacity and
 //!   [`ServiceError::Overloaded`] mean what they did with a pool alone.
+//!   The ranking scratch a batch needs (about `24·n` bytes of score and
+//!   key buffers, see [`RankScratch`]) belongs to its slot and is lent to
+//!   the serving thread, so the service keeps `workers` such sets however
+//!   many threads call it.
 //! * **Backpressure.** The queue is bounded
 //!   ([`ServiceBuilder::queue_capacity`]):
 //!   [`try_suggest`](FairRankService::try_suggest) fails fast with
@@ -69,6 +73,7 @@ use fairrank::error::validate_weights;
 use fairrank::{
     BackendStats, DatasetUpdate, FairRanker, SuggestRequest, Suggestion, UpdateOutcome,
 };
+use fairrank_datasets::kernels::RankScratch;
 use fairrank_telemetry::{Counter, Gauge, Histogram, Registry, Stopwatch};
 
 use crate::cache::{CacheKey, CacheStats, SuggestionCache};
@@ -175,6 +180,7 @@ impl ServiceBuilder {
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
                 busy: 0,
+                scratch: Vec::new(),
                 closed: false,
             }),
             not_empty: Condvar::new(),
@@ -240,6 +246,10 @@ struct QueueState {
     /// never more than [`Shared::workers`]. Changed only under the queue
     /// lock, through [`Shared::take_batch`] and [`SlotGuard`].
     busy: usize,
+    /// Ranking scratch of the free slots. A slot lends its scratch to the
+    /// thread serving its batch, so at most `workers` sets exist however
+    /// many caller threads serve.
+    scratch: Vec<RankScratch>,
     closed: bool,
 }
 
@@ -431,7 +441,9 @@ impl SuggestionFuture {
     /// drains the head of the queue (FIFO, up to `max_batch`, whoever
     /// submitted it) and serves that batch itself. Once no slot is free,
     /// or nothing is queued, it sleeps until its answer arrives, as an
-    /// `.await` does. Polling the future never runs a batch.
+    /// `.await` does. Polling the future never runs a batch. A batch
+    /// served here ranks in its slot's scratch buffers, so the thread
+    /// keeps no ranking scratch of its own afterwards.
     ///
     /// # Errors
     /// [`ServiceError`] from the serving pipeline, or
@@ -441,8 +453,7 @@ impl SuggestionFuture {
             let Ok((slot, batch)) = self.shared.take_batch(self.shared.lock_queue()) else {
                 break;
             };
-            serve_batch(&self.shared, batch);
-            drop(slot);
+            slot.serve(batch);
         }
         self.rx.wait().unwrap_or(Err(ServiceError::Closed))
     }
@@ -886,23 +897,49 @@ impl std::fmt::Debug for FairRankService {
 }
 
 /// One of the [`ServiceBuilder::workers`] batch slots, claimed by
-/// [`Shared::take_batch`]. Dropping it frees the slot and, if requests
-/// are still queued, wakes a pool worker for them: a caller that found
-/// every slot taken sleeps on its answer, and this wake is what serves
-/// it.
-struct SlotGuard<'a>(&'a Shared);
+/// [`Shared::take_batch`], with the ranking scratch it lends to the
+/// thread that serves it. Dropping it frees the slot and wakes pool
+/// workers that may be sleeping on it:
+///
+/// * one, if requests are still queued: a caller that found every slot
+///   taken sleeps on its answer, and this wake is what serves it;
+/// * all, if the queue is closed and empty: a worker that went back to
+///   sleep after `close` because every slot was taken must still see
+///   the end and exit, or shutdown would wait on it forever.
+struct SlotGuard<'a> {
+    shared: &'a Shared,
+    scratch: RankScratch,
+}
+
+impl SlotGuard<'_> {
+    /// Serve `batch` on this thread with the slot's scratch, then free
+    /// the slot. The thread's own scratch is put back untouched.
+    fn serve(mut self, batch: Vec<Pending>) {
+        self.scratch.swap_with_thread();
+        serve_batch(self.shared, batch);
+        self.scratch.swap_with_thread();
+    }
+}
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        let more = {
+        let (more, done) = {
             // No panic in `Drop`: every update of the queue state is
             // complete under its lock, so a poisoned guard is still valid.
-            let mut queue = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             queue.busy -= 1;
-            !queue.pending.is_empty()
+            queue.scratch.push(std::mem::take(&mut self.scratch));
+            let more = !queue.pending.is_empty();
+            (more, queue.closed && !more)
         };
         if more {
-            self.0.not_empty.notify_one();
+            self.shared.not_empty.notify_one();
+        } else if done {
+            self.shared.not_empty.notify_all();
         }
     }
 }
@@ -927,10 +964,14 @@ impl Shared {
         // wait (which is per-request and includes this).
         let coalesce = Stopwatch::start_if(self.timers.is_some());
         queue.busy += 1;
+        let scratch = queue.scratch.pop().unwrap_or_default();
         let take = queue.pending.len().min(self.max_batch);
         let batch = queue.pending.drain(..take).collect();
         drop(queue);
-        let slot = SlotGuard(self);
+        let slot = SlotGuard {
+            shared: self,
+            scratch,
+        };
         // Capacity frees at *drain* time, not when the batch finishes
         // serving: release blocked submitters immediately.
         self.not_full.notify_all();
@@ -956,8 +997,7 @@ fn worker_loop(shared: &Shared) {
                 Err(idle) => queue = shared.not_empty.wait(idle).expect("queue lock poisoned"),
             }
         };
-        serve_batch(shared, batch);
-        drop(slot);
+        slot.serve(batch);
     }
 }
 

@@ -10,10 +10,13 @@
 //! * overload maps to 503 with a `Retry-After` hint, not to dropped
 //!   connections or wrong answers;
 //! * connections waiting for a connection thread are served oldest
-//!   first.
+//!   first;
+//! * a panic while serving answers 500 with a fixed body, and the
+//!   server keeps answering.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -275,6 +278,50 @@ fn waiting_connections_are_served_oldest_first() {
         .expect("the oldest waiting connection must be served first");
     assert_eq!(&head, b"HTTP/1.1 200");
     drop(b);
+    server.shutdown();
+}
+
+/// A panic while serving (here in the oracle) fails that request with
+/// 500 and a fixed body: the panic text is for the service's own callers,
+/// not for remote clients. The next request is answered normally.
+#[test]
+fn serving_panic_maps_to_500_without_its_message() {
+    let ds = generic::uniform(20, 2, 0.9, 75);
+    let fair = oracle_for(&ds);
+    let armed = Arc::new(AtomicBool::new(false));
+    let trigger = Arc::clone(&armed);
+    let oracle = FnOracle::new("exploding", move |ranking: &[u32]| {
+        assert!(!trigger.load(Ordering::SeqCst), "secret oracle detail");
+        fair.is_satisfactory(ranking)
+    });
+    let ranker = FairRanker::builder(ds, Box::new(oracle))
+        .strategy(Strategy::TwoD)
+        .build()
+        .unwrap();
+    let reference = ranker.snapshot();
+    let service = Arc::new(
+        FairRankService::builder(ranker)
+            .workers(1)
+            .cache(false)
+            .build(),
+    );
+    let server = HttpServer::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let req = SuggestRequest::new(vec![1.0, 0.4]);
+
+    armed.store(true, Ordering::SeqCst);
+    let resp = client.suggest(&req).unwrap();
+    let body = String::from_utf8_lossy(&resp.body);
+    assert_eq!(resp.status, 500, "body: {body}");
+    assert!(body.contains("internal error"), "body: {body}");
+    assert!(
+        !body.contains("secret"),
+        "the panic text reached the client: {body}"
+    );
+
+    armed.store(false, Ordering::SeqCst);
+    let got = http_suggest(&mut client, &req);
+    assert_bit_identical(&got, &reference.respond(&req).unwrap(), "after the panic");
     server.shutdown();
 }
 

@@ -6,18 +6,21 @@
 //! through a shutdown that drains pending requests. Also the regression
 //! gate for consistent [`BackendStats`](fairrank::BackendStats) counter
 //! snapshots under the service's worker pool, for the bound on batches
-//! running at once whether pool workers or blocked callers run them, and
-//! for a panicking oracle failing only its own batch.
+//! running at once whether pool workers or blocked callers run them, for
+//! the ranking scratch those batches use staying with the slots, for
+//! shutdown while blocked callers hold every slot, and for a panicking
+//! oracle failing only its own batch.
 
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fairrank::approximate::BuildOptions;
 use fairrank::md::SatRegionsOptions;
 use fairrank::{DatasetUpdate, FairRanker, Strategy, SuggestRequest, UpdateOutcome};
+use fairrank_datasets::kernels::RankScratch;
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
 use fairrank_fairness::{FairnessOracle, FnOracle, Proportionality};
@@ -726,4 +729,167 @@ fn oracle_panic_fails_its_batch_and_serving_continues() {
         "failed requests do not count as answered"
     );
     assert_eq!(stats.in_flight, 0);
+}
+
+/// Caller threads that serve batches keep no ranking scratch afterwards:
+/// each slot lends its own scratch to whoever serves its batch, so a
+/// service holds at most `workers` score and key buffers however many
+/// threads call it.
+#[test]
+fn serving_callers_keep_no_ranking_scratch() {
+    let ds = generic::uniform(400, 2, 0.9, 111);
+    let reference = build(&ds, Strategy::TwoD);
+    let service = FairRankService::builder(reference.snapshot())
+        .workers(2)
+        .cache(false)
+        .build();
+    let reqs = fan(2, 8);
+    std::thread::scope(|scope| {
+        for _ in 0..6 {
+            let (service, reqs, reference) = (&service, &reqs, &reference);
+            scope.spawn(move || {
+                for req in reqs {
+                    let got = service.suggest(req.clone()).unwrap();
+                    assert_eq!(got, reference.respond(req).unwrap());
+                }
+                // `reference.respond` ranked on this thread too: drop
+                // that before reading what serving left behind.
+                let mut own = RankScratch::default();
+                own.swap_with_thread();
+                drop(own);
+                for req in reqs {
+                    service.suggest(req.clone()).unwrap();
+                }
+                let mut own = RankScratch::default();
+                own.swap_with_thread();
+                assert_eq!(own.bytes(), 0, "a serving caller kept ranking scratch");
+            });
+        }
+    });
+    let stats = service.stats();
+    assert_eq!(stats.completed, 6 * 2 * reqs.len() as u64);
+    service.shutdown();
+}
+
+thread_local! {
+    /// Set on a test thread whose caller-run batch must hold its slot in
+    /// the oracle until the test lets it go.
+    static HOLD_SLOT: Cell<bool> = const { Cell::new(false) };
+    /// Set once this thread's held batch has entered the oracle.
+    static HELD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Regression: shutdown hung when blocked callers held every slot at
+/// close. The pool workers, woken by the close, found no free slot and
+/// went back to sleep; the first slot release woke one of them for the
+/// last queued request, and later releases, finding the queue empty,
+/// woke no one, so the other worker never saw the end and `Drop` waited
+/// on it forever. Here two callers in `wait` hold both slots of a
+/// `workers(2)` service, one more request is queued, the service is
+/// dropped, and the callers are let go one at a time.
+#[test]
+fn shutdown_completes_while_blocked_callers_hold_every_slot() {
+    let ds = generic::uniform(30, 2, 0.9, 109);
+    let fair = oracle_for(&ds, 0.25, 0.6);
+    let permits = Arc::new((Mutex::new(0usize), Condvar::new()));
+    let held = Arc::new(AtomicUsize::new(0));
+    let (gate, entered) = (Arc::clone(&permits), Arc::clone(&held));
+    let oracle = FnOracle::new("gated", move |ranking: &[u32]| {
+        if HOLD_SLOT.with(Cell::get) && !HELD.with(Cell::get) {
+            HELD.with(|h| h.set(true));
+            entered.fetch_add(1, Ordering::SeqCst);
+            let (count, cv) = &*gate;
+            let mut count = count.lock().unwrap();
+            while *count == 0 {
+                count = cv.wait(count).unwrap();
+            }
+            *count -= 1;
+        }
+        fair.is_satisfactory(ranking)
+    });
+    let ranker = build_with(&ds, Strategy::TwoD, Box::new(oracle));
+    let reference = ranker.snapshot();
+    let service = FairRankService::builder(ranker)
+        .workers(2)
+        .max_batch(1)
+        .cache(false)
+        .build();
+    let service = Arc::new(Mutex::new(Some(service)));
+    let reqs = fan(2, 3);
+    let finished = Arc::new(AtomicUsize::new(0));
+    let await_count = |counter: &AtomicUsize, target: usize, what: &str| {
+        let start = Instant::now();
+        while counter.load(Ordering::SeqCst) < target {
+            assert!(start.elapsed() < Duration::from_secs(10), "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    let callers: Vec<_> = reqs[..2]
+        .iter()
+        .enumerate()
+        .map(|(i, req)| {
+            let (service, req, finished) =
+                (Arc::clone(&service), req.clone(), Arc::clone(&finished));
+            let caller = std::thread::spawn(move || {
+                HOLD_SLOT.with(|h| h.set(true));
+                // `submit` wakes a pool worker, which may answer first;
+                // retry until this thread serves its own request.
+                let start = Instant::now();
+                let got = loop {
+                    let fut = service
+                        .lock()
+                        .unwrap()
+                        .as_ref()
+                        .unwrap()
+                        .submit(req.clone())
+                        .unwrap();
+                    let got = fut.wait();
+                    if HELD.with(Cell::get) {
+                        break got;
+                    }
+                    assert!(start.elapsed() < Duration::from_secs(10), "never served");
+                };
+                finished.fetch_add(1, Ordering::SeqCst);
+                got
+            });
+            await_count(&held, i + 1, "caller never took a slot");
+            caller
+        })
+        .collect();
+
+    // Both slots are held by callers: this request waits in the queue.
+    let last = service
+        .lock()
+        .unwrap()
+        .as_ref()
+        .unwrap()
+        .submit(reqs[2].clone())
+        .unwrap();
+    let service = service.lock().unwrap().take().unwrap();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        drop(service);
+        let _ = done_tx.send(());
+    });
+    // Let the drop close the queue while both slots are still held.
+    std::thread::sleep(Duration::from_millis(50));
+    for released in 1..=2 {
+        let (count, cv) = &*permits;
+        *count.lock().unwrap() += 1;
+        cv.notify_all();
+        await_count(&finished, released, "a released caller never finished");
+        // Let a pool worker drain the queued request in between.
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown hung with a pool worker asleep");
+    for (req, caller) in reqs.iter().zip(callers) {
+        assert_eq!(
+            caller.join().unwrap().unwrap(),
+            reference.respond(req).unwrap()
+        );
+    }
+    assert_eq!(last.wait().unwrap(), reference.respond(&reqs[2]).unwrap());
 }
