@@ -75,6 +75,10 @@ pub struct BuildStats {
     pub colored_cells: usize,
     /// Total oracle invocations during the build.
     pub oracle_calls: u64,
+    /// Total LPs MARKCELL's per-cell arrangements solved
+    /// ([`ArrangementTree::lp_calls`](fairrank_geometry::ArrangementTree::lp_calls)
+    /// summed over the searched cells).
+    pub lp_solves: u64,
     /// Per-cell `|HC[c]|` distribution, sorted ascending (Figure 21).
     pub hc_histogram: Vec<usize>,
     /// Time constructing hyperplanes (part of Figure 20/22).
@@ -109,12 +113,13 @@ pub(crate) struct ProbeRecord {
 }
 
 /// Per-worker probe state for MARKCELL: ranking workspace, reusable
-/// weight buffer, the worker's oracle-call tally, and the probe log of
-/// the cell currently being searched.
+/// weight buffer, the worker's oracle-call and LP tallies, and the probe
+/// log of the cell currently being searched.
 struct ProbeCtx {
     workspace: RankWorkspace,
     weights: Vec<f64>,
     calls: u64,
+    lp_solves: u64,
     log: Vec<ProbeRecord>,
 }
 
@@ -124,6 +129,7 @@ impl ProbeCtx {
             workspace: RankWorkspace::with_capacity(ds.len()),
             weights: Vec::with_capacity(ds.dim()),
             calls: 0,
+            lp_solves: 0,
             log: Vec::new(),
         }
     }
@@ -228,6 +234,7 @@ impl ApproxIndex {
         };
         let mut found: Vec<(CellId, Option<Vec<f64>>, Vec<ProbeRecord>)> = Vec::new();
         let mut oracle_calls = 0u64;
+        let mut lp_solves = 0u64;
         if n_threads <= 1 {
             let mut ctx = ProbeCtx::new(ds);
             for cell in 0..cell_count {
@@ -235,6 +242,7 @@ impl ApproxIndex {
                 found.push((cell, f, std::mem::take(&mut ctx.log)));
             }
             oracle_calls = ctx.calls;
+            lp_solves = ctx.lp_solves;
         } else {
             let results = std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(n_threads);
@@ -253,7 +261,7 @@ impl ApproxIndex {
                             let f = search_cell(cell, &mut ctx);
                             local.push((cell, f, std::mem::take(&mut ctx.log)));
                         }
-                        (local, ctx.calls)
+                        (local, ctx.calls, ctx.lp_solves)
                     }));
                 }
                 handles
@@ -261,8 +269,9 @@ impl ApproxIndex {
                     .map(|h| h.join().expect("markcell worker panicked"))
                     .collect::<Vec<_>>()
             });
-            for (local, calls) in results {
+            for (local, calls, lps) in results {
                 oracle_calls += calls;
+                lp_solves += lps;
                 found.extend(local);
             }
             found.sort_unstable_by_key(|&(cell, _, _)| cell);
@@ -271,6 +280,7 @@ impl ApproxIndex {
         index.decided = decided_mask(&hc, opts.max_hyperplanes_per_cell);
         index.stats = stats;
         index.stats.oracle_calls = oracle_calls;
+        index.stats.lp_solves = lp_solves;
         index.stats.satisfied_cells = index.functions.len();
         index.stats.markcell_time = t2.elapsed();
 
@@ -290,6 +300,7 @@ impl ApproxIndex {
         ] {
             crate::buildtel::mirror_phase("md_approx", phase, d);
         }
+        crate::buildtel::count_lp_solves("md_approx", lp_solves);
 
         Ok(index)
     }
@@ -386,6 +397,7 @@ impl ApproxIndex {
         }
         let fresh = crate::probes::batch_verdicts_and_thresholds(ctx.ds, ctx.oracle, &candidates);
         let mut oracle_calls = fresh.len() as u64;
+        let mut lp_solves = 0u64;
         for ((c, pi), (verdict, threshold)) in recheck.into_iter().zip(fresh) {
             let rec = &mut self.probe_log[c][pi];
             if rec.verdict != verdict {
@@ -428,6 +440,7 @@ impl ApproxIndex {
                 searched.push((c, f, std::mem::take(&mut probe_ctx.log)));
             }
             oracle_calls += probe_ctx.calls;
+            lp_solves += probe_ctx.lp_solves;
         } else {
             let next = std::sync::atomic::AtomicUsize::new(0);
             let dirty_cells = &dirty_cells;
@@ -448,7 +461,7 @@ impl ApproxIndex {
                                 let f = search_dirty(c, &mut pc);
                                 local.push((c, f, std::mem::take(&mut pc.log)));
                             }
-                            (local, pc.calls)
+                            (local, pc.calls, pc.lp_solves)
                         })
                     })
                     .collect();
@@ -458,8 +471,9 @@ impl ApproxIndex {
                     .collect::<Vec<_>>()
             });
             searched = Vec::with_capacity(dirty_cells.len());
-            for (local, calls) in results {
+            for (local, calls, lps) in results {
                 oracle_calls += calls;
+                lp_solves += lps;
                 searched.extend(local);
             }
             searched.sort_unstable_by_key(|&(cell, _, _)| cell);
@@ -489,6 +503,8 @@ impl ApproxIndex {
         self.stats.hyperplane_count = hyperplanes.len();
         self.stats.hc_histogram = cellplane::crossing_histogram(&hc);
         self.stats.oracle_calls += oracle_calls;
+        self.stats.lp_solves += lp_solves;
+        crate::buildtel::count_lp_solves("md_approx", lp_solves);
         self.stats.satisfied_cells = self.functions.len();
         self.stats.colored_cells =
             coloring::color_cells(&self.grid, &mut self.assigned, &self.functions);
@@ -559,6 +575,7 @@ fn search_one_cell(
         workspace,
         weights,
         calls,
+        lp_solves,
         log,
     } = ctx;
     log.clear();
@@ -579,7 +596,7 @@ fn search_one_cell(
         });
         verdict
     };
-    markcell::find_satisfactory(grid, cell, cell_hc, hyperplanes, &mut probe)
+    markcell::find_satisfactory(grid, cell, cell_hc, hyperplanes, &mut probe, lp_solves)
 }
 
 /// Assemble per-cell MARKCELL outcomes (in cell order) into the index
@@ -760,6 +777,7 @@ mod tests {
             sequential.stats().oracle_calls,
             parallel.stats().oracle_calls
         );
+        assert_eq!(sequential.stats().lp_solves, parallel.stats().lp_solves);
     }
 
     #[test]
@@ -848,6 +866,17 @@ mod tests {
         assert_eq!(s.hc_histogram.len(), s.cell_count);
         assert!(s.oracle_calls > 0);
         assert!(s.total_time() >= s.markcell_time);
+        // The LP count is mirrored into the global registry, which other
+        // tests' builds add to as well.
+        assert!(s.lp_solves > 0);
+        let mirrored = fairrank_telemetry::global()
+            .counter(
+                "fairrank_build_lp_solves_total",
+                "",
+                &[("backend", "md_approx")],
+            )
+            .get();
+        assert!(mirrored >= s.lp_solves);
     }
 
     #[test]

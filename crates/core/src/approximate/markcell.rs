@@ -25,13 +25,15 @@ use fairrank_geometry::hyperplane::Hyperplane;
 /// `probe(angles)` must return `true` iff the ranking induced by the
 /// function at `angles` satisfies the oracle. Returns the first accepted
 /// function (an angle vector strictly inside the cell), or `None` when
-/// every probed region of the cell is unsatisfactory.
+/// every probed region of the cell is unsatisfactory. The LPs the cell's
+/// arrangement solved are added to `lp_solves`.
 pub fn find_satisfactory<F>(
     grid: &AngleGrid,
     cell: CellId,
     hc: &[u32],
     hyperplanes: &[Hyperplane],
     probe: &mut F,
+    lp_solves: &mut u64,
 ) -> Option<Vec<f64>>
 where
     F: FnMut(&[f64]) -> bool,
@@ -47,10 +49,12 @@ where
     // Per-cell arrangement with early stop (ATC⁺). The first insertion
     // covers Algorithm 8 lines 6–9 (probing h₁⁻ ∩ c and h₁⁺ ∩ c).
     let mut tree = ArrangementTree::for_cell(bl, tr);
-    for &hi in hc {
-        if let Some(found) = tree.insert_with(&hyperplanes[hi as usize], probe) {
-            return Some(found);
-        }
+    let found = hc
+        .iter()
+        .find_map(|&hi| tree.insert_with(&hyperplanes[hi as usize], probe));
+    *lp_solves += tree.lp_calls;
+    if found.is_some() {
+        return found;
     }
 
     // Every listed hyperplane only grazed the cell (the crossing test is
@@ -72,10 +76,17 @@ mod tests {
     fn uncrossed_cell_probes_center_once() {
         let grid = AngleGrid::equal_area(3, 64);
         let mut calls = 0usize;
-        let got = find_satisfactory(&grid, 0, &[], &[], &mut |p: &[f64]| {
-            calls += 1;
-            p.len() == 2
-        });
+        let got = find_satisfactory(
+            &grid,
+            0,
+            &[],
+            &[],
+            &mut |p: &[f64]| {
+                calls += 1;
+                p.len() == 2
+            },
+            &mut 0,
+        );
         assert_eq!(calls, 1);
         let center = grid.center(0);
         assert_eq!(got.unwrap(), center);
@@ -84,7 +95,7 @@ mod tests {
     #[test]
     fn uncrossed_cell_unsatisfactory_none() {
         let grid = AngleGrid::equal_area(3, 64);
-        let got = find_satisfactory(&grid, 0, &[], &[], &mut |_: &[f64]| false);
+        let got = find_satisfactory(&grid, 0, &[], &[], &mut |_: &[f64]| false, &mut 0);
         assert!(got.is_none());
     }
 
@@ -98,13 +109,16 @@ mod tests {
         let cell = (0..grid.cell_count() as CellId)
             .find(|&c| !hc[c as usize].is_empty())
             .expect("some cell is crossed");
+        let mut lp_solves = 0;
         let got = find_satisfactory(
             &grid,
             cell,
             &hc[cell as usize],
             std::slice::from_ref(&h),
             &mut |p: &[f64]| h.eval(p) > 0.0,
+            &mut lp_solves,
         );
+        assert!(lp_solves > 0, "the split and its witnesses are LPs");
         let p = got.expect("plus side accepted");
         assert!(h.eval(&p) > 0.0);
         // And the accepted point is inside the cell.
@@ -128,10 +142,17 @@ mod tests {
             .unwrap();
         assert!(hc[cell as usize].len() >= 2, "test needs a busy cell");
         let mut calls = 0usize;
-        let got = find_satisfactory(&grid, cell, &hc[cell as usize], &hs, &mut |_: &[f64]| {
-            calls += 1;
-            true
-        });
+        let got = find_satisfactory(
+            &grid,
+            cell,
+            &hc[cell as usize],
+            &hs,
+            &mut |_: &[f64]| {
+                calls += 1;
+                true
+            },
+            &mut 0,
+        );
         assert!(got.is_some());
         assert_eq!(calls, 1, "early stop must fire on the first probe");
     }
@@ -157,6 +178,7 @@ mod tests {
                 }
                 true
             },
+            &mut 0,
         );
         assert!(got.is_some());
     }
@@ -175,6 +197,7 @@ mod tests {
             &hc[cell as usize],
             std::slice::from_ref(&h),
             &mut |_: &[f64]| false,
+            &mut 0,
         );
         assert!(got.is_none());
     }
@@ -185,10 +208,17 @@ mod tests {
         let hs = vec![Hyperplane::new(vec![0.4, 1.0], 0.9).unwrap()];
         let hc = hyperplanes_per_cell(&grid, &hs);
         for cell in 0..grid.cell_count() as CellId {
-            find_satisfactory(&grid, cell, &hc[cell as usize], &hs, &mut |p: &[f64]| {
-                assert!(p.iter().all(|&v| (-1e-9..=HALF_PI + 1e-9).contains(&v)));
-                false
-            });
+            find_satisfactory(
+                &grid,
+                cell,
+                &hc[cell as usize],
+                &hs,
+                &mut |p: &[f64]| {
+                    assert!(p.iter().all(|&v| (-1e-9..=HALF_PI + 1e-9).contains(&v)));
+                    false
+                },
+                &mut 0,
+            );
         }
     }
 }

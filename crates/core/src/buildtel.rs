@@ -4,8 +4,9 @@
 //! Builds happen per process (or per replace), not per request, so
 //! these take the registry lock on every record instead of caching
 //! handles. Under the `telemetry-off` feature the [`Stopwatch`] is
-//! inert and no family is ever registered — `/metrics` simply has no
-//! `fairrank_build_*` series in that leg.
+//! inert and no timer family is ever registered — `/metrics` simply has
+//! no `fairrank_build_*duration_us` series in that leg. The LP counter
+//! is a count, not a clock, and stays live in both legs.
 //!
 //! Families:
 //! * `fairrank_build_duration_us{backend}` — whole-build wall time per
@@ -13,7 +14,10 @@
 //! * `fairrank_build_phase_duration_us{backend,phase}` — per-phase wall
 //!   time inside each builder (2-D: `events`/`sweep`; exact: `hyperplanes`/
 //!   `regions`/`verify`; approximate: `hyperplanes`/`cellplanes`/
-//!   `markcells`/`coloring`).
+//!   `markcells`/`coloring`);
+//! * `fairrank_build_lp_solves_total{backend}` — arrangement LPs solved by
+//!   the m-D builders (`md_exact`: SATREGIONS' arrangement; `md_approx`:
+//!   MARKCELL's per-cell arrangements, including update re-searches).
 
 use fairrank_telemetry::Stopwatch;
 
@@ -22,6 +26,16 @@ const PHASE_HELP: &str =
     "Microseconds spent in one offline index-build phase, by backend and phase.";
 const TOTAL_FAMILY: &str = "fairrank_build_duration_us";
 const TOTAL_HELP: &str = "Microseconds for one whole offline index build, by backend.";
+
+const LP_FAMILY: &str = "fairrank_build_lp_solves_total";
+const LP_HELP: &str = "Arrangement LPs solved by offline m-D index builds, by backend.";
+
+/// Add one build's arrangement LP count to the global registry.
+pub(crate) fn count_lp_solves(backend: &'static str, solves: u64) {
+    fairrank_telemetry::global()
+        .counter(LP_FAMILY, LP_HELP, &[("backend", backend)])
+        .add(solves);
+}
 
 /// Record one finished phase into the global registry.
 fn record_phase(backend: &str, phase: &str, micros: u64) {

@@ -73,6 +73,10 @@ pub struct SatRegions {
     pub hyperplane_count: usize,
     /// Number of oracle invocations.
     pub oracle_calls: u64,
+    /// Number of LPs the arrangement's insertions solved
+    /// ([`ArrangementTree::lp_calls`], or the flat
+    /// [`Arrangement::lp_calls`] when `use_tree` is off).
+    pub lp_solves: u64,
     /// Number of items that survived top-k pruning (equals `n` when
     /// pruning is off).
     pub items_used: usize,
@@ -120,12 +124,12 @@ pub fn sat_regions(
 
     // Region enumeration: (constraints, witness) pairs.
     let phase = crate::buildtel::PhaseTimer::start("md_exact", "regions");
-    let (witnesses, region_count) = if opts.use_tree {
+    let (witnesses, region_count, lp_solves) = if opts.use_tree {
         let mut tree = ArrangementTree::new(dim);
         for h in &hyperplanes {
             tree.insert(h);
         }
-        (tree.region_witnesses(), tree.region_count())
+        (tree.region_witnesses(), tree.region_count(), tree.lp_calls)
     } else {
         let mut arr = Arrangement::new(dim);
         for h in hyperplanes {
@@ -137,9 +141,10 @@ pub fn sat_regions(
                 out.push((arr.constraints_of(rid), w));
             }
         }
-        (out, arr.region_count())
+        (out, arr.region_count(), arr.lp_calls)
     };
     phase.finish();
+    crate::buildtel::count_lp_solves("md_exact", lp_solves);
 
     // Oracle pass: keep satisfactory regions (Algorithm 4 lines 20–26).
     // Witness probes run through the batched pipeline — workspace-backed
@@ -167,6 +172,7 @@ pub fn sat_regions(
         region_count,
         hyperplane_count,
         oracle_calls,
+        lp_solves,
         items_used,
     })
 }
@@ -234,6 +240,11 @@ mod tests {
         .unwrap();
         assert_eq!(tree.region_count, flat.region_count);
         assert_eq!(tree.hyperplane_count, flat.hyperplane_count);
+        // Both arrangements count their LPs; on this input the tree's
+        // subtree pruning solves fewer than the flat scan's two per region
+        // and insertion.
+        assert!(tree.lp_solves > 0 && flat.lp_solves > 0);
+        assert!(tree.lp_solves < flat.lp_solves);
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! splits every region it *properly cuts* (both open sides non-empty, see
 //! DESIGN.md F4) into its `h⁻` and `h⁺` children.
 //!
-//! Feasibility of candidate regions is decided by Seidel's randomized LP
-//! with a simplex fallback; strict interior witness points (needed to probe
-//! the fairness oracle with an unambiguous ordering) come from the Chebyshev
-//! LP.
+//! Every LP here runs on the allocation-free Seidel kernel of
+//! `fairrank-lp`, which reads a region's rows in place (`RegionRows`):
+//! feasibility of candidate regions (with a simplex fallback for input the
+//! kernel rejects), and the Chebyshev LP that yields strict interior
+//! witness points (needed to probe the fairness oracle with an unambiguous
+//! ordering).
 
-use fairrank_lp::seidel::{solve_seidel, SeidelOutcome};
-use fairrank_lp::{interior_point, is_feasible, Constraint};
+use fairrank_lp::feasibility::interior_point_in;
+use fairrank_lp::{is_feasible, seidel, Constraint, Rel, RowSource};
 
 use crate::hyperplane::{Hyperplane, Sign};
 use crate::HALF_PI;
@@ -53,6 +55,9 @@ pub struct Arrangement {
     split_margin: f64,
     hyperplanes: Vec<Hyperplane>,
     regions: Vec<Region>,
+    /// Cumulative number of region-feasibility LPs, counted as in
+    /// [`crate::ArrangementTree::lp_calls`].
+    pub lp_calls: u64,
 }
 
 impl Arrangement {
@@ -65,8 +70,7 @@ impl Arrangement {
         Arrangement::with_box(dim, 0.0, HALF_PI)
     }
 
-    /// An empty arrangement over a custom box `[lo, hi]^dim` (used by
-    /// MARKCELL to restrict the arrangement to one grid cell).
+    /// An empty arrangement over a custom box `[lo, hi]^dim`.
     ///
     /// # Panics
     /// If `dim == 0` or the box is empty.
@@ -81,6 +85,7 @@ impl Arrangement {
             split_margin: 1e-7,
             hyperplanes: Vec::new(),
             regions: vec![Region::default()],
+            lp_calls: 0,
         }
     }
 
@@ -116,11 +121,7 @@ impl Arrangement {
     /// The linear constraints of a region (excluding the implicit box).
     #[must_use]
     pub fn constraints_of(&self, id: RegionId) -> Vec<Constraint> {
-        self.regions[id as usize]
-            .halfspaces
-            .iter()
-            .map(|&(h, s)| self.hyperplanes[h as usize].constraint(s, 0.0))
-            .collect()
+        self.rows_of(id).to_constraints()
     }
 
     /// A point strictly inside the region (margin > 0 against every
@@ -128,8 +129,16 @@ impl Arrangement {
     /// oracle with an unambiguous ordering.
     #[must_use]
     pub fn interior_point_of(&self, id: RegionId) -> Option<Vec<f64>> {
-        let cs = self.constraints_of(id);
-        interior_point(&cs, self.dim, self.box_lo, self.box_hi).map(|ip| ip.point)
+        interior_point_in(&self.rows_of(id), self.dim, self.box_lo, self.box_hi).map(|ip| ip.point)
+    }
+
+    fn rows_of(&self, id: RegionId) -> RegionRows<'_> {
+        RegionRows {
+            base: &[],
+            planes: &self.hyperplanes,
+            sides: &self.regions[id as usize].halfspaces,
+            extra: None,
+        }
     }
 
     /// Insert a hyperplane, splitting every region it properly cuts
@@ -138,27 +147,20 @@ impl Arrangement {
         assert_eq!(h.dim(), self.dim, "hyperplane dimension mismatch");
         let hid = self.hyperplanes.len() as HyperplaneId;
         self.hyperplanes.push(h);
-        let h = &self.hyperplanes[hid as usize];
 
         let before = self.regions.len();
         let mut splits = 0usize;
-        let mut constraints: Vec<Constraint> = Vec::new();
         for rid in 0..before {
-            constraints.clear();
-            constraints.extend(
-                self.regions[rid]
-                    .halfspaces
-                    .iter()
-                    .map(|&(hh, s)| self.hyperplanes[hh as usize].constraint(s, 0.0)),
-            );
-            if !proper_cut(
-                &mut constraints,
-                h,
+            self.lp_calls += 2;
+            let cut = proper_cut(
+                self.rows_of(rid as RegionId),
+                &self.hyperplanes[hid as usize],
                 self.dim,
                 self.box_lo,
                 self.box_hi,
                 self.split_margin,
-            ) {
+            );
+            if !cut {
                 continue;
             }
             // Split: existing region keeps the Plus side, the new region
@@ -189,52 +191,83 @@ impl Arrangement {
     }
 }
 
-/// Does `h` properly cut the region `{θ ∈ box : sigma}` — are both
+/// The rows of a region, read in place by the LP kernel: `base`
+/// constraints, then the listed sides of `planes` (margin 0), then an
+/// optional row for a hyperplane under test. No row is copied.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RegionRows<'a> {
+    pub(crate) base: &'a [Constraint],
+    pub(crate) planes: &'a [Hyperplane],
+    pub(crate) sides: &'a [(HyperplaneId, Sign)],
+    pub(crate) extra: Option<(&'a Hyperplane, Extra)>,
+}
+
+/// The row a hyperplane under test adds to a region.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Extra {
+    /// `h.constraint(sign, margin)`.
+    Side(Sign, f64),
+    /// `h.equality()`.
+    Equality,
+}
+
+impl RowSource for RegionRows<'_> {
+    fn for_each_row(&self, row: &mut dyn FnMut(&[f64], Rel, f64)) {
+        self.base.for_each_row(row);
+        for &(id, sign) in self.sides {
+            let h = &self.planes[id as usize];
+            let (rel, b) = h.side_row(sign, 0.0);
+            row(&h.normal, rel, b);
+        }
+        match self.extra {
+            Some((h, Extra::Side(sign, margin))) => {
+                let (rel, b) = h.side_row(sign, margin);
+                row(&h.normal, rel, b);
+            }
+            Some((h, Extra::Equality)) => row(&h.normal, Rel::Eq, h.offset),
+            None => {}
+        }
+    }
+}
+
+/// Does `h` properly cut the region `{θ ∈ box : region}` — are both
 /// open sides non-empty?
-///
-/// Each side constraint is pushed onto `sigma` for its LP and popped
-/// after, so `sigma` comes back unchanged and no constraint is copied.
 pub(crate) fn proper_cut(
-    sigma: &mut Vec<Constraint>,
+    region: RegionRows<'_>,
     h: &Hyperplane,
     dim: usize,
     lo: f64,
     hi: f64,
     margin: f64,
 ) -> bool {
-    sigma.push(h.constraint(Sign::Minus, margin));
-    let cut = fast_feasible(sigma, dim, lo, hi) && {
-        *sigma.last_mut().expect("side just pushed") = h.constraint(Sign::Plus, margin);
-        fast_feasible(sigma, dim, lo, hi)
+    let side = |sign| RegionRows {
+        extra: Some((h, Extra::Side(sign, margin))),
+        ..region
     };
-    sigma.pop();
-    cut
+    fast_feasible(&side(Sign::Minus), dim, lo, hi) && fast_feasible(&side(Sign::Plus), dim, lo, hi)
 }
 
 /// Does `h` touch the region at all (used for subtree pruning in the
 /// arrangement tree: feasibility of the region together with `a·θ = b`)?
-/// `sigma` comes back unchanged, as in [`proper_cut`].
 pub(crate) fn touches(
-    sigma: &mut Vec<Constraint>,
+    region: RegionRows<'_>,
     h: &Hyperplane,
     dim: usize,
     lo: f64,
     hi: f64,
 ) -> bool {
-    sigma.push(h.equality());
-    let touched = fast_feasible(sigma, dim, lo, hi);
-    sigma.pop();
-    touched
+    let with_h = RegionRows {
+        extra: Some((h, Extra::Equality)),
+        ..region
+    };
+    fast_feasible(&with_h, dim, lo, hi)
 }
 
-/// Feasibility via Seidel with simplex fallback.
-pub(crate) fn fast_feasible(constraints: &[Constraint], dim: usize, lo: f64, hi: f64) -> bool {
-    let zero = vec![0.0; dim];
-    match solve_seidel(constraints, &zero, lo, hi, 0x5eed_cafe) {
-        Some(SeidelOutcome::Optimal(_)) => true,
-        Some(SeidelOutcome::Infeasible) => false,
-        None => is_feasible(constraints, dim, lo, hi),
-    }
+/// Feasibility via Seidel, with the simplex as fallback for input the
+/// kernel rejects.
+pub(crate) fn fast_feasible<R: RowSource + ?Sized>(rows: &R, dim: usize, lo: f64, hi: f64) -> bool {
+    seidel::feasible(rows, dim, lo, hi, 0x5eed_cafe)
+        .unwrap_or_else(|| is_feasible(&rows.to_constraints(), dim, lo, hi))
 }
 
 #[cfg(test)]

@@ -12,20 +12,29 @@
 //! MARKCELL/ATC⁺ (Algorithm 9): every time a leaf region is split, witness
 //! points of the two child regions are offered to a caller-supplied probe;
 //! the first accepted witness aborts the remaining construction.
+//!
+//! A region is kept as its root path — `(node, side)` pairs — and the LP
+//! kernel reads the path's hyperplanes in place, so an insertion copies no
+//! constraint rows.
 
-use fairrank_lp::{interior_point, Constraint};
+use fairrank_lp::feasibility::interior_point_in;
+use fairrank_lp::{Constraint, RowSource};
 
-use crate::arrangement::{fast_feasible, proper_cut, touches};
+use crate::arrangement::{fast_feasible, proper_cut, touches, RegionRows};
 use crate::hyperplane::{Hyperplane, Sign};
 use crate::HALF_PI;
 
 type Link = Option<u32>;
 
-#[derive(Debug, Clone)]
-struct Node {
-    h: Hyperplane,
-    left: Link,
-    right: Link,
+/// A root path: the nodes passed and the side taken at each.
+type Path = Vec<(u32, Sign)>;
+
+/// The child slot of a side: `h⁻` left, `h⁺` right.
+fn slot(side: Sign) -> usize {
+    match side {
+        Sign::Minus => 0,
+        Sign::Plus => 1,
+    }
 }
 
 /// A hierarchical index over the arrangement of hyperplanes.
@@ -38,10 +47,14 @@ pub struct ArrangementTree {
     /// Constraints restricting the whole tree to a sub-region of the box
     /// (MARKCELL restricts the arrangement to one grid cell — paper §5.1).
     base: Vec<Constraint>,
-    nodes: Vec<Node>,
+    /// Node `i`'s hyperplane is `planes[i]`, its `h⁻`/`h⁺` children are
+    /// `children[i]`.
+    planes: Vec<Hyperplane>,
+    children: Vec<[Link; 2]>,
     root: Link,
-    /// Cumulative number of region-feasibility LPs, for the Figure 18
-    /// cost comparison.
+    /// Cumulative number of region-feasibility and witness LPs of
+    /// insertions, for the Figure 18 cost comparison and the build's
+    /// `lp_solves` counters.
     pub lp_calls: u64,
 }
 
@@ -69,7 +82,8 @@ impl ArrangementTree {
             box_hi: hi,
             split_margin: 1e-7,
             base: Vec::new(),
-            nodes: Vec::new(),
+            planes: Vec::new(),
+            children: Vec::new(),
             root: None,
             lp_calls: 0,
         }
@@ -100,7 +114,8 @@ impl ArrangementTree {
             box_hi: HALF_PI,
             split_margin: 1e-9,
             base,
-            nodes: Vec::new(),
+            planes: Vec::new(),
+            children: Vec::new(),
             root: None,
             lp_calls: 0,
         }
@@ -115,25 +130,34 @@ impl ArrangementTree {
     /// Number of regions (null links): `#nodes + 1`.
     #[must_use]
     pub fn region_count(&self) -> usize {
-        self.nodes.len() + 1
+        self.planes.len() + 1
     }
 
     /// Number of internal nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.planes.len()
+    }
+
+    /// The region at the end of `path`.
+    fn region<'a>(&'a self, path: &'a [(u32, Sign)]) -> RegionRows<'a> {
+        RegionRows {
+            base: &self.base,
+            planes: &self.planes,
+            sides: path,
+            extra: None,
+        }
     }
 
     /// Insert a hyperplane (Algorithm 5, AT⁺). Returns the number of
     /// regions split.
     pub fn insert(&mut self, h: &Hyperplane) -> usize {
         assert_eq!(h.dim(), self.dim, "hyperplane dimension mismatch");
-        let mut sigma: Vec<Constraint> = self.base.clone();
         let mut splits = 0usize;
         self.root = self.insert_rec(
             self.root,
             h,
-            &mut sigma,
+            &mut Path::new(),
             &mut splits,
             &mut |_| false,
             &mut None,
@@ -150,10 +174,16 @@ impl ArrangementTree {
         F: FnMut(&[f64]) -> bool,
     {
         assert_eq!(h.dim(), self.dim, "hyperplane dimension mismatch");
-        let mut sigma: Vec<Constraint> = self.base.clone();
         let mut splits = 0usize;
         let mut found: Option<Vec<f64>> = None;
-        self.root = self.insert_rec(self.root, h, &mut sigma, &mut splits, probe, &mut found);
+        self.root = self.insert_rec(
+            self.root,
+            h,
+            &mut Path::new(),
+            &mut splits,
+            probe,
+            &mut found,
+        );
         found
     }
 
@@ -161,7 +191,7 @@ impl ArrangementTree {
         &mut self,
         link: Link,
         h: &Hyperplane,
-        sigma: &mut Vec<Constraint>,
+        path: &mut Path,
         splits: &mut usize,
         probe: &mut F,
         found: &mut Option<Vec<f64>>,
@@ -172,39 +202,30 @@ impl ArrangementTree {
         if found.is_some() {
             return link;
         }
+        let (dim, lo, hi) = (self.dim, self.box_lo, self.box_hi);
         match link {
             None => {
                 // Leaf region σ: split only on a proper cut.
                 self.lp_calls += 2;
-                if !proper_cut(
-                    sigma,
-                    h,
-                    self.dim,
-                    self.box_lo,
-                    self.box_hi,
-                    self.split_margin,
-                ) {
+                if !proper_cut(self.region(path), h, dim, lo, hi, self.split_margin) {
                     return None;
                 }
                 *splits += 1;
-                let idx = self.nodes.len() as u32;
-                self.nodes.push(Node {
-                    h: h.clone(),
-                    left: None,
-                    right: None,
-                });
+                let idx = self.planes.len() as u32;
+                self.planes.push(h.clone());
+                self.children.push([None, None]);
                 // Offer witnesses of the two new child regions.
                 for side in [Sign::Minus, Sign::Plus] {
-                    sigma.push(h.constraint(side, 0.0));
+                    path.push((idx, side));
                     self.lp_calls += 1;
-                    if let Some(ip) = interior_point(sigma, self.dim, self.box_lo, self.box_hi) {
+                    let witness = interior_point_in(&self.region(path), dim, lo, hi);
+                    path.pop();
+                    if let Some(ip) = witness {
                         if probe(&ip.point) {
                             *found = Some(ip.point);
-                            sigma.pop();
                             break;
                         }
                     }
-                    sigma.pop();
                 }
                 Some(idx)
             }
@@ -213,22 +234,30 @@ impl ArrangementTree {
                     if found.is_some() {
                         break;
                     }
-                    sigma.push(self.nodes[i as usize].h.constraint(side, 0.0));
+                    path.push((i, side));
                     self.lp_calls += 1;
-                    if touches(sigma, h, self.dim, self.box_lo, self.box_hi) {
-                        let child = match side {
-                            Sign::Minus => self.nodes[i as usize].left,
-                            Sign::Plus => self.nodes[i as usize].right,
-                        };
-                        let new_child = self.insert_rec(child, h, sigma, splits, probe, found);
-                        match side {
-                            Sign::Minus => self.nodes[i as usize].left = new_child,
-                            Sign::Plus => self.nodes[i as usize].right = new_child,
-                        }
+                    if touches(self.region(path), h, dim, lo, hi) {
+                        let child = self.children[i as usize][slot(side)];
+                        let new_child = self.insert_rec(child, h, path, splits, probe, found);
+                        self.children[i as usize][slot(side)] = new_child;
                     }
-                    sigma.pop();
+                    path.pop();
                 }
                 Some(i)
+            }
+        }
+    }
+
+    /// Call `visit` with every leaf region, left to right.
+    fn for_each_leaf(&self, link: Link, path: &mut Path, visit: &mut dyn FnMut(RegionRows<'_>)) {
+        match link {
+            None => visit(self.region(path)),
+            Some(i) => {
+                for side in [Sign::Minus, Sign::Plus] {
+                    path.push((i, side));
+                    self.for_each_leaf(self.children[i as usize][slot(side)], path, visit);
+                    path.pop();
+                }
             }
         }
     }
@@ -239,40 +268,28 @@ impl ArrangementTree {
     #[must_use]
     pub fn regions(&self) -> Vec<Vec<Constraint>> {
         let mut out = Vec::with_capacity(self.region_count());
-        let mut sigma: Vec<Constraint> = self.base.clone();
-        self.collect(self.root, &mut sigma, &mut out);
+        self.for_each_leaf(self.root, &mut Path::new(), &mut |region| {
+            if fast_feasible(&region, self.dim, self.box_lo, self.box_hi) {
+                out.push(region.to_constraints());
+            }
+        });
         out
-    }
-
-    fn collect(&self, link: Link, sigma: &mut Vec<Constraint>, out: &mut Vec<Vec<Constraint>>) {
-        match link {
-            None => {
-                if fast_feasible(sigma, self.dim, self.box_lo, self.box_hi) {
-                    out.push(sigma.clone());
-                }
-            }
-            Some(i) => {
-                let node = &self.nodes[i as usize];
-                sigma.push(node.h.constraint(Sign::Minus, 0.0));
-                self.collect(node.left, sigma, out);
-                sigma.pop();
-                sigma.push(node.h.constraint(Sign::Plus, 0.0));
-                self.collect(node.right, sigma, out);
-                sigma.pop();
-            }
-        }
     }
 
     /// A strict interior witness point for each region, paired with the
     /// region's constraints — the probe set SATREGIONS hands to the oracle.
     #[must_use]
     pub fn region_witnesses(&self) -> Vec<(Vec<Constraint>, Vec<f64>)> {
-        self.regions()
-            .into_iter()
-            .filter_map(|cs| {
-                interior_point(&cs, self.dim, self.box_lo, self.box_hi).map(|ip| (cs, ip.point))
-            })
-            .collect()
+        let (dim, lo, hi) = (self.dim, self.box_lo, self.box_hi);
+        let mut out = Vec::with_capacity(self.region_count());
+        self.for_each_leaf(self.root, &mut Path::new(), &mut |region| {
+            if fast_feasible(&region, dim, lo, hi) {
+                if let Some(ip) = interior_point_in(&region, dim, lo, hi) {
+                    out.push((region.to_constraints(), ip.point));
+                }
+            }
+        });
+        out
     }
 
     /// Locate the region containing `theta` and return its constraints.
@@ -280,19 +297,18 @@ impl ArrangementTree {
     /// side, matching the closed `≤` semantics of region constraints.
     #[must_use]
     pub fn region_of(&self, theta: &[f64]) -> Vec<Constraint> {
-        let mut sigma = self.base.clone();
+        let mut path = Path::new();
         let mut link = self.root;
         while let Some(i) = link {
-            let node = &self.nodes[i as usize];
-            if node.h.eval(theta) > 0.0 {
-                sigma.push(node.h.constraint(Sign::Plus, 0.0));
-                link = node.right;
+            let side = if self.planes[i as usize].eval(theta) > 0.0 {
+                Sign::Plus
             } else {
-                sigma.push(node.h.constraint(Sign::Minus, 0.0));
-                link = node.left;
-            }
+                Sign::Minus
+            };
+            path.push((i, side));
+            link = self.children[i as usize][slot(side)];
         }
-        sigma
+        self.region(&path).to_constraints()
     }
 }
 
@@ -416,7 +432,7 @@ mod tests {
         let regions = t.regions();
         assert!(!regions.is_empty());
         for cs in &regions {
-            assert!(fast_feasible(cs, 2, 0.0, HALF_PI));
+            assert!(fast_feasible(cs.as_slice(), 2, 0.0, HALF_PI));
         }
     }
 }

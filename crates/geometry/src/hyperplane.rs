@@ -115,9 +115,21 @@ impl Hyperplane {
     /// hyperplane splits a region only if both *open* sides are non-empty).
     #[must_use]
     pub fn constraint(&self, sign: Sign, margin: f64) -> Constraint {
+        let (rel, b) = self.side_row(sign, margin);
+        Constraint {
+            a: self.normal.clone(),
+            rel,
+            b,
+        }
+    }
+
+    /// The relation and right-hand side of [`Hyperplane::constraint`]; its
+    /// coefficients are `self.normal`, so an LP can read the row in place.
+    #[must_use]
+    pub fn side_row(&self, sign: Sign, margin: f64) -> (Rel, f64) {
         match sign {
-            Sign::Plus => Constraint::ge(self.normal.clone(), self.offset + margin),
-            Sign::Minus => Constraint::le(self.normal.clone(), self.offset - margin),
+            Sign::Plus => (Rel::Ge, self.offset + margin),
+            Sign::Minus => (Rel::Le, self.offset - margin),
         }
     }
 

@@ -5,19 +5,26 @@
 //! hyperplane arrangement:
 //!
 //! * *does a hyperplane pass through this region?* — feasibility of the
-//!   region's constraints plus one equality row;
+//!   region's constraints plus one equality row ([`crate::seidel::feasible`]);
 //! * *give me a function inside this region to hand to the fairness oracle* —
 //!   a point that is strictly inside, so that the induced item ordering is
 //!   unambiguous (a point on an ordering-exchange boundary scores two items
 //!   equally).
 //!
-//! The strict-interior query is answered with a Chebyshev-style LP: maximize
-//! the margin `t` such that every `≤` constraint keeps distance `t·‖a‖` from
-//! its boundary.
+//! The strict-interior query is answered with a Chebyshev LP: maximize the
+//! margin `t` such that every inequality row keeps distance `t·‖a‖` from its
+//! boundary. It runs on the Seidel kernel in `n + 1` variables, with the box
+//! `x ∈ [lo, hi]`, `t ∈ [0, 1]` and objective `min −t`, and so allocates
+//! only the point it returns. [`is_feasible`] and [`feasible_point`] run
+//! on the dense simplex, which takes any box.
 
-use crate::problem::{Constraint, LinearProgram, LpOutcome, Rel};
+use crate::problem::{dot, Constraint, LinearProgram, LpOutcome, Rel, RowSource};
+use crate::seidel::{solve_in_arena, RowWriter};
 use crate::simplex::solve;
 use crate::EPS;
+
+/// Seed of the Chebyshev solves' row permutation.
+const CHEBYSHEV_SEED: u64 = 0xc4eb_5e7e;
 
 /// A strict interior point of a constraint set, with its margin.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,7 +32,7 @@ pub struct InteriorPoint {
     /// The witness point.
     pub point: Vec<f64>,
     /// The Euclidean margin to the nearest constraint boundary (Chebyshev
-    /// radius, capped at 1.0 so unbounded regions do not blow up).
+    /// radius, capped at 1.0).
     pub margin: f64,
 }
 
@@ -66,12 +73,29 @@ pub fn interior_point(
     lo: f64,
     hi: f64,
 ) -> Option<InteriorPoint> {
-    chebyshev_center(constraints, n, lo, hi).filter(|ip| ip.margin > EPS)
+    interior_point_in(constraints, n, lo, hi)
+}
+
+/// [`interior_point`] over rows read in place.
+///
+/// The margin is measured directly at the returned point (see
+/// [`chebyshev_center_in`]), so a margin above the crate tolerance means
+/// every inequality row and every box wall holds strictly there.
+#[must_use]
+pub fn interior_point_in<R: RowSource + ?Sized>(
+    rows: &R,
+    n: usize,
+    lo: f64,
+    hi: f64,
+) -> Option<InteriorPoint> {
+    chebyshev_center_in(rows, n, lo, hi).filter(|ip| ip.margin > EPS)
 }
 
 /// The Chebyshev center of `{x ∈ [lo,hi]^n : constraints}`: the point
 /// maximizing the minimum distance to the inequality boundaries (radius
-/// capped at 1.0). Returns `None` only when the region is empty.
+/// capped at 1.0). Returns `None` when the region is empty, and for input
+/// the Seidel kernel rejects (a non-finite or empty box, NaN, a row of the
+/// wrong arity).
 ///
 /// The box bounds participate as ordinary inequality rows so the center
 /// stays away from the box walls too.
@@ -82,69 +106,104 @@ pub fn chebyshev_center(
     lo: f64,
     hi: f64,
 ) -> Option<InteriorPoint> {
-    // Variables: x_0..x_{n-1}, t  (t = margin).
-    let mut lp_constraints: Vec<Constraint> = Vec::with_capacity(constraints.len() + 2 * n);
-    for c in constraints {
-        match c.rel {
-            Rel::Eq => {
-                let mut a = c.a.clone();
-                a.push(0.0);
-                lp_constraints.push(Constraint::eq(a, c.b));
+    chebyshev_center_in(constraints, n, lo, hi)
+}
+
+/// [`chebyshev_center`] over rows read in place.
+///
+/// The reported margin is not the LP's `t` but the distance actually
+/// achieved at the returned point: the smallest of `(b − a·x)/‖a‖` over
+/// the inequality rows and of the distances to the box walls, clamped to
+/// `[0, 1]`.
+#[must_use]
+pub fn chebyshev_center_in<R: RowSource + ?Sized>(
+    rows: &R,
+    n: usize,
+    lo: f64,
+    hi: f64,
+) -> Option<InteriorPoint> {
+    // Variables: x_0..x_{n-1}, t (the margin), in the box x ∈ [lo, hi],
+    // t ∈ [0, 1] (the cap keeps the radius finite); minimize −t.
+    let load = |w: &mut RowWriter<'_>| {
+        rows.for_each_row(&mut |a, rel, b| {
+            if !w.accepts(a, b, n) {
+                return;
             }
-            Rel::Le | Rel::Ge => {
-                let cle = c.normalized_le();
-                let norm = cle.a.iter().map(|v| v * v).sum::<f64>().sqrt();
-                let mut a = cle.a;
-                a.push(norm);
-                lp_constraints.push(Constraint::le(a, cle.b));
-            }
-        }
-    }
-    if lo.is_finite() {
+            let sign = match rel {
+                Rel::Eq => {
+                    // Equality rows carry no margin.
+                    w.le(|j| if j < n { a[j] } else { 0.0 }, b);
+                    w.le(|j| if j < n { -a[j] } else { 0.0 }, -b);
+                    return;
+                }
+                Rel::Le => 1.0,
+                Rel::Ge => -1.0,
+            };
+            let norm = norm(a);
+            w.le(|j| if j < n { sign * a[j] } else { norm }, sign * b);
+        });
         for j in 0..n {
             // −x_j + t ≤ −lo  ⇔  x_j ≥ lo + t
-            let mut a = vec![0.0; n + 1];
-            a[j] = -1.0;
-            a[n] = 1.0;
-            lp_constraints.push(Constraint::le(a, -lo));
+            w.le(
+                |i| {
+                    if i == j {
+                        -1.0
+                    } else if i == n {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                },
+                -lo,
+            );
         }
-    }
-    if hi.is_finite() {
         for j in 0..n {
             // x_j + t ≤ hi
-            let mut a = vec![0.0; n + 1];
-            a[j] = 1.0;
-            a[n] = 1.0;
-            lp_constraints.push(Constraint::le(a, hi));
+            w.le(|i| if i == j || i == n { 1.0 } else { 0.0 }, hi);
         }
-    }
-
-    let mut objective = vec![0.0; n + 1];
-    objective[n] = 1.0;
-    let mut lp = LinearProgram::maximize(objective).with_constraints(lp_constraints);
-    for j in 0..n {
-        lp.bounds[j] = (
-            if lo.is_finite() {
-                lo
-            } else {
-                f64::NEG_INFINITY
-            },
-            if hi.is_finite() { hi } else { f64::INFINITY },
-        );
-    }
-    // Cap the radius so unbounded regions still have a finite optimum.
-    lp.bounds[n] = (0.0, 1.0);
-
-    match solve(&lp) {
-        Ok(LpOutcome::Optimal { x, value }) => {
-            let point = x[..n].to_vec();
-            Some(InteriorPoint {
-                point,
-                margin: value,
+    };
+    solve_in_arena(
+        n + 1,
+        |j| if j == n { -1.0 } else { 0.0 },
+        |j| if j == n { (0.0, 1.0) } else { (lo, hi) },
+        CHEBYSHEV_SEED,
+        load,
+        |x| {
+            x.map(|x| {
+                let point = &x[..n];
+                InteriorPoint {
+                    point: point.to_vec(),
+                    margin: achieved_margin(rows, point, lo, hi),
+                }
             })
-        }
-        _ => None,
-    }
+        },
+    )
+    .flatten()
+}
+
+/// The distance from `x` to the nearest inequality boundary or box wall,
+/// clamped to `[0, 1]`. A zero row `0·x ≤ b` counts only when `x` (any
+/// point) violates it.
+fn achieved_margin<R: RowSource + ?Sized>(rows: &R, x: &[f64], lo: f64, hi: f64) -> f64 {
+    let mut margin = x.iter().fold(1.0_f64, |m, &xj| m.min(xj - lo).min(hi - xj));
+    rows.for_each_row(&mut |a, rel, b| {
+        let slack = match rel {
+            Rel::Le => b - dot(a, x),
+            Rel::Ge => dot(a, x) - b,
+            Rel::Eq => return,
+        };
+        let norm = norm(a);
+        margin = margin.min(if norm > 0.0 {
+            slack / norm
+        } else {
+            slack.min(0.0)
+        });
+    });
+    margin.max(0.0)
+}
+
+fn norm(a: &[f64]) -> f64 {
+    a.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]

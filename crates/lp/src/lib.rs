@@ -14,17 +14,23 @@
 //!
 //! This crate provides both from scratch:
 //!
+//! * [`seidel`] — Seidel's randomized incremental LP, expected *O(m)* for the
+//!   fixed (small) dimensionalities of the angle space. It is the kernel of
+//!   every arrangement LP — region feasibility and strict interior
+//!   witnesses — and a solve never allocates once its thread's arena has
+//!   grown; rows are read in place through [`RowSource`].
+//! * [`feasibility`] — witness points: the Chebyshev strict interior point
+//!   ([`chebyshev_center`], [`interior_point`]) solved on the Seidel kernel
+//!   in one more variable, and the simplex-backed [`is_feasible`] /
+//!   [`feasible_point`] for arbitrary boxes.
 //! * [`simplex::solve`] — a dense two-phase primal simplex with Bland's rule
 //!   anti-cycling fallback, supporting `≤` / `≥` / `=` rows and per-variable
-//!   bounds.
-//! * [`feasibility`] — feasibility tests, witness points and Chebyshev-style
-//!   strict interior points built on the simplex.
+//!   bounds. It serves Frank–Wolfe, [`is_feasible`] / [`feasible_point`],
+//!   and the fallback for input the Seidel kernel rejects, and is the
+//!   reference the Seidel results are cross-checked against in tests.
 //! * [`frank_wolfe`] — a Frank–Wolfe (conditional gradient) minimizer for
 //!   smooth objectives over polytopes, using the simplex as its linear
 //!   oracle; this is the NLP engine behind MDBASELINE.
-//! * [`seidel`] — Seidel's randomized incremental LP, expected *O(m)* for the
-//!   fixed (small) dimensionalities of the angle space; used as a fast path
-//!   and cross-checked against the simplex in tests.
 //!
 //! The problem sizes here are characteristic of the paper's workload: very
 //! few variables (`d − 1 ≤ 5` angles) and up to a few thousand constraints
@@ -37,10 +43,11 @@ pub mod seidel;
 pub mod simplex;
 
 pub use feasibility::{
-    chebyshev_center, feasible_point, interior_point, is_feasible, InteriorPoint,
+    chebyshev_center, chebyshev_center_in, feasible_point, interior_point, interior_point_in,
+    is_feasible, InteriorPoint,
 };
 pub use frank_wolfe::{minimize_over_polytope, FwOptions, FwResult};
-pub use problem::{Constraint, LinearProgram, LpError, LpOutcome, Rel};
+pub use problem::{Constraint, LinearProgram, LpError, LpOutcome, Rel, RowSource};
 pub use simplex::solve;
 
 /// Default numeric tolerance used across the crate for pivot selection,

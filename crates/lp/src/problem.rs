@@ -112,6 +112,35 @@ impl fmt::Display for Constraint {
     }
 }
 
+/// Constraint rows a solver can read in place, without copying them into
+/// [`Constraint`] values — a region described by borrowed hyperplanes,
+/// say. The slice `[Constraint]` is the plain implementation.
+pub trait RowSource {
+    /// Call `row(a, rel, b)` once for every row `a·x REL b`, in order.
+    fn for_each_row(&self, row: &mut dyn FnMut(&[f64], Rel, f64));
+
+    /// The same rows as owned constraints.
+    fn to_constraints(&self) -> Vec<Constraint> {
+        let mut out = Vec::new();
+        self.for_each_row(&mut |a, rel, b| {
+            out.push(Constraint {
+                a: a.to_vec(),
+                rel,
+                b,
+            });
+        });
+        out
+    }
+}
+
+impl RowSource for [Constraint] {
+    fn for_each_row(&self, row: &mut dyn FnMut(&[f64], Rel, f64)) {
+        for c in self {
+            row(&c.a, c.rel, c.b);
+        }
+    }
+}
+
 /// A linear program over `n` variables.
 ///
 /// Variables may carry finite or infinite bounds; the solvers convert to

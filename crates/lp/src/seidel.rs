@@ -4,17 +4,28 @@
 //! `d − 1 ≤ 5` angle coordinates) and a potentially large constraint count
 //! (ordering-exchange hyperplanes). Seidel's algorithm runs in expected
 //! `O(m · n!)` time — linear in the number of constraints `m` for fixed
-//! dimension `n` — which makes it the natural fast path for the region
-//! feasibility tests that dominate SATREGIONS and MARKCELL (the `Lp(n²)`
-//! term of the paper's Theorem 3).
+//! dimension `n` — which makes it the kernel of every arrangement LP: the
+//! region feasibility tests that dominate SATREGIONS and MARKCELL (the
+//! `Lp(n²)` term of the paper's Theorem 3) and, one variable up, the
+//! Chebyshev witnesses of [`crate::feasibility`].
 //!
-//! The implementation requires a finite bounding box (always available: the
-//! angle space is `[0, π/2]^{d−1}`), which guarantees bounded subproblems.
-//! Equality rows are split into opposing inequalities. Results are
-//! cross-checked against the two-phase simplex in the test suite, including
-//! a randomized property test.
+//! The implementation requires a finite bounding box per variable, which
+//! guarantees bounded subproblems. Equality rows are split into opposing
+//! inequalities. Results are cross-checked against the two-phase simplex
+//! in the test suite, including randomized property tests.
+//!
+//! # Memory
+//!
+//! A solve does not touch the heap once its thread has seen a problem of
+//! that size. Every level of the recursion lives in one flat arena per
+//! thread: a header (objective, lower bounds, upper bounds, current point;
+//! `n` values each) followed by the rows, stride `n + 1` (coefficients,
+//! then the right-hand side). A level projects its subproblem into the
+//! arena's tail and truncates the tail on return.
 
-use crate::problem::{Constraint, Rel};
+use std::cell::RefCell;
+
+use crate::problem::{Constraint, Rel, RowSource};
 use crate::EPS;
 
 /// Outcome of a Seidel solve.
@@ -42,47 +53,177 @@ pub fn solve_seidel(
     seed: u64,
 ) -> Option<SeidelOutcome> {
     let n = objective.len();
-    if n == 0 || !lo.is_finite() || !hi.is_finite() || lo > hi {
-        return None;
-    }
-    if objective.iter().any(|v| !v.is_finite()) {
-        return None;
-    }
-    let mut rows: Vec<Row> = Vec::with_capacity(constraints.len() * 2);
-    for c in constraints {
-        if c.a.len() != n || c.b.is_nan() || c.a.iter().any(|v| v.is_nan()) {
-            return None;
-        }
-        match c.rel {
-            Rel::Le => rows.push(Row {
-                a: c.a.clone(),
-                b: c.b,
-            }),
-            Rel::Ge => rows.push(Row {
-                a: c.a.iter().map(|v| -v).collect(),
-                b: -c.b,
-            }),
-            Rel::Eq => {
-                rows.push(Row {
-                    a: c.a.clone(),
-                    b: c.b,
-                });
-                rows.push(Row {
-                    a: c.a.iter().map(|v| -v).collect(),
-                    b: -c.b,
-                });
-            }
-        }
-    }
-    let mut rng = XorShift64::new(seed);
-    let lows = vec![lo; n];
-    let highs = vec![hi; n];
-    Some(recurse(&mut rows, objective, &lows, &highs, &mut rng))
+    solve_in_arena(
+        n,
+        |j| objective[j],
+        |_| (lo, hi),
+        seed,
+        |w| load_rows(w, constraints),
+        |x| match x {
+            Some(x) => SeidelOutcome::Optimal(x.to_vec()),
+            None => SeidelOutcome::Infeasible,
+        },
+    )
 }
 
-struct Row {
-    a: Vec<f64>,
-    b: f64,
+/// Whether `{x ∈ [lo,hi]^n : rows}` is non-empty — [`solve_seidel`] with
+/// a zero objective, reading the rows in place. Allocation-free once the
+/// thread's arena has grown to the problem size. `None` for invalid input,
+/// as in [`solve_seidel`].
+#[must_use]
+pub fn feasible<R: RowSource + ?Sized>(
+    rows: &R,
+    n: usize,
+    lo: f64,
+    hi: f64,
+    seed: u64,
+) -> Option<bool> {
+    solve_in_arena(
+        n,
+        |_| 0.0,
+        |_| (lo, hi),
+        seed,
+        |w| load_rows(w, rows),
+        |x| x.is_some(),
+    )
+}
+
+/// Load `rows` as Seidel stores them: `≥` rows negated, `=` rows split
+/// into a `≤` and a `≥` row.
+fn load_rows<R: RowSource + ?Sized>(w: &mut RowWriter<'_>, rows: &R) {
+    let n = w.n;
+    rows.for_each_row(&mut |a, rel, b| {
+        if !w.accepts(a, b, n) {
+            return;
+        }
+        match rel {
+            Rel::Le => w.le(|j| a[j], b),
+            Rel::Ge => w.le(|j| -a[j], -b),
+            Rel::Eq => {
+                w.le(|j| a[j], b);
+                w.le(|j| -a[j], -b);
+            }
+        }
+    });
+}
+
+/// Appends `≤` rows to a solve's arena.
+pub(crate) struct RowWriter<'a> {
+    buf: &'a mut Vec<f64>,
+    n: usize,
+    rows: usize,
+    valid: bool,
+}
+
+impl RowWriter<'_> {
+    /// Whether a source row `a·x REL b` over `arity` variables is valid
+    /// input (right arity, no NaN). An invalid row makes the whole solve
+    /// return `None`.
+    pub(crate) fn accepts(&mut self, a: &[f64], b: f64, arity: usize) -> bool {
+        if a.len() != arity || b.is_nan() || a.iter().any(|v| v.is_nan()) {
+            self.valid = false;
+        }
+        self.valid
+    }
+
+    /// Append the row `Σ_j coeff(j)·x_j ≤ b`.
+    pub(crate) fn le(&mut self, coeff: impl Fn(usize) -> f64, b: f64) {
+        self.buf.extend((0..self.n).map(coeff));
+        self.buf.push(b);
+        self.rows += 1;
+    }
+}
+
+thread_local! {
+    static ARENA: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Minimize `Σ objective(j)·x_j` over `x_j ∈ bounds(j)` and the rows
+/// `load` writes, in this thread's arena. `done` sees the optimum (`None`
+/// when the problem is infeasible) before the arena is reused. Returns
+/// `None` for invalid input: no variables, a non-finite or empty bound, a
+/// non-finite objective or a row [`RowWriter::accepts`] rejected.
+pub(crate) fn solve_in_arena<T>(
+    n: usize,
+    objective: impl Fn(usize) -> f64,
+    bounds: impl Fn(usize) -> (f64, f64),
+    seed: u64,
+    load: impl FnOnce(&mut RowWriter<'_>),
+    done: impl FnOnce(Option<&[f64]>) -> T,
+) -> Option<T> {
+    if n == 0 {
+        return None;
+    }
+    for j in 0..n {
+        let (lo, hi) = bounds(j);
+        if !lo.is_finite() || !hi.is_finite() || lo > hi || !objective(j).is_finite() {
+            return None;
+        }
+    }
+    let run = |buf: &mut Vec<f64>| {
+        buf.clear();
+        buf.extend((0..n).map(&objective));
+        buf.extend((0..n).map(|j| bounds(j).0));
+        buf.extend((0..n).map(|j| bounds(j).1));
+        buf.resize(4 * n, 0.0);
+        let mut w = RowWriter {
+            buf,
+            n,
+            rows: 0,
+            valid: true,
+        };
+        load(&mut w);
+        if !w.valid {
+            return None;
+        }
+        let top = Level {
+            off: 0,
+            n,
+            m: w.rows,
+        };
+        let mut rng = XorShift64::new(seed);
+        let x = recurse(buf, top, &mut rng).then(|| &buf[top.x()..top.x() + n]);
+        Some(done(x))
+    };
+    ARENA.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut buf) => run(&mut buf),
+        // Only reachable when a row source or `done` starts a solve itself.
+        Err(_) => run(&mut Vec::new()),
+    })
+}
+
+/// Where one recursion level's blocks sit in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    off: usize,
+    n: usize,
+    m: usize,
+}
+
+impl Level {
+    fn c(self) -> usize {
+        self.off
+    }
+
+    fn lo(self) -> usize {
+        self.off + self.n
+    }
+
+    fn hi(self) -> usize {
+        self.off + 2 * self.n
+    }
+
+    fn x(self) -> usize {
+        self.off + 3 * self.n
+    }
+
+    fn row(self, i: usize) -> usize {
+        self.off + 4 * self.n + i * (self.n + 1)
+    }
+
+    fn end(self) -> usize {
+        self.row(self.m)
+    }
 }
 
 /// Tiny deterministic RNG — only the permutation quality matters.
@@ -107,70 +248,55 @@ impl XorShift64 {
     }
 }
 
-fn recurse(
-    rows: &mut [Row],
-    c: &[f64],
-    lows: &[f64],
-    highs: &[f64],
-    rng: &mut XorShift64,
-) -> SeidelOutcome {
-    let n = c.len();
+/// Solve the level `lv` (whose block ends the arena); on success its
+/// optimum is in the level's `x` slot.
+fn recurse(buf: &mut Vec<f64>, lv: Level, rng: &mut XorShift64) -> bool {
+    let n = lv.n;
     if n == 1 {
-        return base_1d(rows, c[0], lows[0], highs[0]);
+        return base_1d(buf, lv);
     }
 
     // Fisher–Yates shuffle for the expected-linear bound.
-    for i in (1..rows.len()).rev() {
+    for i in (1..lv.m).rev() {
         let j = rng.below(i + 1);
-        rows.swap(i, j);
+        if i != j {
+            for t in 0..=n {
+                buf.swap(lv.row(i) + t, lv.row(j) + t);
+            }
+        }
     }
 
     // Start from the box optimum.
-    let mut x: Vec<f64> = (0..n)
-        .map(|j| if c[j] > 0.0 { lows[j] } else { highs[j] })
-        .collect();
+    for j in 0..n {
+        buf[lv.x() + j] = if buf[lv.c() + j] > 0.0 {
+            buf[lv.lo() + j]
+        } else {
+            buf[lv.hi() + j]
+        };
+    }
 
-    for i in 0..rows.len() {
-        let viol = dot(&rows[i].a, &x) - rows[i].b;
+    for i in 0..lv.m {
+        let r = lv.row(i);
+        let viol = dot(&buf[r..r + n], &buf[lv.x()..lv.x() + n]) - buf[r + n];
         if viol <= EPS {
             continue;
         }
         // The optimum of rows[..=i] lies on the boundary of rows[i].
-        let (k, ak) = match pivot_column(&rows[i].a) {
-            Some(p) => p,
-            None => {
-                // Degenerate row 0·x ≤ b with b < 0: infeasible.
-                return SeidelOutcome::Infeasible;
-            }
+        let Some((k, ak)) = pivot_column(&buf[r..r + n]) else {
+            // Degenerate row 0·x ≤ b with b < 0: infeasible.
+            return false;
         };
-        let (sub_rows, sub_c, sub_lo, sub_hi) =
-            project(&rows[..i], &rows[i], k, ak, c, lows, highs);
-        let mut sub_rows = sub_rows;
-        match recurse(&mut sub_rows, &sub_c, &sub_lo, &sub_hi, rng) {
-            SeidelOutcome::Infeasible => return SeidelOutcome::Infeasible,
-            SeidelOutcome::Optimal(y) => {
-                // Lift back: insert x_k from the boundary equation.
-                let mut lifted = Vec::with_capacity(n);
-                let mut yi = y.iter();
-                for j in 0..n {
-                    if j == k {
-                        lifted.push(0.0); // placeholder
-                    } else {
-                        lifted.push(*yi.next().expect("arity"));
-                    }
-                }
-                let mut s = rows[i].b;
-                for (j, lj) in lifted.iter().enumerate() {
-                    if j != k {
-                        s -= rows[i].a[j] * lj;
-                    }
-                }
-                lifted[k] = s / ak;
-                x = lifted;
-            }
+        let sub = project(buf, lv, i, k, ak);
+        let feasible = recurse(buf, sub, rng);
+        if feasible {
+            lift(buf, lv, sub, i, k, ak);
+        }
+        buf.truncate(sub.off);
+        if !feasible {
+            return false;
         }
     }
-    SeidelOutcome::Optimal(x)
+    true
 }
 
 /// Largest-magnitude coefficient for numerically stable elimination.
@@ -184,82 +310,97 @@ fn pivot_column(a: &[f64]) -> Option<(usize, f64)> {
     best
 }
 
-/// Substitute `x_k = (b − Σ_{j≠k} a_j x_j) / a_k` (from the tight row) into
-/// the earlier rows, the objective and the box bounds of `x_k`.
-#[allow(clippy::type_complexity)]
-fn project(
-    earlier: &[Row],
-    tight: &Row,
-    k: usize,
-    ak: f64,
-    c: &[f64],
-    lows: &[f64],
-    highs: &[f64],
-) -> (Vec<Row>, Vec<f64>, Vec<f64>, Vec<f64>) {
-    let n = c.len();
-    let reduce = |a: &[f64], b: f64, coeff_k: f64| -> Row {
-        let scale = coeff_k / ak;
-        let mut na = Vec::with_capacity(n - 1);
-        for (j, (&aj, &tj)) in a.iter().zip(&tight.a).enumerate() {
-            if j != k {
-                na.push(aj - scale * tj);
-            }
-        }
-        Row {
-            a: na,
-            b: b - scale * tight.b,
-        }
+/// Substitute `x_k = (b − Σ_{j≠k} a_j x_j) / a_k` (from the tight row `i`)
+/// into the earlier rows, the objective and the box bounds of `x_k`,
+/// writing the `n − 1`-variable subproblem after `lv` in the arena.
+fn project(buf: &mut Vec<f64>, lv: Level, i: usize, k: usize, ak: f64) -> Level {
+    let n = lv.n;
+    let sub = Level {
+        off: lv.end(),
+        n: n - 1,
+        m: i + 2,
     };
+    buf.resize(sub.end(), 0.0);
+    let (head, tail) = buf.split_at_mut(sub.off);
+    let tight = &head[lv.row(i)..lv.row(i) + n + 1];
+    let at = |p: usize| p - sub.off;
 
-    let mut rows: Vec<Row> = Vec::with_capacity(earlier.len() + 2);
-    for r in earlier {
-        rows.push(reduce(&r.a, r.b, r.a[k]));
+    let scale = head[lv.c() + k] / ak;
+    for (jj, j) in (0..n).filter(|&j| j != k).enumerate() {
+        tail[at(sub.c()) + jj] = head[lv.c() + j] - scale * tight[j];
+        tail[at(sub.lo()) + jj] = head[lv.lo() + j];
+        tail[at(sub.hi()) + jj] = head[lv.hi() + j];
+    }
+
+    // Row `a·x ≤ b` with `x_k` eliminated.
+    let reduce = |out: &mut [f64], a: &dyn Fn(usize) -> f64, b: f64, coeff_k: f64| {
+        let scale = coeff_k / ak;
+        for (jj, j) in (0..n).filter(|&j| j != k).enumerate() {
+            out[jj] = a(j) - scale * tight[j];
+        }
+        out[n - 1] = b - scale * tight[n];
+    };
+    for e in 0..i {
+        let row = &head[lv.row(e)..lv.row(e) + n + 1];
+        let out = &mut tail[at(sub.row(e))..at(sub.row(e + 1))];
+        reduce(out, &|j| row[j], row[n], row[k]);
     }
     // Box bounds on x_k become two general constraints in the subspace:
-    //   lo_k ≤ (b − Σ a_j x_j)/a_k ≤ hi_k
-    // ⇔  sign-adjusted linear rows over the remaining variables.
-    {
-        // (b − Σ_{j≠k} a_j x_j)/a_k ≤ hi_k  ⇔  −Σ a_j x_j · sign ≤ ...
-        // expressed by reducing the pseudo-rows x_k ≤ hi_k and −x_k ≤ −lo_k.
-        let mut unit = vec![0.0; n];
-        unit[k] = 1.0;
-        rows.push(reduce(&unit, highs[k], 1.0));
-        unit[k] = -1.0;
-        rows.push(reduce(&unit, -lows[k], -1.0));
-    }
-
-    let scale = c[k] / ak;
-    let mut sub_c = Vec::with_capacity(n - 1);
-    let mut sub_lo = Vec::with_capacity(n - 1);
-    let mut sub_hi = Vec::with_capacity(n - 1);
-    for j in 0..n {
-        if j != k {
-            sub_c.push(c[j] - scale * tight.a[j]);
-            sub_lo.push(lows[j]);
-            sub_hi.push(highs[j]);
-        }
-    }
-    (rows, sub_c, sub_lo, sub_hi)
+    // the pseudo-rows x_k ≤ hi_k and −x_k ≤ −lo_k, reduced like the rest.
+    let (hi_k, lo_k) = (head[lv.hi() + k], head[lv.lo() + k]);
+    let unit = |sign: f64| move |j: usize| if j == k { sign } else { 0.0 };
+    reduce(
+        &mut tail[at(sub.row(i))..at(sub.row(i + 1))],
+        &unit(1.0),
+        hi_k,
+        1.0,
+    );
+    reduce(
+        &mut tail[at(sub.row(i + 1))..at(sub.end())],
+        &unit(-1.0),
+        -lo_k,
+        -1.0,
+    );
+    sub
 }
 
-fn base_1d(rows: &[Row], c: f64, lo: f64, hi: f64) -> SeidelOutcome {
-    let mut lo = lo;
-    let mut hi = hi;
-    for r in rows {
-        let a = r.a[0];
+/// Lift the subproblem's optimum back into `lv`'s point: the free
+/// coordinates in order, then `x_k` from the tight row `i`.
+fn lift(buf: &mut [f64], lv: Level, sub: Level, i: usize, k: usize, ak: f64) {
+    let n = lv.n;
+    let (head, tail) = buf.split_at_mut(sub.off);
+    let y = &tail[sub.x() - sub.off..sub.x() - sub.off + sub.n];
+    let (x, r) = (lv.x(), lv.row(i));
+    for (j, &yj) in (0..n).filter(|&j| j != k).zip(y) {
+        head[x + j] = yj;
+    }
+    let mut s = head[r + n];
+    for j in (0..n).filter(|&j| j != k) {
+        s -= head[r + j] * head[x + j];
+    }
+    head[x + k] = s / ak;
+}
+
+fn base_1d(buf: &mut [f64], lv: Level) -> bool {
+    let c = buf[lv.c()];
+    let mut lo = buf[lv.lo()];
+    let mut hi = buf[lv.hi()];
+    for i in 0..lv.m {
+        let (a, b) = (buf[lv.row(i)], buf[lv.row(i) + 1]);
         if a > EPS {
-            hi = hi.min(r.b / a);
+            hi = hi.min(b / a);
         } else if a < -EPS {
-            lo = lo.max(r.b / a);
-        } else if r.b < -EPS {
-            return SeidelOutcome::Infeasible;
+            lo = lo.max(b / a);
+        } else if b < -EPS {
+            return false;
         }
     }
     if lo > hi + EPS {
-        return SeidelOutcome::Infeasible;
+        return false;
     }
     let x = if c > 0.0 { lo } else { hi };
-    SeidelOutcome::Optimal(vec![x.clamp(lo.min(hi), hi.max(lo))])
+    buf[lv.x()] = x.clamp(lo.min(hi), hi.max(lo));
+    true
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
