@@ -14,7 +14,7 @@ use fairrank_geometry::hyperplane::Hyperplane;
 use crate::approximate::{cellplane, coloring, markcell};
 use crate::error::FairRankError;
 use crate::md::hyperpolar::{exchange_hyperplane, exchange_hyperplanes_limited};
-use crate::probes::VerdictRanking;
+use crate::probes::{CellRestriction, VerdictRanking};
 use crate::pruning;
 use crate::update::{DatasetUpdate, UpdateCtx};
 
@@ -79,6 +79,11 @@ pub struct BuildStats {
     /// ([`ArrangementTree::lp_calls`](fairrank_geometry::ArrangementTree::lp_calls)
     /// summed over the searched cells).
     pub lp_solves: u64,
+    /// Items scored across all MARKCELL probes: `oracle_calls · n`
+    /// without the per-cell restriction, so
+    /// `probe_items / (oracle_calls · n)` is the share of the ranking
+    /// work the restriction kept.
+    pub probe_items: u64,
     /// Per-cell `|HC[c]|` distribution, sorted ascending (Figure 21).
     pub hc_histogram: Vec<usize>,
     /// Time constructing hyperplanes (part of Figure 20/22).
@@ -106,19 +111,43 @@ impl BuildStats {
 /// scoring strictly below it cannot enter the inspected prefix, so the
 /// stored verdict provably survives the update.
 #[derive(Debug, Clone)]
-pub(crate) struct ProbeRecord {
+pub struct ProbeRecord {
     pub(crate) angles: Vec<f64>,
     pub(crate) verdict: bool,
     pub(crate) threshold: f64,
 }
 
-/// Per-worker probe state for MARKCELL: ranking workspace, reusable
-/// weight buffer, the worker's oracle-call and LP tallies, and the probe
-/// log of the cell currently being searched.
+impl ProbeRecord {
+    /// Where the oracle was asked.
+    #[must_use]
+    pub fn angles(&self) -> &[f64] {
+        &self.angles
+    }
+
+    /// What it said.
+    #[must_use]
+    pub fn verdict(&self) -> bool {
+        self.verdict
+    }
+
+    /// The score of the `k`-th ranked item at [`angles`](ProbeRecord::angles),
+    /// `NaN` without a usable top-k bound.
+    #[must_use]
+    pub fn threshold(&self) -> f64 {
+        self.threshold
+    }
+}
+
+/// Per-worker probe state for MARKCELL: ranking workspace, the current
+/// cell's probe-set restriction, reusable weight buffer, the worker's
+/// oracle-call, scored-item and LP tallies, and the probe log of the cell
+/// currently being searched.
 struct ProbeCtx {
     workspace: RankWorkspace,
+    cell: CellRestriction,
     weights: Vec<f64>,
     calls: u64,
+    items: u64,
     lp_solves: u64,
     log: Vec<ProbeRecord>,
 }
@@ -127,8 +156,10 @@ impl ProbeCtx {
     fn new(ds: &Dataset) -> ProbeCtx {
         ProbeCtx {
             workspace: RankWorkspace::with_capacity(ds.len()),
+            cell: CellRestriction::default(),
             weights: Vec::with_capacity(ds.dim()),
             calls: 0,
+            items: 0,
             lp_solves: 0,
             log: Vec::new(),
         }
@@ -214,12 +245,21 @@ impl ApproxIndex {
         // Phase 3: MARKCELL with early stop, parallel over cells. Cells
         // are independent, so per-cell outcomes are deterministic and the
         // merge below (in cell order) yields the same index for any
-        // thread count. Each worker owns a ProbeCtx — a RankWorkspace
-        // plus a weights buffer — so the steady probe path performs zero
-        // heap allocations, and the oracle's top-k bound (when exposed)
-        // turns each probe's full sort into a partial top-k ranking. The
-        // probe *verdicts* are identical either way, so the built index
-        // is bit-identical to the per-probe path.
+        // thread count. Each worker owns a ProbeCtx — a RankWorkspace,
+        // the cell restriction's buffers and a weights buffer — so the
+        // probe path allocates nothing beyond each probe's log record.
+        // With an oracle top-k bound `0 < k < n`, each cell first bounds
+        // every weight over its angle box (monotone sin/cos products, so
+        // the corner values, widened by a few rounding units) and so every
+        // item's score; against the k-th largest lower bound L and upper
+        // bound U, items strictly above U are in the top-k for every
+        // function of the cell and items strictly below L for none.
+        // Probes score only the rest and select the missing k − |sure-in|
+        // (rank-aware oracles: sure-in and undecided ranked together);
+        // a probe outside the box ranks everything. The per-cell form of
+        // §8's global layers (`prune_top_k`), it changes no verdict or
+        // threshold, so the built index is bit-identical to the
+        // full-ranking path.
         let t2 = Instant::now();
         let n_threads = workers.min(grid.cell_count().max(1));
         let next_cell = std::sync::atomic::AtomicU32::new(0);
@@ -234,6 +274,7 @@ impl ApproxIndex {
         };
         let mut found: Vec<(CellId, Option<Vec<f64>>, Vec<ProbeRecord>)> = Vec::new();
         let mut oracle_calls = 0u64;
+        let mut probe_items = 0u64;
         let mut lp_solves = 0u64;
         if n_threads <= 1 {
             let mut ctx = ProbeCtx::new(ds);
@@ -242,6 +283,7 @@ impl ApproxIndex {
                 found.push((cell, f, std::mem::take(&mut ctx.log)));
             }
             oracle_calls = ctx.calls;
+            probe_items = ctx.items;
             lp_solves = ctx.lp_solves;
         } else {
             let results = std::thread::scope(|scope| {
@@ -261,7 +303,7 @@ impl ApproxIndex {
                             let f = search_cell(cell, &mut ctx);
                             local.push((cell, f, std::mem::take(&mut ctx.log)));
                         }
-                        (local, ctx.calls, ctx.lp_solves)
+                        (local, ctx.calls, ctx.items, ctx.lp_solves)
                     }));
                 }
                 handles
@@ -269,8 +311,9 @@ impl ApproxIndex {
                     .map(|h| h.join().expect("markcell worker panicked"))
                     .collect::<Vec<_>>()
             });
-            for (local, calls, lps) in results {
+            for (local, calls, items, lps) in results {
                 oracle_calls += calls;
+                probe_items += items;
                 lp_solves += lps;
                 found.extend(local);
             }
@@ -281,6 +324,7 @@ impl ApproxIndex {
         index.stats = stats;
         index.stats.oracle_calls = oracle_calls;
         index.stats.lp_solves = lp_solves;
+        index.stats.probe_items = probe_items;
         index.stats.satisfied_cells = index.functions.len();
         index.stats.markcell_time = t2.elapsed();
 
@@ -301,6 +345,8 @@ impl ApproxIndex {
             crate::buildtel::mirror_phase("md_approx", phase, d);
         }
         crate::buildtel::count_lp_solves("md_approx", lp_solves);
+        crate::buildtel::count_oracle_calls("md_approx", oracle_calls);
+        crate::buildtel::count_probe_items("md_approx", probe_items);
 
         Ok(index)
     }
@@ -397,6 +443,7 @@ impl ApproxIndex {
         }
         let fresh = crate::probes::batch_verdicts_and_thresholds(ctx.ds, ctx.oracle, &candidates);
         let mut oracle_calls = fresh.len() as u64;
+        let mut probe_items = oracle_calls * ctx.ds.len() as u64;
         let mut lp_solves = 0u64;
         for ((c, pi), (verdict, threshold)) in recheck.into_iter().zip(fresh) {
             let rec = &mut self.probe_log[c][pi];
@@ -440,6 +487,7 @@ impl ApproxIndex {
                 searched.push((c, f, std::mem::take(&mut probe_ctx.log)));
             }
             oracle_calls += probe_ctx.calls;
+            probe_items += probe_ctx.items;
             lp_solves += probe_ctx.lp_solves;
         } else {
             let next = std::sync::atomic::AtomicUsize::new(0);
@@ -461,7 +509,7 @@ impl ApproxIndex {
                                 let f = search_dirty(c, &mut pc);
                                 local.push((c, f, std::mem::take(&mut pc.log)));
                             }
-                            (local, pc.calls, pc.lp_solves)
+                            (local, pc.calls, pc.items, pc.lp_solves)
                         })
                     })
                     .collect();
@@ -471,8 +519,9 @@ impl ApproxIndex {
                     .collect::<Vec<_>>()
             });
             searched = Vec::with_capacity(dirty_cells.len());
-            for (local, calls, lps) in results {
+            for (local, calls, items, lps) in results {
                 oracle_calls += calls;
+                probe_items += items;
                 lp_solves += lps;
                 searched.extend(local);
             }
@@ -504,7 +553,10 @@ impl ApproxIndex {
         self.stats.hc_histogram = cellplane::crossing_histogram(&hc);
         self.stats.oracle_calls += oracle_calls;
         self.stats.lp_solves += lp_solves;
+        self.stats.probe_items += probe_items;
         crate::buildtel::count_lp_solves("md_approx", lp_solves);
+        crate::buildtel::count_oracle_calls("md_approx", oracle_calls);
+        crate::buildtel::count_probe_items("md_approx", probe_items);
         self.stats.satisfied_cells = self.functions.len();
         self.stats.colored_cells =
             coloring::color_cells(&self.grid, &mut self.assigned, &self.functions);
@@ -530,6 +582,14 @@ impl ApproxIndex {
     #[must_use]
     pub fn stats(&self) -> &BuildStats {
         &self.stats
+    }
+
+    /// Per-cell MARKCELL probe logs, in probe order: what incremental
+    /// maintenance replays. Empty on a decoded index until its first
+    /// update re-seeds it.
+    #[must_use]
+    pub fn probe_log(&self) -> &[Vec<ProbeRecord>] {
+        &self.probe_log
     }
 
     /// The distinct satisfactory functions discovered by MARKCELL
@@ -573,16 +633,21 @@ fn search_one_cell(
     };
     let ProbeCtx {
         workspace,
+        cell: restriction,
         weights,
         calls,
+        items,
         lp_solves,
         log,
     } = ctx;
     log.clear();
+    let (bl, tr) = grid.cell_bounds(cell);
+    placement.restrict_to_box(ds, bl, tr, restriction);
     let mut probe = |angles: &[f64]| {
         *calls += 1;
         to_cartesian_into(1.0, angles, weights);
-        let ranking = placement.rank(workspace, ds, weights);
+        let (scored, ranking) = placement.rank_in_box(workspace, restriction, ds, angles, weights);
+        *items += scored as u64;
         let threshold = if kth > 0 {
             ds.score(weights, ranking[kth - 1] as usize)
         } else {
@@ -877,6 +942,40 @@ mod tests {
             )
             .get();
         assert!(mirrored >= s.lp_solves);
+        for (family, own) in [
+            ("fairrank_build_oracle_calls_total", s.oracle_calls),
+            ("fairrank_build_probe_items_total", s.probe_items),
+        ] {
+            let mirrored = fairrank_telemetry::global()
+                .counter(family, "", &[("backend", "md_approx")])
+                .get();
+            assert!(mirrored >= own, "{family}");
+        }
+    }
+
+    #[test]
+    fn cell_bounds_prune_probe_rankings() {
+        // A top-8 oracle over 40 items: inside one cell most items are
+        // settled in or out, so the probes score far fewer than n each.
+        let (ds, _, idx) = build_small(0.8, 4, 200);
+        let s = idx.stats();
+        let full = s.oracle_calls * ds.len() as u64;
+        assert!(s.probe_items > 0);
+        assert!(2 * s.probe_items < full, "{} of {full}", s.probe_items);
+
+        // Without a top-k bound every probe ranks all items.
+        let o = FnOracle::new("always", |_: &[u32]| true);
+        let idx = ApproxIndex::build(
+            &ds,
+            &o,
+            &BuildOptions {
+                n_cells: 100,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let s = idx.stats();
+        assert_eq!(s.probe_items, s.oracle_calls * ds.len() as u64);
     }
 
     #[test]

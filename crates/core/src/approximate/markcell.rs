@@ -15,6 +15,24 @@
 //! function assigned to a cell is satisfactory by construction no matter
 //! how the (linearized) hyperplanes approximate the true exchange
 //! surfaces (DESIGN.md F2).
+//!
+//! The induced ranking each probe hands the oracle is exact, but for a
+//! top-k-bounded oracle it need not rank every item. The caller
+//! ([`ApproxIndex::build`](super::ApproxIndex::build) and its incremental
+//! re-search) bounds each item's score over the cell's angle box, from
+//! weight bounds at the box corners (every weight coordinate is a product
+//! of `sin`/`cos` factors monotone on `[0, π/2]`). With `L`/`U` the
+//! `k`-th largest lower/upper score bound, items whose lower bound is
+//! strictly above `U` are in the top-k for every function of the cell,
+//! items whose upper bound is strictly below `L` for none, and only the
+//! rest are scored per probe (`probes::VerdictRanking::restrict_to_box`).
+//! Strict comparisons keep score ties on the undecided side, and a probe
+//! outside the box falls back to the full ranking, so every verdict and
+//! top-k threshold equals the full ranking's. This is §8's top-k pruning
+//! (`crate::pruning`) made per cell: §8 drops items that no function
+//! ranks into the top-k, the cell bounds drop items they prove out of
+//! the top-k for every function *of this cell*, and also settle the
+//! items they prove in.
 
 use fairrank_geometry::arrangement_tree::ArrangementTree;
 use fairrank_geometry::grid::{AngleGrid, CellId};

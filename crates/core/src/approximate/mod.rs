@@ -21,7 +21,7 @@ pub mod coloring;
 pub mod index;
 pub mod markcell;
 
-pub use index::{ApproxIndex, BuildOptions, BuildStats};
+pub use index::{ApproxIndex, BuildOptions, BuildStats, ProbeRecord};
 
 use fairrank_geometry::polar::{angular_distance, to_polar};
 use fairrank_geometry::vector::norm;

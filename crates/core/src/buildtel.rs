@@ -5,8 +5,9 @@
 //! these take the registry lock on every record instead of caching
 //! handles. Under the `telemetry-off` feature the [`Stopwatch`] is
 //! inert and no timer family is ever registered — `/metrics` simply has
-//! no `fairrank_build_*duration_us` series in that leg. The LP counter
-//! is a count, not a clock, and stays live in both legs.
+//! no `fairrank_build_*duration_us` series in that leg. The LP,
+//! oracle-call and probe-item counters are counts, not clocks, and stay
+//! live in both legs.
 //!
 //! Families:
 //! * `fairrank_build_duration_us{backend}` — whole-build wall time per
@@ -17,7 +18,15 @@
 //!   `markcells`/`coloring`);
 //! * `fairrank_build_lp_solves_total{backend}` — arrangement LPs solved by
 //!   the m-D builders (`md_exact`: SATREGIONS' arrangement; `md_approx`:
-//!   MARKCELL's per-cell arrangements, including update re-searches).
+//!   MARKCELL's per-cell arrangements, including update re-searches);
+//! * `fairrank_build_oracle_calls_total{backend}` — oracle verdicts the
+//!   m-D builders asked for (`md_exact`: one per SATREGIONS witness;
+//!   `md_approx`: MARKCELL's probes, including update re-checks and
+//!   re-searches);
+//! * `fairrank_build_probe_items_total{backend}` — items scored across
+//!   those `md_approx` probes. Divided by the oracle calls it is the mean
+//!   number of items a probe ranked; against the dataset size `n` it shows
+//!   how much ranking work the per-cell probe-set restriction saved.
 
 use fairrank_telemetry::Stopwatch;
 
@@ -35,6 +44,31 @@ pub(crate) fn count_lp_solves(backend: &'static str, solves: u64) {
     fairrank_telemetry::global()
         .counter(LP_FAMILY, LP_HELP, &[("backend", backend)])
         .add(solves);
+}
+
+const ORACLE_FAMILY: &str = "fairrank_build_oracle_calls_total";
+const ORACLE_HELP: &str = "Oracle verdicts asked for by offline m-D index builds, by backend.";
+
+/// Add one build's oracle calls to the global registry.
+pub(crate) fn count_oracle_calls(backend: &'static str, calls: u64) {
+    fairrank_telemetry::global()
+        .counter(ORACLE_FAMILY, ORACLE_HELP, &[("backend", backend)])
+        .add(calls);
+}
+
+const PROBE_ITEMS_FAMILY: &str = "fairrank_build_probe_items_total";
+const PROBE_ITEMS_HELP: &str =
+    "Items scored across the oracle probes of offline grid builds, by backend.";
+
+/// Add one build's scored probe items to the global registry.
+pub(crate) fn count_probe_items(backend: &'static str, items: u64) {
+    fairrank_telemetry::global()
+        .counter(
+            PROBE_ITEMS_FAMILY,
+            PROBE_ITEMS_HELP,
+            &[("backend", backend)],
+        )
+        .add(items);
 }
 
 /// Record one finished phase into the global registry.

@@ -156,6 +156,7 @@ pub fn sat_regions(
     let verdicts = probes::batch_verdicts_threaded(ds, oracle, &witness_angles, threads);
     phase.finish();
     let oracle_calls = verdicts.len() as u64;
+    crate::buildtel::count_oracle_calls("md_exact", oracle_calls);
     let satisfactory = witnesses
         .into_iter()
         .zip(verdicts)

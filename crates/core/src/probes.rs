@@ -12,10 +12,10 @@
 //! Verdicts are identical to the serial path by the trait contracts; the
 //! equivalence is property-tested in `tests/batch_equivalence.rs`.
 
-use fairrank_datasets::kernels::PrefixOrder;
+use fairrank_datasets::kernels::{self, ItemSubset, PrefixOrder};
 use fairrank_datasets::{Dataset, RankWorkspace};
 use fairrank_fairness::FairnessOracle;
-use fairrank_geometry::polar::to_cartesian_into;
+use fairrank_geometry::polar::{to_cartesian_into, weight_bounds_into};
 
 /// How a ranking must be placed for one oracle's verdict: the only place
 /// the sorted-vs-set choice is made. Every verdict ranking — batched
@@ -54,6 +54,152 @@ impl VerdictRanking {
     pub(crate) fn rank<'w>(self, ws: &'w mut RankWorkspace, ds: &Dataset, w: &[f64]) -> &'w [u32] {
         ws.rank_with(ds, w, self.bound, self.order)
     }
+
+    /// Prepare `cell` for probes inside the angle box `[bl, tr]`: split
+    /// the items into those in the top-`k` under every function of the
+    /// box ("sure-in"), those in it under none, and the rest
+    /// ("undecided"), so that [`rank_in_box`](VerdictRanking::rank_in_box)
+    /// ranks only what a probe can change.
+    ///
+    /// With weight bounds `lo ≤ w ≤ hi` over the box
+    /// ([`weight_bounds_into`]), every item's computed score lies in
+    /// `[smin_i, smax_i]` ([`kernels::score_bounds_into`]). Let `L` and
+    /// `U` be the `k`-th largest `smin` and `smax`; the `k`-th score at
+    /// any function of the box lies in `[L, U]`. So `smin_i > U` puts item
+    /// `i` strictly above the `k`-th item everywhere in the box, and
+    /// `smax_i < L` strictly below it; strictness makes score ties and
+    /// the id tie-break irrelevant. At most `k − 1` items are sure-in and
+    /// at least `k` are not excluded, whatever the bounds' quality.
+    ///
+    /// The cell stays unrestricted (full ranking) for an oracle without a
+    /// bound `0 < k < n`, for a box outside `[0, π/2]`, when a bound is
+    /// NaN, and when nothing would be pruned.
+    pub(crate) fn restrict_to_box(
+        self,
+        ds: &Dataset,
+        bl: &[f64],
+        tr: &[f64],
+        cell: &mut CellRestriction,
+    ) {
+        cell.active = false;
+        let n = ds.len();
+        let k = match self.bound {
+            Some(k) if k > 0 && k < n => k,
+            _ => return,
+        };
+        let CellRestriction {
+            bl: box_bl,
+            tr: box_tr,
+            lo,
+            hi,
+            smin,
+            smax,
+            cut,
+            ids,
+            sure,
+            subset,
+            ..
+        } = cell;
+        if !weight_bounds_into(bl, tr, lo, hi) {
+            return;
+        }
+        kernels::score_bounds_into(ds, lo, hi, smin, smax);
+        if smin.iter().chain(smax.iter()).any(|s| s.is_nan()) {
+            return;
+        }
+        let kth_largest = |cut: &mut Vec<f64>, values: &[f64]| {
+            cut.clear();
+            cut.extend_from_slice(values);
+            *cut.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
+        };
+        let lower = kth_largest(cut, smin);
+        let upper = kth_largest(cut, smax);
+        // A rank-aware oracle needs the sure-in items' order as well, so
+        // it gets them ranked with the undecided ones.
+        let set = self.order == PrefixOrder::Set;
+        sure.clear();
+        ids.clear();
+        for (i, (&low, &high)) in smin.iter().zip(smax.iter()).enumerate() {
+            if set && low > upper {
+                sure.push(i as u32);
+            } else if high >= lower {
+                ids.push(i as u32);
+            }
+        }
+        debug_assert!(sure.len() < k && sure.len() + ids.len() >= k);
+        if ids.len() == n {
+            return;
+        }
+        subset.gather(ds, ids);
+        box_bl.clear();
+        box_bl.extend_from_slice(bl);
+        box_tr.clear();
+        box_tr.extend_from_slice(tr);
+        cell.k = k;
+        cell.active = true;
+    }
+
+    /// Rank for the oracle's verdict at the probe point `angles` (weights
+    /// `w`), through the cell's restriction when it applies there: the
+    /// sure-in items followed by the best undecided ones, `k` items with
+    /// the `k`-th ranked at position `k − 1`, exactly the first `k`
+    /// positions [`rank`](VerdictRanking::rank) would place. A probe
+    /// outside the cell's box, or in an unrestricted cell, gets the full
+    /// ranking. Also returns how many items the probe scored.
+    pub(crate) fn rank_in_box<'w>(
+        self,
+        ws: &'w mut RankWorkspace,
+        cell: &'w mut CellRestriction,
+        ds: &Dataset,
+        angles: &[f64],
+        w: &[f64],
+    ) -> (usize, &'w [u32]) {
+        let inside = cell.active
+            && angles
+                .iter()
+                .zip(cell.bl.iter().zip(&cell.tr))
+                .all(|(a, (lo, hi))| lo <= a && a <= hi);
+        if !inside {
+            return (ds.len(), self.rank(ws, ds, w));
+        }
+        let CellRestriction {
+            sure,
+            subset,
+            out,
+            k,
+            ..
+        } = cell;
+        out.clear();
+        out.extend_from_slice(sure);
+        subset.top_k_append(w, *k - sure.len(), self.order, out);
+        (subset.len(), out)
+    }
+}
+
+/// The per-cell probe sets of [`VerdictRanking::restrict_to_box`] and
+/// the buffers behind them, kept by a probing worker and reused from
+/// cell to cell.
+#[derive(Debug, Default)]
+pub(crate) struct CellRestriction {
+    /// Whether the sets below apply to the current cell.
+    active: bool,
+    k: usize,
+    /// The cell's angle box.
+    bl: Vec<f64>,
+    tr: Vec<f64>,
+    /// Weight and score bounds over the box, and selection scratch.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    smin: Vec<f64>,
+    smax: Vec<f64>,
+    cut: Vec<f64>,
+    ids: Vec<u32>,
+    /// Items in the top-`k` everywhere in the box (empty for a
+    /// rank-aware oracle, whose sure-in items are ranked in `subset`).
+    sure: Vec<u32>,
+    /// The items each probe ranks.
+    subset: ItemSubset,
+    out: Vec<u32>,
 }
 
 /// Upper bound on rankings materialized at once: large enough to

@@ -13,6 +13,21 @@
 //!   convex layers (if `t` sits in dominance layer `m`, a chain of `m − 1`
 //!   distinct dominators outranks it under every monotone linear function,
 //!   so `t` cannot crack the top-k for `m > k`).
+//!
+//! This global pruning is opt-in (`prune_top_k`) because it changes the
+//! hyperplane set, and with it the arrangement. MARKCELL applies the
+//! same idea per grid cell without an option, since it changes no probe
+//! outcome: bounding every weight over the cell's angle box (corner
+//! values of monotone `sin`/`cos` products) bounds every item's score, and
+//! with `L`/`U` the `k`-th largest lower/upper bound, items strictly above
+//! `U` are in the top-k throughout the cell and items strictly below `L`
+//! never are. Only the remaining items are ranked per probe; probes
+//! outside the box rank everything (see `approximate::markcell`). The
+//! two complement each other: the layers argue over every function at
+//! once and can only drop items, while a cell spans a small cone of
+//! functions, so its bounds usually settle far more items, in both
+//! directions (on the perfbench `mdapprox` build a probe ranks about a
+//! fifth of the items).
 
 use fairrank_datasets::Dataset;
 use fairrank_geometry::layers::{convex_layers_2d, dominance_layers, top_k_candidates};

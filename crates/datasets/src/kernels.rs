@@ -25,6 +25,17 @@
 //!   inspects only the top-`k` — followed by a prefix sort, unless the
 //!   oracle reads that top-`k` as a set ([`PrefixOrder::Set`]).
 //!
+//! Two more serve rankings restricted to a candidate set: MARKCELL's
+//! per-cell probe sets, where only the items whose top-`k` membership
+//! can change inside a grid cell are ranked.
+//!
+//! * [`score_bounds_into`] — every item's score bounds over a box of
+//!   weight vectors, sound for the scores the sweep computes.
+//! * [`ItemSubset`] — a gathered column copy of some items, scored in the
+//!   sweep's exact operation order and selected by the same packed keys,
+//!   so its top-`k` is bit-for-bit the full ranking's whenever it holds
+//!   that top-`k`.
+//!
 //! # Packed ranking keys
 //!
 //! The canonical ranking order is "score descending under
@@ -233,6 +244,151 @@ fn fill_scores(ds: &Dataset, w: &[f64], out: &mut [f64]) {
 fn fill_scores(ds: &Dataset, w: &[f64], out: &mut [f64]) {
     for (i, o) in out.iter_mut().enumerate() {
         *o = ds.score(w, i);
+    }
+}
+
+/// Bound every item's score over a box of weight vectors
+/// `lo ≤ w ≤ hi` (per coordinate, `0 ≤ lo`): `smin[i]` and `smax[i]`
+/// (both cleared and refilled to `ds.len()` entries) take, per
+/// attribute, the low or the high weight by the attribute's sign.
+///
+/// The sums run in the order of [`score_all_into`], from `0.0` over
+/// ascending attributes. Rounding is monotone, so for every `w` in the
+/// box the score that [`score_all_into`] (or [`Dataset::score`])
+/// computes lies in `[smin[i], smax[i]]` numerically, not merely the
+/// exact score.
+///
+/// # Panics
+/// If `lo` or `hi` does not have `ds.dim()` entries.
+pub fn score_bounds_into(
+    ds: &Dataset,
+    lo: &[f64],
+    hi: &[f64],
+    smin: &mut Vec<f64>,
+    smax: &mut Vec<f64>,
+) {
+    assert!(
+        lo.len() == ds.dim() && hi.len() == ds.dim(),
+        "weight arity mismatch"
+    );
+    smin.clear();
+    smin.resize(ds.len(), 0.0);
+    smax.clear();
+    smax.resize(ds.len(), 0.0);
+    for (j, (&l, &h)) in lo.iter().zip(hi).enumerate() {
+        for ((a, b), &x) in smin.iter_mut().zip(smax.iter_mut()).zip(ds.column(j)) {
+            let (down, up) = if x < 0.0 { (h, l) } else { (l, h) };
+            *a += down * x;
+            *b += up * x;
+        }
+    }
+}
+
+/// A gathered copy of some items' attribute columns: the candidate set
+/// of a restricted ranking, scored and selected without touching the
+/// other items. Buffers are reused across [`ItemSubset::gather`] calls,
+/// so a caller that keeps one subset allocates nothing once it has held
+/// its largest set.
+#[derive(Debug, Clone, Default)]
+pub struct ItemSubset {
+    ids: Vec<u32>,
+    /// Column-major: attribute `j` of `ids[t]` is `cols[j * len + t]`.
+    cols: Vec<f64>,
+    scores: Vec<f64>,
+    keys: Vec<u128>,
+}
+
+impl ItemSubset {
+    /// Refill with the items `ids` of `ds`, in that order.
+    ///
+    /// # Panics
+    /// If an id is out of range.
+    pub fn gather(&mut self, ds: &Dataset, ids: &[u32]) {
+        self.ids.clear();
+        self.ids.extend_from_slice(ids);
+        self.cols.clear();
+        for j in 0..ds.dim() {
+            let col = ds.column(j);
+            self.cols.extend(ids.iter().map(|&i| col[i as usize]));
+        }
+    }
+
+    /// Number of gathered items.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether no item is gathered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Score the gathered items under `w` and append the best `take` of
+    /// them to `out`, by the packed ranking key of [`top_k_select_into`]
+    /// (original ids, so ties break exactly as in the full ranking).
+    /// Under [`PrefixOrder::Sorted`] the appended ids are in ranking
+    /// order; under [`PrefixOrder::Set`] they are unordered except that
+    /// the worst of them comes last. `take` is clamped to
+    /// [`len`](ItemSubset::len).
+    ///
+    /// Each score is the multiply-accumulate sequence of
+    /// [`score_all_into`], so it is bit-identical to that item's entry
+    /// of the full scored column: whenever the gathered set holds the
+    /// full ranking's top-`take`, the appended ids are exactly those.
+    ///
+    /// # Panics
+    /// If `w` does not match the gathered arity.
+    pub fn top_k_append(&mut self, w: &[f64], take: usize, order: PrefixOrder, out: &mut Vec<u32>) {
+        let m = self.ids.len();
+        assert_eq!(self.cols.len(), w.len() * m, "weight arity mismatch");
+        self.fill_scores(w);
+        self.keys.clear();
+        self.keys.extend(
+            self.scores
+                .iter()
+                .zip(&self.ids)
+                .map(|(&s, &id)| rank_key(s, id)),
+        );
+        let take = take.min(m);
+        if take == 0 {
+            return;
+        }
+        // The same order as `select_nth_unstable`, through a comparator
+        // of its own: a second caller of `top_k_select_into`'s selection
+        // instance made LLVM outline it from that serving-path kernel.
+        self.keys.select_nth_unstable_by(take - 1, u128::cmp);
+        if order == PrefixOrder::Sorted {
+            self.keys[..take].sort_unstable();
+        }
+        out.extend(self.keys[..take].iter().map(|&key| key as u32));
+    }
+
+    /// [`fill_scores`] over the gathered columns.
+    #[cfg(not(feature = "scalar-kernels"))]
+    fn fill_scores(&mut self, w: &[f64]) {
+        let m = self.ids.len();
+        self.scores.clear();
+        self.scores.resize(m, 0.0);
+        for (col, &wj) in self.cols.chunks_exact(m.max(1)).zip(w) {
+            for (o, &x) in self.scores.iter_mut().zip(col) {
+                *o += wj * x;
+            }
+        }
+    }
+
+    /// The scalar fallback: the [`Dataset::score`] fold per item.
+    #[cfg(feature = "scalar-kernels")]
+    fn fill_scores(&mut self, w: &[f64]) {
+        let m = self.ids.len();
+        self.scores.clear();
+        self.scores.extend((0..m).map(|t| {
+            w.iter()
+                .enumerate()
+                .map(|(j, b)| self.cols[j * m + t] * b)
+                .sum::<f64>()
+        }));
     }
 }
 
@@ -542,6 +698,91 @@ mod tests {
             let mut sorted = part.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, (0..60).collect::<Vec<u32>>());
+        }
+    }
+
+    /// Any gathered superset of the top-`k` yields the full ranking's
+    /// top-`k`: the same set with the `k`-th item last under `Set`, the
+    /// same sequence under `Sorted`. The data has exact score ties (the
+    /// values sit on a 1/8 lattice) and negative weights' worth of signs
+    /// via a shifted column.
+    #[test]
+    fn subset_top_k_matches_full_select() {
+        let base = ds(90, 3, 21);
+        let rows: Vec<Vec<f64>> = (0..base.len())
+            .map(|i| {
+                let mut r = base.row(i);
+                r[1] -= 4.0;
+                r
+            })
+            .collect();
+        let ds = Dataset::from_rows((0..3).map(|j| format!("a{j}")).collect(), &rows).unwrap();
+        let n = ds.len();
+        let mut subset = ItemSubset::default();
+        for (wi, w) in [[0.5, 0.3, 0.8], [1.0, 0.0, 0.25], [0.1, 0.9, 0.4]]
+            .iter()
+            .enumerate()
+        {
+            let mut scores = Vec::new();
+            score_all_into(&ds, w, &mut scores);
+            let mut full = Vec::new();
+            top_k_select_into(&scores, None, PrefixOrder::Sorted, &mut full);
+            for k in [1usize, 2, 17, n - 1, n] {
+                // The top-k plus every third other item, in id order.
+                let mut ids: Vec<u32> = (0..n as u32)
+                    .filter(|&i| full[..k].contains(&i) || (i as usize + wi).is_multiple_of(3))
+                    .collect();
+                ids.sort_unstable();
+                subset.gather(&ds, &ids);
+                assert_eq!(subset.len(), ids.len());
+
+                let mut sorted = Vec::new();
+                subset.top_k_append(w, k, PrefixOrder::Sorted, &mut sorted);
+                assert_eq!(sorted, &full[..k], "sorted k={k}");
+
+                // Set order, after a fixed head of the best two items
+                // taken out of the gathered set.
+                if k > 2 {
+                    let head = &full[..2];
+                    let rest: Vec<u32> =
+                        ids.iter().copied().filter(|i| !head.contains(i)).collect();
+                    subset.gather(&ds, &rest);
+                    let mut set = head.to_vec();
+                    subset.top_k_append(w, k - 2, PrefixOrder::Set, &mut set);
+                    assert_eq!(set.len(), k);
+                    assert_eq!(set[k - 1], full[k - 1], "set k-th, k={k}");
+                    let mut got = set.clone();
+                    got.sort_unstable();
+                    let mut want = full[..k].to_vec();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "set k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn score_bounds_enclose_every_score_in_the_box() {
+        let base = ds(60, 3, 8);
+        let rows: Vec<Vec<f64>> = (0..base.len())
+            .map(|i| {
+                let mut r = base.row(i);
+                r[0] -= 2.0;
+                r
+            })
+            .collect();
+        let ds = Dataset::from_rows((0..3).map(|j| format!("a{j}")).collect(), &rows).unwrap();
+        let (lo, hi) = ([0.2, 0.0, 0.5], [0.4, 0.3, 0.5]);
+        let (mut smin, mut smax) = (Vec::new(), Vec::new());
+        score_bounds_into(&ds, &lo, &hi, &mut smin, &mut smax);
+        let mut scores = Vec::new();
+        for step in 0..=10 {
+            let t = f64::from(step) / 10.0;
+            let w = [0.2 + 0.2 * t, 0.3 * (1.0 - t), 0.5];
+            score_all_into(&ds, &w, &mut scores);
+            for (i, &s) in scores.iter().enumerate() {
+                assert!(smin[i] <= s && s <= smax[i], "item {i} at t={t}");
+            }
         }
     }
 

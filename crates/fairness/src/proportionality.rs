@@ -10,6 +10,8 @@
 //! overlapping) type attributes — e.g. caps on `sex`, `race` and
 //! `age_bucketized` simultaneously.
 
+use std::cell::RefCell;
+
 use fairrank_datasets::{Dataset, TypeAttribute};
 
 use crate::incremental::{IncrementalOracle, ProportionalityState};
@@ -158,9 +160,9 @@ impl Proportionality {
         counts
     }
 
-    /// The counting kernel shared by the serial and batched oracle paths:
-    /// fill `counts` (len = group count, overwritten) with per-group
-    /// head counts over the top-k of `ranking`.
+    /// The counting kernel of [`Proportionality::head_counts`] and the
+    /// verdict: fill `counts` (len = group count, overwritten) with
+    /// per-group head counts over the top-k of `ranking`.
     fn head_counts_into(&self, ranking: &[u32], counts: &mut [usize]) {
         counts.iter_mut().for_each(|c| *c = 0);
         for &item in ranking.iter().take(self.k) {
@@ -199,22 +201,21 @@ impl Proportionality {
     }
 }
 
+thread_local! {
+    /// The head-count buffer of [`Proportionality::is_satisfactory`]: it
+    /// grows to the largest group count checked on the thread and is
+    /// reused, so a verdict allocates nothing after the first.
+    static COUNTS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
 impl FairnessOracle for Proportionality {
     fn is_satisfactory(&self, ranking: &[u32]) -> bool {
-        self.counts_satisfy(&self.head_counts(ranking))
-    }
-
-    // Batched path: one counts buffer for the whole batch instead of a
-    // fresh Vec per ranking (head_counts allocates). Verdicts identical.
-    fn is_satisfactory_batch(&self, rankings: &[&[u32]]) -> Vec<bool> {
-        let mut counts = vec![0usize; self.group_count];
-        rankings
-            .iter()
-            .map(|ranking| {
-                self.head_counts_into(ranking, &mut counts);
-                self.counts_satisfy(&counts)
-            })
-            .collect()
+        COUNTS.with(|counts| {
+            let mut counts = counts.borrow_mut();
+            counts.resize(self.group_count, 0);
+            self.head_counts_into(ranking, &mut counts);
+            self.counts_satisfy(&counts)
+        })
     }
 
     fn describe(&self) -> String {
@@ -298,17 +299,6 @@ impl Conjunction {
 impl FairnessOracle for Conjunction {
     fn is_satisfactory(&self, ranking: &[u32]) -> bool {
         self.parts.iter().all(|p| p.is_satisfactory(ranking))
-    }
-
-    // Forward the batch to each part's batched path and conjoin.
-    fn is_satisfactory_batch(&self, rankings: &[&[u32]]) -> Vec<bool> {
-        let mut out = vec![true; rankings.len()];
-        for p in &self.parts {
-            for (v, part_v) in out.iter_mut().zip(p.is_satisfactory_batch(rankings)) {
-                *v = *v && part_v;
-            }
-        }
-        out
     }
 
     fn describe(&self) -> String {

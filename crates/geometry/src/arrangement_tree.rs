@@ -278,15 +278,27 @@ impl ArrangementTree {
 
     /// A strict interior witness point for each region, paired with the
     /// region's constraints — the probe set SATREGIONS hands to the oracle.
+    ///
+    /// The witnesses are found in one pass over the leaves and the
+    /// constraints materialized in a second, so the witness points are
+    /// allocated back to back rather than each between its region's
+    /// constraint rows: the oracle pass that reads every witness then
+    /// streams through contiguous memory.
     #[must_use]
     pub fn region_witnesses(&self) -> Vec<(Vec<Constraint>, Vec<f64>)> {
         let (dim, lo, hi) = (self.dim, self.box_lo, self.box_hi);
+        let mut points: Vec<Option<Vec<f64>>> = Vec::with_capacity(self.region_count());
+        self.for_each_leaf(self.root, &mut Path::new(), &mut |region| {
+            let point = fast_feasible(&region, dim, lo, hi)
+                .then(|| interior_point_in(&region, dim, lo, hi))
+                .flatten();
+            points.push(point.map(|ip| ip.point));
+        });
+        let mut points = points.into_iter();
         let mut out = Vec::with_capacity(self.region_count());
         self.for_each_leaf(self.root, &mut Path::new(), &mut |region| {
-            if fast_feasible(&region, dim, lo, hi) {
-                if let Some(ip) = interior_point_in(&region, dim, lo, hi) {
-                    out.push((region.to_constraints(), ip.point));
-                }
+            if let Some(point) = points.next().flatten() {
+                out.push((region.to_constraints(), point));
             }
         });
         out

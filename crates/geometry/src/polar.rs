@@ -46,6 +46,55 @@ pub fn to_cartesian_into(r: f64, angles: &[f64], out: &mut Vec<f64>) {
     out[0] = r * suffix;
 }
 
+/// Per-coordinate bounds on the unit weights [`to_cartesian_into`] gives
+/// anywhere in the angle box `bl ≤ Θ ≤ tr`: `lo` and `hi` are cleared and
+/// refilled to `bl.len() + 1` entries with `lo[k] ≤ w_k ≤ hi[k]` for every
+/// `Θ` in the box, as computed in floating point.
+///
+/// Every coordinate is a product of one `sin` and some `cos` factors of
+/// distinct angles, all non-negative and monotone on `[0, π/2]` (`sin`
+/// rising, `cos` falling), so `w_k` is largest at the corner taking the
+/// `sin` angle from `tr` and the `cos` angles from `bl`, and smallest at
+/// the opposite one. The corner values are evaluated in
+/// [`to_cartesian_into`]'s own operation order. Each computed coordinate
+/// is within `2d` rounding units of the exact one (`d − 1` libm factors of
+/// at most one ulp each, `d − 1` rounded products), so the corner values
+/// are widened by `8d` units: a libm `sin`/`cos` that is only faithfully
+/// rounded, not monotone, cannot push a computed weight past its bound.
+///
+/// Returns `false`, leaving `lo`/`hi` unspecified, when the box leaves
+/// `[0, π/2]` (where the factors stop being monotone) or is empty.
+pub fn weight_bounds_into(bl: &[f64], tr: &[f64], lo: &mut Vec<f64>, hi: &mut Vec<f64>) -> bool {
+    let inside = bl.len() == tr.len()
+        && bl
+            .iter()
+            .zip(tr)
+            .all(|(&a, &b)| 0.0 <= a && a <= b && b <= HALF_PI);
+    if !inside {
+        return false;
+    }
+    let d = bl.len() + 1;
+    lo.clear();
+    lo.resize(d, 0.0);
+    hi.clear();
+    hi.resize(d, 0.0);
+    let (mut lo_suffix, mut hi_suffix) = (1.0, 1.0);
+    for k in (1..d).rev() {
+        lo[k] = bl[k - 1].sin() * lo_suffix;
+        hi[k] = tr[k - 1].sin() * hi_suffix;
+        lo_suffix *= tr[k - 1].cos();
+        hi_suffix *= bl[k - 1].cos();
+    }
+    lo[0] = lo_suffix;
+    hi[0] = hi_suffix;
+    let slack = 8.0 * d as f64 * f64::EPSILON;
+    for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
+        *l *= 1.0 - slack;
+        *h *= 1.0 + slack;
+    }
+    true
+}
+
 /// Convert a Cartesian point to its polar representation `(r, Θ)`.
 ///
 /// Inverse of [`to_cartesian`] for non-negative points; zero prefixes map to
@@ -280,5 +329,40 @@ mod tests {
         assert_close(p[0], 0.0);
         assert_close(p[1], 1.0);
         assert_close(p[2], 0.0);
+    }
+
+    #[test]
+    fn weight_bounds_enclose_the_box() {
+        let boxes: [(&[f64], &[f64]); 4] = [
+            (&[0.0], &[FRAC_PI_2]),
+            (&[0.3, 0.0], &[0.5, 0.2]),
+            (&[1.2, 1.5, 0.1], &[1.3, FRAC_PI_2, 0.1]),
+            (&[0.0, 0.0, 0.0, 0.0], &[0.05, 0.7, 1.0, FRAC_PI_2]),
+        ];
+        let (mut lo, mut hi, mut w) = (Vec::new(), Vec::new(), Vec::new());
+        for (bl, tr) in boxes {
+            assert!(weight_bounds_into(bl, tr, &mut lo, &mut hi));
+            assert_eq!(lo.len(), bl.len() + 1);
+            // Every corner and a lattice of interior points.
+            let steps = 6usize;
+            let dims = bl.len();
+            for idx in 0..(steps + 1).pow(dims as u32) {
+                let theta: Vec<f64> = (0..dims)
+                    .map(|a| {
+                        let s = (idx / (steps + 1).pow(a as u32)) % (steps + 1);
+                        bl[a] + (tr[a] - bl[a]) * s as f64 / steps as f64
+                    })
+                    .map(|t| t.min(FRAC_PI_2))
+                    .collect();
+                to_cartesian_into(1.0, &theta, &mut w);
+                for k in 0..w.len() {
+                    assert!(lo[k] <= w[k] && w[k] <= hi[k], "{theta:?} coord {k}");
+                }
+            }
+        }
+        // Boxes leaving the first orthant, or empty, give no bounds.
+        assert!(!weight_bounds_into(&[-0.1], &[0.2], &mut lo, &mut hi));
+        assert!(!weight_bounds_into(&[0.1], &[1.6], &mut lo, &mut hi));
+        assert!(!weight_bounds_into(&[0.3], &[0.2], &mut lo, &mut hi));
     }
 }

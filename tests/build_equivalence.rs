@@ -2,13 +2,18 @@
 //! offline build wall must be *bit-identical* to the slow reference
 //! path it replaces.
 //!
-//! Three families of claims, each property-tested on randomized inputs:
+//! Four families of claims, each property-tested on randomized inputs:
 //!
 //! * **Parallel builders** — the 2-D ray sweep (sector-sharded), the
 //!   exact SATREGIONS arrangement (threaded hyperplane enumeration +
 //!   per-region verification), and the approximate grid (parallel
 //!   MARKCELL) each produce byte-for-byte the same serialized ranker at
 //!   1, 2, and 4 workers.
+//! * **MARKCELL probe-log replay** — every probe the grid build recorded
+//!   (ranked through its cell's sure-in / undecided restriction) has the
+//!   verdict and top-k threshold of a full `Dataset::rank` at the same
+//!   angles, on data with negative values and exact score ties, at
+//!   `k = 1`, `n − 1` and `n`, for set-based and rank-aware oracles.
 //! * **Lazy SATREGIONS** — a ranker built with deferred region
 //!   materialization answers every query identically to the eager
 //!   build and serializes to the same bytes (serialization forces
@@ -22,7 +27,7 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 
-use fairrank::approximate::BuildOptions;
+use fairrank::approximate::{ApproxIndex, BuildOptions};
 use fairrank::md::{sat_regions, SatRegionsOptions};
 use fairrank::persist::{
     decode_dataset, decode_dataset_from, decode_regions, decode_regions_from, encode_dataset,
@@ -31,7 +36,9 @@ use fairrank::persist::{
 use fairrank::{FairRanker, Strategy, SuggestRequest};
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
-use fairrank_fairness::Proportionality;
+use fairrank_fairness::{FairnessOracle, PrefixFairness, Proportionality};
+use fairrank_geometry::grid::CellId;
+use fairrank_geometry::polar::to_cartesian;
 use fairrank_geometry::HALF_PI;
 
 fn biased(n: usize, d: usize, seed: u64) -> (Dataset, Proportionality) {
@@ -53,6 +60,125 @@ fn query_fan(d: usize, count: usize) -> Vec<Vec<f64>> {
             q
         })
         .collect()
+}
+
+/// `generic::uniform` rows with the second attribute shifted negative
+/// and every fifth row a copy of the one before it (exact score ties
+/// under every function).
+fn signed_with_duplicates(n: usize, seed: u64) -> Dataset {
+    let base = generic::uniform(n, 3, 0.8, seed);
+    let mut rows: Vec<Vec<f64>> = (0..n).map(|i| base.row(i)).collect();
+    for row in &mut rows {
+        row[1] -= 0.6;
+    }
+    for i in (5..n).step_by(5) {
+        rows[i] = rows[i - 1].clone();
+    }
+    let mut ds = Dataset::from_rows(base.attr_names().to_vec(), &rows).unwrap();
+    let group = base.type_attribute("group").unwrap();
+    ds.add_type_attribute("group", group.labels.clone(), group.values.clone())
+        .unwrap();
+    ds
+}
+
+/// Replay every MARKCELL probe record against a full ranking, and check
+/// that 2 and 4 workers build the same index with the same probe logs.
+fn replay_probe_log(ds: &Dataset, oracle: &dyn FairnessOracle) -> Result<(), TestCaseError> {
+    let build = |threads: usize| {
+        ApproxIndex::build(
+            ds,
+            oracle,
+            &BuildOptions {
+                n_cells: 120,
+                max_hyperplanes: Some(150),
+                threads: Some(threads),
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    };
+    let serial = build(1);
+    let kth = oracle.top_k_bound().filter(|&k| k > 0 && k <= ds.len());
+    let mut probes = 0usize;
+    for rec in serial.probe_log().iter().flatten() {
+        let w = to_cartesian(1.0, rec.angles());
+        let ranking = ds.rank(&w);
+        prop_assert_eq!(rec.verdict(), oracle.is_satisfactory(&ranking));
+        let threshold = kth.map_or(f64::NAN, |k| ds.score(&w, ranking[k - 1] as usize));
+        prop_assert_eq!(rec.threshold().to_bits(), threshold.to_bits());
+        probes += 1;
+    }
+    prop_assert_eq!(probes as u64, serial.stats().oracle_calls);
+    prop_assert!(serial.stats().probe_items <= serial.stats().oracle_calls * ds.len() as u64);
+
+    let bits = |idx: &ApproxIndex| -> Vec<(Vec<u64>, bool, u64)> {
+        idx.probe_log()
+            .iter()
+            .flatten()
+            .map(|r| {
+                let angles = r.angles().iter().map(|a| a.to_bits()).collect();
+                (angles, r.verdict(), r.threshold().to_bits())
+            })
+            .collect()
+    };
+    let centers: Vec<Vec<f64>> = (0..serial.grid().cell_count() as CellId)
+        .map(|c| serial.grid().center(c))
+        .collect();
+    let lookups = |idx: &ApproxIndex| -> Vec<Option<Vec<f64>>> {
+        centers
+            .iter()
+            .map(|c| idx.lookup(c).map(<[f64]>::to_vec))
+            .collect()
+    };
+    for threads in [2usize, 4] {
+        let par = build(threads);
+        prop_assert_eq!(par.functions(), serial.functions(), "threads = {}", threads);
+        prop_assert_eq!(lookups(&par), lookups(&serial), "threads = {}", threads);
+        prop_assert_eq!(bits(&par), bits(&serial), "threads = {}", threads);
+        let (a, b) = (par.stats(), serial.stats());
+        prop_assert_eq!(
+            (
+                a.oracle_calls,
+                a.lp_solves,
+                a.probe_items,
+                a.satisfied_cells
+            ),
+            (
+                b.oracle_calls,
+                b.lp_solves,
+                b.probe_items,
+                b.satisfied_cells
+            ),
+            "threads = {}",
+            threads
+        );
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// MARKCELL probe-log replay
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Set-based (`Proportionality`) and rank-aware (`PrefixFairness`,
+    /// sorted top-k) oracles, with `k` at 1, `n − 1`, `n` or in between.
+    #[test]
+    fn markcell_probe_log_replays_against_full_rankings(
+        seed in 0u64..1000,
+        n in 20usize..40,
+        which_k in 0usize..4,
+    ) {
+        let ds = signed_with_duplicates(n, seed);
+        let k = [1, n - 1, n, n / 3][which_k];
+        let group = ds.type_attribute("group").unwrap();
+        let set = Proportionality::new(group, k).with_max_count(0, k / 2);
+        replay_probe_log(&ds, &set)?;
+        let sorted = PrefixFairness::new(group, 1, k, 0.4, 1.0);
+        replay_probe_log(&ds, &sorted)?;
+    }
 }
 
 // ---------------------------------------------------------------------
