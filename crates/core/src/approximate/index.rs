@@ -14,7 +14,7 @@ use fairrank_geometry::hyperplane::Hyperplane;
 use crate::approximate::{cellplane, coloring, markcell};
 use crate::error::FairRankError;
 use crate::md::hyperpolar::{exchange_hyperplane, exchange_hyperplanes_limited};
-use crate::probes::{CellRestriction, VerdictRanking};
+use crate::probes::{CellRestriction, TopKPartition, VerdictRanking};
 use crate::pruning;
 use crate::update::{DatasetUpdate, UpdateCtx};
 
@@ -141,7 +141,8 @@ impl ProbeRecord {
 /// Per-worker probe state for MARKCELL: ranking workspace, the current
 /// cell's probe-set restriction, reusable weight buffer, the worker's
 /// oracle-call, scored-item and LP tallies, and the probe log of the cell
-/// currently being searched.
+/// currently being searched (kept only when `record` is set: only a
+/// maintainable index ever reads it).
 struct ProbeCtx {
     workspace: RankWorkspace,
     cell: CellRestriction,
@@ -149,11 +150,12 @@ struct ProbeCtx {
     calls: u64,
     items: u64,
     lp_solves: u64,
+    record: bool,
     log: Vec<ProbeRecord>,
 }
 
 impl ProbeCtx {
-    fn new(ds: &Dataset) -> ProbeCtx {
+    fn new(ds: &Dataset, record: bool) -> ProbeCtx {
         ProbeCtx {
             workspace: RankWorkspace::with_capacity(ds.len()),
             cell: CellRestriction::default(),
@@ -161,9 +163,34 @@ impl ProbeCtx {
             calls: 0,
             items: 0,
             lp_solves: 0,
+            record,
             log: Vec::new(),
         }
     }
+
+    /// Search `cell` and package the outcome: the function found, the
+    /// probe log and the cell's top-k partition.
+    fn outcome(
+        &mut self,
+        cell: CellId,
+        search: impl FnOnce(&mut ProbeCtx) -> Option<Vec<f64>>,
+    ) -> CellOutcome {
+        let function = search(self);
+        CellOutcome {
+            cell,
+            function,
+            log: std::mem::take(&mut self.log),
+            partition: self.cell.partition(),
+        }
+    }
+}
+
+/// One cell's MARKCELL result, merged into the index in cell order.
+struct CellOutcome {
+    cell: CellId,
+    function: Option<Vec<f64>>,
+    log: Vec<ProbeRecord>,
+    partition: Option<TopKPartition>,
 }
 
 /// The offline artifact: a partition of the angle space with one
@@ -183,10 +210,18 @@ pub struct ApproxIndex {
     /// Which cells MARKCELL satisfied directly (as opposed to coloring).
     /// Maintenance state — empty on a decoded index.
     pub(crate) satisfied: Vec<bool>,
-    /// Per-cell MARKCELL probe logs. Maintenance state — empty on a
-    /// decoded index (the first update then pays one full rebuild, which
-    /// re-seeds it).
+    /// Per-cell MARKCELL probe logs. Maintenance state — kept only by a
+    /// maintainable build (no `max_hyperplanes` cap, no `prune_top_k`),
+    /// since every other index rebuilds on update; empty on a decoded
+    /// index (the first update then pays one full rebuild, which re-seeds
+    /// it).
     pub(crate) probe_log: Vec<Vec<ProbeRecord>>,
+    /// Per cell: its top-k partition for the serving oracle pass
+    /// (`crate::probes` has the soundness argument), `None` where nothing
+    /// is pruned. Derived from the dataset and oracle, never persisted:
+    /// MARKCELL computes it, [`ApproxIndex::attach`] recomputes it for a
+    /// decoded index, and every update recomputes it.
+    pub(crate) partitions: Vec<Option<TopKPartition>>,
     /// Per cell: whether the MARKCELL search saw the cell's *complete*
     /// hyperplane list (i.e. `max_hyperplanes_per_cell` did not truncate
     /// it), so an unsatisfied verdict covers every sub-region of the
@@ -247,7 +282,8 @@ impl ApproxIndex {
         // merge below (in cell order) yields the same index for any
         // thread count. Each worker owns a ProbeCtx — a RankWorkspace,
         // the cell restriction's buffers and a weights buffer — so the
-        // probe path allocates nothing beyond each probe's log record.
+        // probe path allocates nothing beyond each probe's log record
+        // (when kept) and each cell's partition.
         // With an oracle top-k bound `0 < k < n`, each cell first bounds
         // every weight over its angle box (monotone sin/cos products, so
         // the corner values, widened by a few rounding units) and so every
@@ -259,28 +295,33 @@ impl ApproxIndex {
         // a probe outside the box ranks everything. The per-cell form of
         // §8's global layers (`prune_top_k`), it changes no verdict or
         // threshold, so the built index is bit-identical to the
-        // full-ranking path.
+        // full-ranking path. Each cell's partition is kept for the
+        // serving oracle pass; the probe logs only when the index is
+        // maintainable, the one case an update reads them.
         let t2 = Instant::now();
         let n_threads = workers.min(grid.cell_count().max(1));
         let next_cell = std::sync::atomic::AtomicU32::new(0);
         let cell_count = grid.cell_count() as CellId;
-        let search_cell = |cell: CellId, ctx: &mut ProbeCtx| -> Option<Vec<f64>> {
+        let search_cell = |cell: CellId, ctx: &mut ProbeCtx| -> CellOutcome {
             let cell_hc = &hc[cell as usize];
             let cell_hc = match opts.max_hyperplanes_per_cell {
                 Some(cap) if cell_hc.len() > cap => &cell_hc[..cap],
                 _ => cell_hc.as_slice(),
             };
-            search_one_cell(ds, oracle, &grid, cell, cell_hc, &hyperplanes, ctx)
+            ctx.outcome(cell, |ctx| {
+                search_one_cell(ds, oracle, &grid, cell, cell_hc, &hyperplanes, ctx)
+            })
         };
-        let mut found: Vec<(CellId, Option<Vec<f64>>, Vec<ProbeRecord>)> = Vec::new();
+        // Probe logs are read only by incremental maintenance.
+        let record = opts.max_hyperplanes.is_none() && !opts.prune_top_k;
+        let mut found: Vec<CellOutcome> = Vec::new();
         let mut oracle_calls = 0u64;
         let mut probe_items = 0u64;
         let mut lp_solves = 0u64;
         if n_threads <= 1 {
-            let mut ctx = ProbeCtx::new(ds);
+            let mut ctx = ProbeCtx::new(ds, record);
             for cell in 0..cell_count {
-                let f = search_cell(cell, &mut ctx);
-                found.push((cell, f, std::mem::take(&mut ctx.log)));
+                found.push(search_cell(cell, &mut ctx));
             }
             oracle_calls = ctx.calls;
             probe_items = ctx.items;
@@ -292,16 +333,14 @@ impl ApproxIndex {
                     let next_cell = &next_cell;
                     let search_cell = &search_cell;
                     handles.push(scope.spawn(move || {
-                        let mut local: Vec<(CellId, Option<Vec<f64>>, Vec<ProbeRecord>)> =
-                            Vec::new();
-                        let mut ctx = ProbeCtx::new(ds);
+                        let mut local: Vec<CellOutcome> = Vec::new();
+                        let mut ctx = ProbeCtx::new(ds, record);
                         loop {
                             let cell = next_cell.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             if cell >= cell_count {
                                 break;
                             }
-                            let f = search_cell(cell, &mut ctx);
-                            local.push((cell, f, std::mem::take(&mut ctx.log)));
+                            local.push(search_cell(cell, &mut ctx));
                         }
                         (local, ctx.calls, ctx.items, ctx.lp_solves)
                     }));
@@ -317,9 +356,9 @@ impl ApproxIndex {
                 lp_solves += lps;
                 found.extend(local);
             }
-            found.sort_unstable_by_key(|&(cell, _, _)| cell);
+            found.sort_unstable_by_key(|o| o.cell);
         }
-        let mut index = assemble(grid, found, opts.clone());
+        let mut index = assemble(grid, found, opts.clone(), record);
         index.decided = decided_mask(&hc, opts.max_hyperplanes_per_cell);
         index.stats = stats;
         index.stats.oracle_calls = oracle_calls;
@@ -461,30 +500,31 @@ impl ApproxIndex {
         let dirty_cells: Vec<CellId> = (0..n_cells as CellId)
             .filter(|&c| dirty[c as usize])
             .collect();
-        let search_dirty = |cell: CellId, pc: &mut ProbeCtx| -> Option<Vec<f64>> {
+        let search_dirty = |cell: CellId, pc: &mut ProbeCtx| -> CellOutcome {
             let cell_hc = &hc[cell as usize];
             let cell_hc = match self.opts.max_hyperplanes_per_cell {
                 Some(cap) if cell_hc.len() > cap => &cell_hc[..cap],
                 _ => cell_hc.as_slice(),
             };
-            search_one_cell(
-                ctx.ds,
-                ctx.oracle,
-                &self.grid,
-                cell,
-                cell_hc,
-                &hyperplanes,
-                pc,
-            )
+            pc.outcome(cell, |pc| {
+                search_one_cell(
+                    ctx.ds,
+                    ctx.oracle,
+                    &self.grid,
+                    cell,
+                    cell_hc,
+                    &hyperplanes,
+                    pc,
+                )
+            })
         };
         let n_threads = workers.min(dirty_cells.len().max(1));
-        let mut searched: Vec<(CellId, Option<Vec<f64>>, Vec<ProbeRecord>)>;
+        let mut searched: Vec<CellOutcome>;
         if n_threads <= 1 {
-            let mut probe_ctx = ProbeCtx::new(ctx.ds);
+            let mut probe_ctx = ProbeCtx::new(ctx.ds, true);
             searched = Vec::with_capacity(dirty_cells.len());
             for &c in &dirty_cells {
-                let f = search_dirty(c, &mut probe_ctx);
-                searched.push((c, f, std::mem::take(&mut probe_ctx.log)));
+                searched.push(search_dirty(c, &mut probe_ctx));
             }
             oracle_calls += probe_ctx.calls;
             probe_items += probe_ctx.items;
@@ -498,16 +538,14 @@ impl ApproxIndex {
                         let next = &next;
                         let search_dirty = &search_dirty;
                         scope.spawn(move || {
-                            let mut local: Vec<(CellId, Option<Vec<f64>>, Vec<ProbeRecord>)> =
-                                Vec::new();
-                            let mut pc = ProbeCtx::new(ctx.ds);
+                            let mut local: Vec<CellOutcome> = Vec::new();
+                            let mut pc = ProbeCtx::new(ctx.ds, true);
                             loop {
                                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                 let Some(&c) = dirty_cells.get(i) else {
                                     break;
                                 };
-                                let f = search_dirty(c, &mut pc);
-                                local.push((c, f, std::mem::take(&mut pc.log)));
+                                local.push(search_dirty(c, &mut pc));
                             }
                             (local, pc.calls, pc.items, pc.lp_solves)
                         })
@@ -525,28 +563,38 @@ impl ApproxIndex {
                 lp_solves += lps;
                 searched.extend(local);
             }
-            searched.sort_unstable_by_key(|&(cell, _, _)| cell);
+            searched.sort_unstable_by_key(|o| o.cell);
         }
+        // The kept cells' partitions depend on every item too: recompute
+        // them all on the updated dataset.
+        let clean_cells: Vec<CellId> = (0..n_cells as CellId)
+            .filter(|&c| !dirty[c as usize])
+            .collect();
+        let mut partitions =
+            cell_partitions(ctx.ds, ctx.oracle, &self.grid, &clean_cells, workers).into_iter();
         let mut searched = searched.into_iter();
-        let mut found: Vec<(CellId, Option<Vec<f64>>, Vec<ProbeRecord>)> =
-            Vec::with_capacity(n_cells);
+        let mut found: Vec<CellOutcome> = Vec::with_capacity(n_cells);
         for (c, &cell_dirty) in dirty.iter().enumerate() {
             if cell_dirty {
                 let entry = searched.next().expect("one search result per dirty cell");
-                debug_assert_eq!(entry.0 as usize, c);
+                debug_assert_eq!(entry.cell as usize, c);
                 found.push(entry);
             } else {
-                let f = self.satisfied[c].then(|| {
+                let function = self.satisfied[c].then(|| {
                     let fi = self.assigned[c].expect("satisfied cells are assigned");
                     self.functions[fi as usize].clone()
                 });
-                let log = std::mem::take(&mut self.probe_log[c]);
-                found.push((c as CellId, f, log));
+                found.push(CellOutcome {
+                    cell: c as CellId,
+                    function,
+                    log: std::mem::take(&mut self.probe_log[c]),
+                    partition: partitions.next().expect("one partition per kept cell"),
+                });
             }
         }
 
         let stats = self.stats.clone();
-        *self = assemble(self.grid.clone(), found, self.opts.clone());
+        *self = assemble(self.grid.clone(), found, self.opts.clone(), true);
         self.decided = decided_mask(&hc, self.opts.max_hyperplanes_per_cell);
         self.stats = stats;
         self.stats.hyperplane_count = hyperplanes.len();
@@ -570,6 +618,27 @@ impl ApproxIndex {
     pub fn lookup(&self, angles: &[f64]) -> Option<&[f64]> {
         let cell = self.grid.locate(angles);
         self.assigned[cell as usize].map(|f| self.functions[f as usize].as_slice())
+    }
+
+    /// The top-k partition of the cell containing `angles`, when the
+    /// index holds one for it (see [`TopKPartition`]).
+    #[must_use]
+    pub fn partition(&self, angles: &[f64]) -> Option<&TopKPartition> {
+        let cell = self.grid.locate(angles);
+        self.partitions.get(cell as usize)?.as_ref()
+    }
+
+    /// Recompute every cell's top-k partition for `ds` and `oracle`: what
+    /// a decoded index, which persists none, needs before its partitions
+    /// serve. Uses the build's worker count.
+    pub(crate) fn attach(&mut self, ds: &Dataset, oracle: &dyn FairnessOracle) {
+        let workers = self
+            .opts
+            .threads
+            .unwrap_or_else(crate::parallel::all_cores)
+            .max(1);
+        let cells: Vec<CellId> = (0..self.grid.cell_count() as CellId).collect();
+        self.partitions = cell_partitions(ds, oracle, &self.grid, &cells, workers);
     }
 
     /// The underlying grid.
@@ -613,7 +682,7 @@ impl ApproxIndex {
 }
 
 /// One cell's MARKCELL search, recording every probe into `ctx.log`
-/// (cleared first). The shared kernel of [`ApproxIndex::build`] and
+/// (cleared first) when `ctx.record` is set. The shared kernel of [`ApproxIndex::build`] and
 /// [`ApproxIndex::maintain`] — identical inputs produce identical
 /// outcomes *and* identical probe sequences, which is what makes replay
 /// sound.
@@ -638,6 +707,7 @@ fn search_one_cell(
         calls,
         items,
         lp_solves,
+        record,
         log,
     } = ctx;
     log.clear();
@@ -648,17 +718,19 @@ fn search_one_cell(
         to_cartesian_into(1.0, angles, weights);
         let (scored, ranking) = placement.rank_in_box(workspace, restriction, ds, angles, weights);
         *items += scored as u64;
-        let threshold = if kth > 0 {
-            ds.score(weights, ranking[kth - 1] as usize)
-        } else {
-            f64::NAN
-        };
         let verdict = oracle.is_satisfactory(ranking);
-        log.push(ProbeRecord {
-            angles: angles.to_vec(),
-            verdict,
-            threshold,
-        });
+        if *record {
+            let threshold = if kth > 0 {
+                ds.score(weights, ranking[kth - 1] as usize)
+            } else {
+                f64::NAN
+            };
+            log.push(ProbeRecord {
+                angles: angles.to_vec(),
+                verdict,
+                threshold,
+            });
+        }
         verdict
     };
     markcell::find_satisfactory(grid, cell, cell_hc, hyperplanes, &mut probe, lp_solves)
@@ -666,22 +738,32 @@ fn search_one_cell(
 
 /// Assemble per-cell MARKCELL outcomes (in cell order) into the index
 /// arrays — the exact layout [`ApproxIndex::build`] has always produced:
-/// one function per directly-satisfied cell, pushed in cell order.
+/// one function per directly-satisfied cell, pushed in cell order — with
+/// the probe logs when `record` is set.
 fn assemble(
     grid: AngleGrid,
-    found: Vec<(CellId, Option<Vec<f64>>, Vec<ProbeRecord>)>,
+    found: Vec<CellOutcome>,
     opts: BuildOptions,
+    record: bool,
 ) -> ApproxIndex {
     let n_cells = grid.cell_count();
     let mut assigned: Vec<Option<u32>> = vec![None; n_cells];
     let mut functions: Vec<Vec<f64>> = Vec::new();
     let mut satisfied = vec![false; n_cells];
-    let mut probe_log: Vec<Vec<ProbeRecord>> = vec![Vec::new(); n_cells];
-    for (cell, f, log) in found {
-        probe_log[cell as usize] = log;
-        if let Some(f) = f {
-            satisfied[cell as usize] = true;
-            assigned[cell as usize] = Some(functions.len() as u32);
+    let mut probe_log: Vec<Vec<ProbeRecord>> = Vec::new();
+    if record {
+        probe_log.resize_with(n_cells, Vec::new);
+    }
+    let mut partitions: Vec<Option<TopKPartition>> = vec![None; n_cells];
+    for outcome in found {
+        let c = outcome.cell as usize;
+        if record {
+            probe_log[c] = outcome.log;
+        }
+        partitions[c] = outcome.partition;
+        if let Some(f) = outcome.function {
+            satisfied[c] = true;
+            assigned[c] = Some(functions.len() as u32);
             functions.push(f);
         }
     }
@@ -693,8 +775,47 @@ fn assemble(
         opts,
         satisfied,
         probe_log,
+        partitions,
         decided: Vec::new(),
     }
+}
+
+/// The top-k partitions of `cells` for `ds` and `oracle`, in order,
+/// computed on up to `threads` workers through
+/// [`VerdictRanking::restrict_to_box`], the definition MARKCELL uses.
+fn cell_partitions(
+    ds: &Dataset,
+    oracle: &dyn FairnessOracle,
+    grid: &AngleGrid,
+    cells: &[CellId],
+    threads: usize,
+) -> Vec<Option<TopKPartition>> {
+    let placement = VerdictRanking::of(oracle);
+    let partition = |cells: &[CellId]| -> Vec<Option<TopKPartition>> {
+        let mut restriction = CellRestriction::default();
+        cells
+            .iter()
+            .map(|&c| {
+                let (bl, tr) = grid.cell_bounds(c);
+                placement.restrict_to_box(ds, bl, tr, &mut restriction);
+                restriction.partition()
+            })
+            .collect()
+    };
+    let chunks = crate::parallel::contiguous_chunks(cells.len(), threads);
+    if chunks.len() <= 1 {
+        return partition(cells);
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|r| scope.spawn(move || partition(&cells[r])))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("partition worker panicked"))
+            .collect()
+    })
 }
 
 /// The per-cell completeness mask behind region identity: `true` iff the

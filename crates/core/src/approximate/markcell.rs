@@ -21,18 +21,29 @@
 //! ([`ApproxIndex::build`](super::ApproxIndex::build) and its incremental
 //! re-search) bounds each item's score over the cell's angle box, from
 //! weight bounds at the box corners (every weight coordinate is a product
-//! of `sin`/`cos` factors monotone on `[0, π/2]`). With `L`/`U` the
-//! `k`-th largest lower/upper score bound, items whose lower bound is
-//! strictly above `U` are in the top-k for every function of the cell,
-//! items whose upper bound is strictly below `L` for none, and only the
-//! rest are scored per probe (`probes::VerdictRanking::restrict_to_box`).
-//! Strict comparisons keep score ties on the undecided side, and a probe
-//! outside the box falls back to the full ranking, so every verdict and
-//! top-k threshold equals the full ranking's. This is §8's top-k pruning
-//! (`crate::pruning`) made per cell: §8 drops items that no function
-//! ranks into the top-k, the cell bounds drop items they prove out of
-//! the top-k for every function *of this cell*, and also settle the
-//! items they prove in.
+//! of `sin`/`cos` factors monotone on `[0, π/2]`), widened by
+//! `2γ_d · Σ_j hi_j·|x_ij|` so that the bounds also hold for the computed
+//! scores of any positive multiple of a weight vector of the box. With
+//! `L`/`U` the `k`-th largest lower/upper score bound, items whose lower
+//! bound is strictly above `U` are in the top-k for every function of
+//! the cell, items whose upper bound is strictly below `L` for none, and
+//! only the rest are scored per probe
+//! (`probes::VerdictRanking::restrict_to_box`, whose module docs give the
+//! full argument). Strict comparisons keep score ties on the undecided
+//! side, and a probe outside the box falls back to the full ranking, so
+//! every verdict and top-k threshold equals the full ranking's. This is
+//! §8's top-k pruning (`crate::pruning`) made per cell: §8 drops items
+//! that no function ranks into the top-k, the cell bounds drop items they
+//! prove out of the top-k for every function *of this cell*, and also
+//! settle the items they prove in.
+//!
+//! The index keeps each cell's partition
+//! ([`TopKPartition`](crate::probes::TopKPartition)) after the search, so
+//! that MDONLINE's line 1, "is the query already fair?", ranks a query
+//! the same way: a query whose `q/‖q‖` provably lies in the cell's weight
+//! box, at a norm far from underflow and overflow, gets the sure-in items
+//! plus the best undecided ones; any other query, and every request with
+//! `index_fastpath = false`, ranks every item.
 
 use fairrank_geometry::arrangement_tree::ArrangementTree;
 use fairrank_geometry::grid::{AngleGrid, CellId};

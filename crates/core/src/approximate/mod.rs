@@ -28,6 +28,7 @@ use fairrank_geometry::vector::norm;
 
 use crate::backend::{Answer, BackendStats, IndexBackend, QueryCtx, RegionKey, SharedCounters};
 use crate::error::FairRankError;
+use crate::probes::TopKPartition;
 use crate::update::{DatasetUpdate, UpdateCtx, UpdateOutcome};
 
 /// [`RegionKey`] kind discriminant for a certified-unfair grid cell (the
@@ -83,6 +84,18 @@ impl IndexBackend for ApproxGrid {
                 distance: angular_distance(angles, &query_angles),
             }),
         }
+    }
+
+    // The query's cell's top-k partition, which MARKCELL computed (or
+    // `attach`, or the last update, recomputed) for this dataset and
+    // oracle; the serving oracle pass checks that it covers the query.
+    fn top_k_partition(&self, weights: &[f64]) -> Option<&TopKPartition> {
+        let (_, query_angles) = to_polar(weights);
+        self.index.partition(&query_angles)
+    }
+
+    fn attach(&mut self, ctx: &QueryCtx<'_>) {
+        self.index.attach(ctx.ds, ctx.oracle);
     }
 
     // The grid cells are *coarser* than the true regions, so a cell is a

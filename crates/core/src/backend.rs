@@ -49,6 +49,7 @@ use fairrank_datasets::Dataset;
 use fairrank_fairness::FairnessOracle;
 
 use crate::error::FairRankError;
+use crate::probes::TopKPartition;
 use crate::update::{DatasetUpdate, UpdateCtx, UpdateOutcome};
 
 /// The index's raw answer to a closest-satisfactory-function query —
@@ -248,6 +249,34 @@ pub trait IndexBackend: Send + Sync {
     fn known_fairness(&self, weights: &[f64]) -> Option<bool> {
         let _ = weights;
         None
+    }
+
+    /// The top-`k` partition of the index cell containing `weights`,
+    /// when the backend keeps one — `None` (the default) when it does
+    /// not.
+    ///
+    /// The serving oracle pass (the "already fair?" check of
+    /// [`FairRanker::respond_batch`](crate::FairRanker::respond_batch))
+    /// ranks a query through the partition when the partition was made
+    /// for the serving oracle's top-`k` and
+    /// [covers](crate::probes::TopKPartition::covers) the query, and ranks
+    /// every item otherwise; the verdict is the same either way. A
+    /// partition must describe the dataset and oracle the backend serves
+    /// with: the approximate grid computes its partitions in MARKCELL,
+    /// in [`attach`](IndexBackend::attach) and after every update.
+    fn top_k_partition(&self, weights: &[f64]) -> Option<&TopKPartition> {
+        let _ = weights;
+        None
+    }
+
+    /// Recompute whatever serving state the backend derives from the
+    /// dataset and oracle it serves with, such as the approximate grid's
+    /// per-cell [`TopKPartition`]s, which are not persisted.
+    /// [`FairRanker::from_backend`](crate::FairRanker::from_backend) and
+    /// [`FairRanker::from_bytes`](crate::FairRanker::from_bytes) call it
+    /// before serving. The default has nothing to recompute.
+    fn attach(&mut self, ctx: &QueryCtx<'_>) {
+        let _ = ctx;
     }
 
     /// The identity of the weight-space region containing `weights`,

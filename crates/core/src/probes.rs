@@ -11,15 +11,70 @@
 //!
 //! Verdicts are identical to the serial path by the trait contracts; the
 //! equivalence is property-tested in `tests/batch_equivalence.rs`.
+//!
+//! # Top-k partitions of a grid cell
+//!
+//! For an oracle that reads only the top-`k` (`0 < k < n`),
+//! `VerdictRanking::restrict_to_box` splits the items for one grid
+//! cell into those in the top-`k` under every weight vector of the cell
+//! ("sure-in"), those in it under none, and the rest ("undecided"). A
+//! verdict ranking inside the cell then needs only the sure-in items and
+//! the best `k − |sure-in|` undecided ones. MARKCELL ranks its probes
+//! that way, and the approximate grid keeps each cell's partition
+//! ([`TopKPartition`]) so that serving ranks a query of the cell that way
+//! too. The argument that this is the full ranking's top-`k`:
+//!
+//! * **Weight box.** The cell's angle box bounds every weight
+//!   coordinate, `lo ≤ v ≤ hi` with `0 ≤ lo`
+//!   ([`weight_bounds_into`]), for the unit weights MARKCELL computes and
+//!   for the exact unit vectors of the box alike.
+//! * **Score bounds, widened for scale and rounding.** From the box,
+//!   every item gets `smin_i ≤ smax_i` ([`kernels::score_bounds_into`]):
+//!   the computed score of any `w` in the box lies between them.
+//!   Serving also scores queries `q = r·v` of any norm `r`, in floating
+//!   point, so both bounds are widened by `2γ_d · Σ_j hi_j·|x_ij|`
+//!   (`γ_d = d·u/(1 − d·u)`, `u` the unit roundoff), computed with
+//!   generous slack and rounded outward, plus a tiny absolute term for
+//!   underflowing products. One `γ_d` covers the rounding of the bound
+//!   itself against the exact extreme score, the other the rounding of
+//!   `fl(q · x_i)` against `r·(v · x_i)`. So `fl(q · x_i) / r` lies in
+//!   the widened interval for every `v` in the box and every `r` in the
+//!   supported range.
+//! * **Strict tests.** With `L` and `U` the `k`-th largest widened lower
+//!   and upper bounds, the `k`-th computed score (over `r`) lies in
+//!   `[L, U]`. An item with lower bound `> U` is strictly above the
+//!   `k`-th item, one with upper bound `< L` strictly below it, so score
+//!   ties and the id tie-break never matter. The undecided items are
+//!   scored in the kernel's exact operation order and selected by the
+//!   same packed keys, so the `k` ranked items are the full ranking's
+//!   top-`k` bit for bit: as a set with the `k`-th last for a set-based
+//!   oracle, in order for a rank-aware one (whose sure-in items are
+//!   ranked with the undecided ones).
+//! * **Containment.** A query uses its cell's partition only when
+//!   [`TopKPartition::covers`] proves `q/‖q‖` inside `[lo, hi]` with
+//!   room for the rounding of `‖q‖` and of the division, and `‖q‖` lies
+//!   between `2⁻⁴⁰⁰` and a bound that keeps every partial score sum
+//!   finite. Everything else (the box edge, extreme norms, an oracle
+//!   without a usable bound, a cell where nothing is pruned) ranks
+//!   fully, as does every request with
+//!   [`SuggestOptions::index_fastpath`](crate::SuggestOptions::index_fastpath)
+//!   `= false`.
+//! * **Freshness.** A partition depends on every item, so it is never
+//!   persisted: a decoded index computes its partitions when it is
+//!   attached to a dataset and oracle
+//!   ([`IndexBackend::attach`](crate::IndexBackend::attach)), and every
+//!   update, maintained or rebuilt, recomputes them.
 
 use fairrank_datasets::kernels::{self, ItemSubset, PrefixOrder};
 use fairrank_datasets::{Dataset, RankWorkspace};
 use fairrank_fairness::FairnessOracle;
 use fairrank_geometry::polar::{to_cartesian_into, weight_bounds_into};
+use fairrank_geometry::vector::norm;
 
 /// How a ranking must be placed for one oracle's verdict: the only place
 /// the sorted-vs-set choice is made. Every verdict ranking — batched
-/// probes, MARKCELL probes, MDBASELINE validation — goes through it.
+/// probes, MARKCELL probes, MDBASELINE validation, the serving oracle
+/// pass — goes through it.
 ///
 /// With a [`top_k_bound`](FairnessOracle::top_k_bound) `k`, only the
 /// top-`k` is placed; when the oracle also declares
@@ -55,21 +110,14 @@ impl VerdictRanking {
         ws.rank_with(ds, w, self.bound, self.order)
     }
 
-    /// Prepare `cell` for probes inside the angle box `[bl, tr]`: split
-    /// the items into those in the top-`k` under every function of the
-    /// box ("sure-in"), those in it under none, and the rest
-    /// ("undecided"), so that [`rank_in_box`](VerdictRanking::rank_in_box)
-    /// ranks only what a probe can change.
-    ///
-    /// With weight bounds `lo ≤ w ≤ hi` over the box
-    /// ([`weight_bounds_into`]), every item's computed score lies in
-    /// `[smin_i, smax_i]` ([`kernels::score_bounds_into`]). Let `L` and
-    /// `U` be the `k`-th largest `smin` and `smax`; the `k`-th score at
-    /// any function of the box lies in `[L, U]`. So `smin_i > U` puts item
-    /// `i` strictly above the `k`-th item everywhere in the box, and
-    /// `smax_i < L` strictly below it; strictness makes score ties and
-    /// the id tie-break irrelevant. At most `k − 1` items are sure-in and
-    /// at least `k` are not excluded, whatever the bounds' quality.
+    /// Compute the top-`k` partition of the weight box of the angle box
+    /// `[bl, tr]` into `cell` (the module docs give the argument): the
+    /// sure-in items and the undecided ones, so that
+    /// [`rank_in_box`](VerdictRanking::rank_in_box) and
+    /// [`rank_partition`](VerdictRanking::rank_partition) rank only what
+    /// a function of the box can change. At most `k − 1` items are
+    /// sure-in and at least `k` are not excluded, whatever the bounds'
+    /// quality.
     ///
     /// The cell stays unrestricted (full ranking) for an oracle without a
     /// bound `0 < k < n`, for a box outside `[0, π/2]`, when a bound is
@@ -97,16 +145,39 @@ impl VerdictRanking {
             cut,
             ids,
             sure,
-            subset,
+            max_norm,
             ..
         } = cell;
         if !weight_bounds_into(bl, tr, lo, hi) {
             return;
         }
         kernels::score_bounds_into(ds, lo, hi, smin, smax);
+        // Widen both bounds by 2γ_d · Σ_j hi_j·|x_ij| with slack, plus an
+        // absolute term for underflow, rounded outward; `cut` holds the
+        // per-item Σ_j hi_j·|x_ij| meanwhile.
+        let d = ds.dim();
+        cut.clear();
+        cut.resize(n, 0.0);
+        for (j, &h) in hi.iter().enumerate() {
+            for (a, &x) in cut.iter_mut().zip(ds.column(j)) {
+                *a += h * x.abs();
+            }
+        }
+        let rel = 4.0 * (d + 1) as f64 * f64::EPSILON;
+        let abs = d as f64 * WIDEN_ABS;
+        let mut largest = 0.0f64;
+        for ((a, b), &sum) in smin.iter_mut().zip(smax.iter_mut()).zip(cut.iter()) {
+            let margin = sum * rel + abs;
+            *a = (*a - margin).next_down();
+            *b = (*b + margin).next_up();
+            largest = largest.max(sum);
+        }
         if smin.iter().chain(smax.iter()).any(|s| s.is_nan()) {
             return;
         }
+        // Every partial sum of a covered query's score stays below
+        // ‖q‖ · Σ_j hi_j·|x_ij| ≤ f64::MAX / 4.
+        *max_norm = f64::MAX / (4.0 * largest);
         let kth_largest = |cut: &mut Vec<f64>, values: &[f64]| {
             cut.clear();
             cut.extend_from_slice(values);
@@ -130,13 +201,15 @@ impl VerdictRanking {
         if ids.len() == n {
             return;
         }
-        subset.gather(ds, ids);
         box_bl.clear();
         box_bl.extend_from_slice(bl);
         box_tr.clear();
         box_tr.extend_from_slice(tr);
         cell.k = k;
+        cell.n = n;
+        cell.set = set;
         cell.active = true;
+        cell.gathered = false;
     }
 
     /// Rank for the oracle's verdict at the probe point `angles` (weights
@@ -146,6 +219,9 @@ impl VerdictRanking {
     /// positions [`rank`](VerdictRanking::rank) would place. A probe
     /// outside the cell's box, or in an unrestricted cell, gets the full
     /// ranking. Also returns how many items the probe scored.
+    ///
+    /// The first probe of a cell gathers the undecided items' columns
+    /// ([`ItemSubset`]), so that every later probe streams over them.
     pub(crate) fn rank_in_box<'w>(
         self,
         ws: &'w mut RankWorkspace,
@@ -164,17 +240,58 @@ impl VerdictRanking {
         }
         let CellRestriction {
             sure,
+            ids,
             subset,
+            gathered,
             out,
             k,
             ..
         } = cell;
+        if !*gathered {
+            subset.gather(ds, ids);
+            *gathered = true;
+        }
         out.clear();
         out.extend_from_slice(sure);
         subset.top_k_append(w, *k - sure.len(), self.order, out);
         (subset.len(), out)
     }
+
+    /// Whether `p` was computed for this placement over `n` items: the
+    /// same `k`, the same set-or-sorted split.
+    pub(crate) fn admits(self, p: &TopKPartition, n: usize) -> bool {
+        self.bound == Some(p.k) && p.n == n && p.set == (self.order == PrefixOrder::Set)
+    }
+
+    /// Append the verdict ranking of weights `w` through the partition
+    /// `p` to `out`: the sure-in items, then the best undecided ones, `k`
+    /// items in all. Exactly the first `k` positions
+    /// [`rank`](VerdictRanking::rank) places (as a set with the `k`-th
+    /// last, or in order), provided [`admits`](VerdictRanking::admits)
+    /// and [`TopKPartition::covers`] hold. Returns how many items it
+    /// scored.
+    pub(crate) fn rank_partition(
+        self,
+        p: &TopKPartition,
+        ds: &Dataset,
+        w: &[f64],
+        out: &mut Vec<u32>,
+    ) -> usize {
+        let (sure, undecided) = (p.sure_in(), p.undecided());
+        out.extend_from_slice(sure);
+        kernels::top_k_among_append(ds, w, undecided, p.k - sure.len(), self.order, out);
+        undecided.len()
+    }
 }
+
+/// Absolute part of the score-bound widening, per attribute, `2⁻⁶⁰⁰`:
+/// covers the products that underflow to subnormals, for queries of norm
+/// at least [`MIN_COVERED_NORM`] (each such product is off by at most
+/// `2⁻¹⁰⁷⁵`, so by `2⁻⁶⁷⁵` once divided by the norm).
+const WIDEN_ABS: f64 = f64::from_bits((1023 - 600) << 52);
+
+/// Smallest query norm a [`TopKPartition`] covers, `2⁻⁴⁰⁰`.
+const MIN_COVERED_NORM: f64 = f64::from_bits((1023 - 400) << 52);
 
 /// The per-cell probe sets of [`VerdictRanking::restrict_to_box`] and
 /// the buffers behind them, kept by a probing worker and reused from
@@ -184,6 +301,9 @@ pub(crate) struct CellRestriction {
     /// Whether the sets below apply to the current cell.
     active: bool,
     k: usize,
+    n: usize,
+    set: bool,
+    max_norm: f64,
     /// The cell's angle box.
     bl: Vec<f64>,
     tr: Vec<f64>,
@@ -193,13 +313,113 @@ pub(crate) struct CellRestriction {
     smin: Vec<f64>,
     smax: Vec<f64>,
     cut: Vec<f64>,
+    /// The undecided items (for a rank-aware oracle, with the sure-in).
     ids: Vec<u32>,
     /// Items in the top-`k` everywhere in the box (empty for a
-    /// rank-aware oracle, whose sure-in items are ranked in `subset`).
+    /// rank-aware oracle, whose sure-in items are ranked in `ids`).
     sure: Vec<u32>,
-    /// The items each probe ranks.
+    /// The undecided items' columns, gathered by the cell's first probe.
     subset: ItemSubset,
+    gathered: bool,
     out: Vec<u32>,
+}
+
+impl CellRestriction {
+    /// The current cell's partition as a [`TopKPartition`], `None` for
+    /// an unrestricted cell.
+    pub(crate) fn partition(&self) -> Option<TopKPartition> {
+        if !self.active {
+            return None;
+        }
+        let mut ids = Vec::with_capacity(self.sure.len() + self.ids.len());
+        ids.extend_from_slice(&self.sure);
+        ids.extend_from_slice(&self.ids);
+        let mut bounds = Vec::with_capacity(2 * self.lo.len());
+        bounds.extend_from_slice(&self.lo);
+        bounds.extend_from_slice(&self.hi);
+        Some(TopKPartition {
+            k: self.k,
+            n: self.n,
+            set: self.set,
+            sure: self.sure.len(),
+            max_norm: self.max_norm,
+            bounds: bounds.into_boxed_slice(),
+            ids: ids.into_boxed_slice(),
+        })
+    }
+}
+
+/// One grid cell's top-`k` partition, as the approximate index keeps it
+/// for serving: the items in the top-`k` under every weight vector of
+/// the cell's weight box (sure-in), the items whose membership the box
+/// leaves open (undecided), and the box. The [module docs](self) give
+/// the soundness argument; [`covers`](TopKPartition::covers) is the
+/// containment test a query must pass before its ranking may use it.
+///
+/// For a rank-aware oracle the sure-in list is empty and its items are
+/// among the undecided ones, so that they are ranked in order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TopKPartition {
+    k: usize,
+    /// Items of the dataset the partition was computed over.
+    n: usize,
+    /// Whether the oracle reads its top-`k` as a set.
+    set: bool,
+    /// How many of `ids` (the first ones) are sure-in.
+    sure: usize,
+    /// Largest query norm covered: keeps every partial score finite.
+    max_norm: f64,
+    /// `lo` then `hi`, one entry per attribute each.
+    bounds: Box<[f64]>,
+    /// Sure-in ids, then undecided ids, each ascending.
+    ids: Box<[u32]>,
+}
+
+impl TopKPartition {
+    /// Items in the top-`k` under every weight vector of the box.
+    #[must_use]
+    pub fn sure_in(&self) -> &[u32] {
+        &self.ids[..self.sure]
+    }
+
+    /// Items a weight vector of the box may rank in or out of the
+    /// top-`k`; every other item is out of it throughout the box.
+    #[must_use]
+    pub fn undecided(&self) -> &[u32] {
+        &self.ids[self.sure..]
+    }
+
+    /// Whether the partition holds for query weights `q`: `q/‖q‖` lies
+    /// provably inside the weight box, with room for the rounding of the
+    /// norm and of each division, and `‖q‖` is at least `2⁻⁴⁰⁰` and small
+    /// enough that no partial score overflows. False for a query of the
+    /// wrong arity.
+    #[must_use]
+    pub fn covers(&self, q: &[f64]) -> bool {
+        let (lo, hi) = self.bounds.split_at(self.bounds.len() / 2);
+        if q.len() != lo.len() {
+            return false;
+        }
+        let r = norm(q);
+        if !(MIN_COVERED_NORM..=self.max_norm).contains(&r) {
+            return false;
+        }
+        q.iter().zip(lo.iter().zip(hi)).all(|(&x, (&l, &h))| {
+            let c = x / r;
+            let room = c * (4.0 * f64::EPSILON) + f64::MIN_POSITIVE;
+            l <= c - room && c + room <= h
+        })
+    }
+}
+
+/// How the verdict rankings of one batch were placed: through a cell's
+/// [`TopKPartition`] or by ranking every item, and how many items they
+/// scored in all.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RankingTally {
+    pub(crate) cell: u64,
+    pub(crate) full: u64,
+    pub(crate) items: u64,
 }
 
 /// Upper bound on rankings materialized at once: large enough to
@@ -227,9 +447,14 @@ pub fn batch_verdicts<A: AsRef<[f64]>>(
     oracle: &dyn FairnessOracle,
     candidates: &[A],
 ) -> Vec<bool> {
-    batch_verdicts_by(ds, oracle, candidates.len(), |i, out| {
-        to_cartesian_into(1.0, candidates[i].as_ref(), out);
-    })
+    let (verdicts, _) = batch_verdicts_by(
+        ds,
+        oracle,
+        candidates.len(),
+        |i, out| to_cartesian_into(1.0, candidates[i].as_ref(), out),
+        |_, _| None,
+    );
+    verdicts
 }
 
 /// The shared batched-probe pipeline: `weights_of(i, out)` appends the
@@ -241,32 +466,41 @@ pub fn batch_verdicts<A: AsRef<[f64]>>(
 /// contract, so for those oracles each stored ranking is the exact
 /// top-`k` of the full ranking rather than the whole permutation (in
 /// order, or as a set for a set-based oracle — see [`VerdictRanking`]) —
-/// verdict-identical, and what keeps the buffer small at scale.
-pub(crate) fn batch_verdicts_by<F>(
+/// verdict-identical, and what keeps the buffer small at scale. When
+/// `partition_of(i, weights)` returns a [`TopKPartition`] made for this
+/// oracle that [covers](TopKPartition::covers) the weights, that top-`k`
+/// is ranked from the partition's sure-in and undecided items alone
+/// (the module docs say why it is the same). The tally says which way
+/// each ranking went and how many items were scored.
+pub(crate) fn batch_verdicts_by<'p, F, P>(
     ds: &Dataset,
     oracle: &dyn FairnessOracle,
     count: usize,
     weights_of: F,
-) -> Vec<bool>
+    partition_of: P,
+) -> (Vec<bool>, RankingTally)
 where
     F: FnMut(usize, &mut Vec<f64>),
+    P: FnMut(usize, &[f64]) -> Option<&'p TopKPartition>,
 {
-    batch_verdicts_by_with(ds, oracle, count, weights_of, |_, _, _| {})
+    batch_verdicts_by_with(ds, oracle, count, weights_of, partition_of, |_, _, _| {})
 }
 
 /// The kernel behind [`batch_verdicts_by`] and
 /// [`batch_verdicts_and_thresholds`]: `on_ranking(i, ranking, weights)`
-/// observes each candidate's (possibly top-k-partial) ranking as it is
-/// produced, before the chunk goes to the oracle.
-fn batch_verdicts_by_with<F, H>(
+/// observes each candidate's stored (possibly top-k-partial) ranking as
+/// it is produced, before the chunk goes to the oracle.
+fn batch_verdicts_by_with<'p, F, P, H>(
     ds: &Dataset,
     oracle: &dyn FairnessOracle,
     count: usize,
     mut weights_of: F,
+    mut partition_of: P,
     mut on_ranking: H,
-) -> Vec<bool>
+) -> (Vec<bool>, RankingTally)
 where
     F: FnMut(usize, &mut Vec<f64>),
+    P: FnMut(usize, &[f64]) -> Option<&'p TopKPartition>,
     H: FnMut(usize, &[u32], &[f64]),
 {
     let n = ds.len();
@@ -278,10 +512,13 @@ where
     };
     let chunk_len =
         (PROBE_BUFFER_BYTES / (stride * std::mem::size_of::<u32>()).max(1)).clamp(1, PROBE_BATCH);
-    let mut ws = RankWorkspace::with_capacity(n);
+    // Sized on first use: a batch ranked only through partitions never
+    // allocates the workspace's O(n) buffers.
+    let mut ws = RankWorkspace::new();
     let mut weights: Vec<f64> = Vec::with_capacity(ds.dim());
     let mut flat: Vec<u32> = Vec::new();
     let mut verdicts = Vec::with_capacity(count);
+    let mut tally = RankingTally::default();
     let mut start = 0usize;
     while start < count {
         let end = (start + chunk_len).min(count);
@@ -289,9 +526,21 @@ where
         for i in start..end {
             weights.clear();
             weights_of(i, &mut weights);
-            let ranking = placement.rank(&mut ws, ds, &weights);
-            on_ranking(i, ranking, &weights);
-            flat.extend_from_slice(&ranking[..stride]);
+            let at = flat.len();
+            match partition_of(i, &weights).filter(|p| placement.admits(p, n) && p.covers(&weights))
+            {
+                Some(p) => {
+                    tally.cell += 1;
+                    tally.items += placement.rank_partition(p, ds, &weights, &mut flat) as u64;
+                    debug_assert_eq!(flat.len() - at, stride);
+                }
+                None => {
+                    tally.full += 1;
+                    tally.items += n as u64;
+                    flat.extend_from_slice(&placement.rank(&mut ws, ds, &weights)[..stride]);
+                }
+            }
+            on_ranking(i, &flat[at..], &weights);
         }
         // `stride == 0` ⇔ the dataset is empty: every ranking is the
         // empty permutation (`chunks(0)` would panic, and chunking an
@@ -313,7 +562,7 @@ where
         verdicts.extend(chunk_verdicts);
         start = end;
     }
-    verdicts
+    (verdicts, tally)
 }
 
 /// [`batch_verdicts`] fanned across `threads` workers: the candidate list
@@ -362,11 +611,12 @@ pub fn batch_verdicts_and_thresholds<A: AsRef<[f64]>>(
         _ => 0, // no usable bound → NaN thresholds
     };
     let mut thresholds = Vec::with_capacity(candidates.len());
-    let verdicts = batch_verdicts_by_with(
+    let (verdicts, _) = batch_verdicts_by_with(
         ds,
         oracle,
         candidates.len(),
         |i, out| to_cartesian_into(1.0, candidates[i].as_ref(), out),
+        |_, _| None,
         |_, ranking, weights| {
             thresholds.push(if kth > 0 {
                 ds.score(weights, ranking[kth - 1] as usize)

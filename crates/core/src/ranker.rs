@@ -26,17 +26,19 @@
 //! [`load`]: FairRanker::load
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fairrank_datasets::{Dataset, RankWorkspace};
 use fairrank_fairness::FairnessOracle;
 use fairrank_geometry::interval::AngularIntervals;
+use fairrank_telemetry::Counter;
 
 use crate::approximate::{ApproxGrid, ApproxIndex, BuildOptions};
 use crate::backend::{Answer, BackendStats, IndexBackend, QueryCtx, Strategy};
 use crate::error::{validate_weights, FairRankError};
 use crate::md::{sat_regions, ExactRegions, SatRegionsOptions};
 use crate::persist::{decode_ranker_versioned, encode_ranker_versioned, PersistError};
+use crate::probes::{RankingTally, TopKPartition};
 use crate::request::{KnownFairness, SuggestRequest, SuggestStats, Suggestion};
 use crate::twod::TwoDIntervals;
 use crate::update::{DatasetUpdate, UpdateCtx, UpdateOutcome};
@@ -225,7 +227,7 @@ impl FairRankerBuilder {
             other => unreachable!("Strategy::pick returned unresolved {other:?}"),
         };
         build_timer.finish();
-        FairRanker::from_backend_arc(ds, oracle, backend, 0)
+        FairRanker::from_backend_arc(ds, oracle, backend, 0, false)
     }
 }
 
@@ -267,7 +269,9 @@ impl FairRanker {
     /// This is the extension point the [`IndexBackend`] trait exists
     /// for: any index structure answering closest-satisfactory-function
     /// queries serves through the same `FairRanker` API as the built-in
-    /// three.
+    /// three. The backend is [attached](IndexBackend::attach) to `ds`
+    /// and the oracle first, so the serving state it derives from them
+    /// (the approximate grid's top-k partitions) describes this dataset.
     ///
     /// # Errors
     /// [`FairRankError::DimensionMismatch`] when the backend's expected
@@ -277,19 +281,29 @@ impl FairRanker {
         oracle: Box<dyn FairnessOracle>,
         backend: Box<dyn IndexBackend>,
     ) -> Result<Self, FairRankError> {
-        Self::from_backend_arc(ds.into(), oracle, backend, 0)
+        Self::from_backend_arc(ds.into(), oracle, backend, 0, true)
     }
 
+    /// Assemble the ranker; `attach` lets the backend recompute its
+    /// dataset-derived serving state ([`IndexBackend::attach`]), which a
+    /// backend built over `ds` by the builder already has.
     fn from_backend_arc(
         ds: Arc<Dataset>,
         oracle: Box<dyn FairnessOracle>,
-        backend: Box<dyn IndexBackend>,
+        mut backend: Box<dyn IndexBackend>,
         version: u64,
+        attach: bool,
     ) -> Result<Self, FairRankError> {
         if backend.dim() != ds.dim() {
             return Err(FairRankError::DimensionMismatch {
                 expected: backend.dim(),
                 found: ds.dim(),
+            });
+        }
+        if attach {
+            backend.attach(&QueryCtx {
+                ds: &ds,
+                oracle: oracle.as_ref(),
             });
         }
         Ok(FairRanker {
@@ -423,6 +437,17 @@ impl FairRanker {
     /// per chunk instead of once per query. Only queries whose ranking
     /// the oracle rejects proceed to the index.
     ///
+    /// When the backend keeps a top-`k` partition for the query's cell
+    /// ([`IndexBackend::top_k_partition`] — the approximate grid does)
+    /// and it covers the query, the ranking handed to the oracle is
+    /// built from the cell's sure-in items and the best of its undecided
+    /// ones alone: the same top-`k` bit for bit, without scoring every
+    /// item (the soundness argument is in [`crate::probes`]). Requests
+    /// with [`SuggestOptions::index_fastpath`](crate::SuggestOptions::index_fastpath)
+    /// `= false` always rank every item. The process-global counters
+    /// `fairrank_verdict_rankings_total{path="cell"|"full"}` and
+    /// `fairrank_verdict_items_total` record which way each ranking went.
+    ///
     /// # Errors
     /// [`FairRankError::InvalidWeights`] / `DimensionMismatch` if *any*
     /// request is malformed (checked upfront; no partial answers).
@@ -430,12 +455,14 @@ impl FairRanker {
         for req in reqs {
             validate_weights(&req.query, self.core.ds.dim())?;
         }
-        let verdicts = crate::probes::batch_verdicts_by(
+        let (verdicts, tally) = crate::probes::batch_verdicts_by(
             &self.core.ds,
             self.core.oracle.as_ref(),
             reqs.len(),
             |i, out| out.extend_from_slice(&reqs[i].query),
+            |i, _| self.verdict_partition(&reqs[i]),
         );
+        count_verdict_rankings(tally);
         let mut ws = RankWorkspace::new();
         reqs.iter()
             .zip(verdicts)
@@ -535,7 +562,8 @@ impl FairRanker {
     /// straight from the backend, batch the rest through one
     /// workspace-backed oracle pass (the shard's private
     /// [`fairrank_datasets::RankWorkspace`] lives inside
-    /// [`crate::probes::batch_verdicts_by`]).
+    /// [`crate::probes::batch_verdicts_by`]), ranked through the cells'
+    /// top-`k` partitions as in [`FairRanker::respond_batch`].
     fn serve_shard(&self, reqs: &[SuggestRequest]) -> Result<Vec<Suggestion>, FairRankError> {
         let ctx = self.ctx();
         let mut ws = RankWorkspace::new();
@@ -560,12 +588,14 @@ impl FairRanker {
             };
         }
         if !oracle_needed.is_empty() {
-            let verdicts = crate::probes::batch_verdicts_by(
+            let (verdicts, tally) = crate::probes::batch_verdicts_by(
                 &self.core.ds,
                 self.core.oracle.as_ref(),
                 oracle_needed.len(),
                 |j, buf| buf.extend_from_slice(&reqs[oracle_needed[j]].query),
+                |j, _| self.verdict_partition(&reqs[oracle_needed[j]]),
             );
+            count_verdict_rankings(tally);
             for (&i, fair) in oracle_needed.iter().zip(verdicts) {
                 out[i] = Some(if fair {
                     self.finish(&reqs[i], Answer::AlreadyFair, false, &mut ws)
@@ -579,6 +609,16 @@ impl FairRanker {
             .into_iter()
             .map(|s| s.expect("every request answered"))
             .collect())
+    }
+
+    /// The top-`k` partition the oracle pass may rank `req`'s query
+    /// through: none for an audit request (`index_fastpath = false`).
+    fn verdict_partition(&self, req: &SuggestRequest) -> Option<&TopKPartition> {
+        if req.options.index_fastpath {
+            self.core.backend.top_k_partition(&req.query)
+        } else {
+            None
+        }
     }
 
     /// Assemble the response envelope for one answered request: hoist
@@ -810,8 +850,10 @@ impl FairRanker {
     /// Reassemble a ranker persisted with [`FairRanker::to_bytes`],
     /// dispatching on the stored backend tag. The online replica supplies
     /// the dataset and oracle (they are needed for the fairness
-    /// pre-check and for exact-backend answer validation); the expensive
-    /// index is what travels as bytes.
+    /// pre-check, for exact-backend answer validation, and to recompute
+    /// the approximate grid's top-k partitions, which are not persisted
+    /// — see [`IndexBackend::attach`]); the expensive index is what
+    /// travels as bytes.
     ///
     /// # Errors
     /// [`FairRankError::Persist`] on corrupted, truncated or
@@ -831,7 +873,7 @@ impl FairRanker {
                 found: ds.dim(),
             });
         }
-        Self::from_backend_arc(ds, oracle, backend, version)
+        Self::from_backend_arc(ds, oracle, backend, version, true)
     }
 
     /// Write [`FairRanker::to_bytes`] to a file.
@@ -887,6 +929,34 @@ impl FairRanker {
             oracle: self.core.oracle.as_ref(),
         }
     }
+}
+
+/// Add one oracle pass's ranking tally to the decision-path counters of
+/// the process-global registry: `fairrank_verdict_rankings_total{path}`
+/// counts the verdict rankings placed through a cell's top-`k`
+/// partition (`cell`) or by ranking every item (`full`), and
+/// `fairrank_verdict_items_total` the items they scored. Counts, not
+/// clocks: live under `telemetry-off` too.
+fn count_verdict_rankings(tally: RankingTally) {
+    static COUNTERS: OnceLock<[Counter; 3]> = OnceLock::new();
+    let [cell, full, items] = COUNTERS.get_or_init(|| {
+        const RANKINGS: &str = "fairrank_verdict_rankings_total";
+        const RANKINGS_HELP: &str =
+            "Verdict rankings of the serving oracle pass, by path: a cell's top-k partition or every item.";
+        let registry = fairrank_telemetry::global();
+        [
+            registry.counter(RANKINGS, RANKINGS_HELP, &[("path", "cell")]),
+            registry.counter(RANKINGS, RANKINGS_HELP, &[("path", "full")]),
+            registry.counter(
+                "fairrank_verdict_items_total",
+                "Items scored by the verdict rankings of the serving oracle pass.",
+                &[],
+            ),
+        ]
+    });
+    cell.add(tally.cell);
+    full.add(tally.full);
+    items.add(tally.items);
 }
 
 #[cfg(test)]

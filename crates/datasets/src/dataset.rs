@@ -279,11 +279,13 @@ impl Dataset {
     #[must_use]
     pub fn score(&self, w: &[f64], i: usize) -> f64 {
         assert_eq!(w.len(), self.d);
+        // An explicit fold from `0.0`: `Iterator::sum` for `f64` starts
+        // from `-0.0`, which gives `-0.0` where the kernels give `0.0`
+        // when every product is `-0.0`.
         self.cols
             .iter()
             .zip(w)
-            .map(|(c, b)| c.as_slice()[i] * b)
-            .sum()
+            .fold(0.0, |acc, (c, b)| acc + c.as_slice()[i] * b)
     }
 
     /// Rank all items by descending score under `w`; ties broken by item id

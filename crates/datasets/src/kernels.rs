@@ -25,16 +25,22 @@
 //!   inspects only the top-`k` — followed by a prefix sort, unless the
 //!   oracle reads that top-`k` as a set ([`PrefixOrder::Set`]).
 //!
-//! Two more serve rankings restricted to a candidate set: MARKCELL's
-//! per-cell probe sets, where only the items whose top-`k` membership
-//! can change inside a grid cell are ranked.
+//! Three more serve rankings restricted to a candidate set: the
+//! per-cell top-`k` partitions of the approximate grid, where only the
+//! items whose top-`k` membership can change inside a grid cell are
+//! ranked (MARKCELL's probes offline, the "already fair?" check online).
 //!
 //! * [`score_bounds_into`] — every item's score bounds over a box of
 //!   weight vectors, sound for the scores the sweep computes.
 //! * [`ItemSubset`] — a gathered column copy of some items, scored in the
 //!   sweep's exact operation order and selected by the same packed keys,
 //!   so its top-`k` is bit-for-bit the full ranking's whenever it holds
-//!   that top-`k`.
+//!   that top-`k`. MARKCELL gathers a cell's items once and probes the
+//!   copy many times.
+//! * [`top_k_among_append`] — the same for a list of item ids, scored
+//!   from the dataset's own columns through the thread-local buffers
+//!   [`RankScratch`] lends: no copy and no per-call buffer, for the one
+//!   ranking a served query needs.
 //!
 //! # Packed ranking keys
 //!
@@ -351,18 +357,7 @@ impl ItemSubset {
                 .zip(&self.ids)
                 .map(|(&s, &id)| rank_key(s, id)),
         );
-        let take = take.min(m);
-        if take == 0 {
-            return;
-        }
-        // The same order as `select_nth_unstable`, through a comparator
-        // of its own: a second caller of `top_k_select_into`'s selection
-        // instance made LLVM outline it from that serving-path kernel.
-        self.keys.select_nth_unstable_by(take - 1, u128::cmp);
-        if order == PrefixOrder::Sorted {
-            self.keys[..take].sort_unstable();
-        }
-        out.extend(self.keys[..take].iter().map(|&key| key as u32));
+        append_best(&mut self.keys, take, order, out);
     }
 
     /// [`fill_scores`] over the gathered columns.
@@ -378,7 +373,8 @@ impl ItemSubset {
         }
     }
 
-    /// The scalar fallback: the [`Dataset::score`] fold per item.
+    /// The scalar fallback: the [`Dataset::score`] fold per item, from
+    /// `0.0`.
     #[cfg(feature = "scalar-kernels")]
     fn fill_scores(&mut self, w: &[f64]) {
         let m = self.ids.len();
@@ -386,10 +382,71 @@ impl ItemSubset {
         self.scores.extend((0..m).map(|t| {
             w.iter()
                 .enumerate()
-                .map(|(j, b)| self.cols[j * m + t] * b)
-                .sum::<f64>()
+                .fold(0.0, |acc, (j, b)| acc + self.cols[j * m + t] * b)
         }));
     }
+}
+
+/// Score the items `ids` of `ds` under `w` and append the best `take` of
+/// them to `out`, as [`ItemSubset::top_k_append`] does for a gathered
+/// set, but reading the dataset's own columns: the form for a single
+/// ranking of a candidate set kept as ids. `take` is clamped to
+/// `ids.len()`.
+///
+/// Each score accumulates the attributes in ascending order from `0.0`,
+/// the operation sequence of [`score_all_into`] (and of
+/// [`Dataset::score`]), so it is bit-identical to that item's entry of
+/// the full scored column. Scores and keys go to the thread-local
+/// buffers of [`Dataset::rank`] and [`top_k_select_into`], the ones
+/// [`RankScratch`] lends, so a warmed thread allocates nothing here
+/// beyond the growth of `out`.
+///
+/// # Panics
+/// If `w.len() != ds.dim()` or an id is out of range.
+pub fn top_k_among_append(
+    ds: &Dataset,
+    w: &[f64],
+    ids: &[u32],
+    take: usize,
+    order: PrefixOrder,
+    out: &mut Vec<u32>,
+) {
+    assert_eq!(w.len(), ds.dim(), "weight arity mismatch");
+    SCORES.with(|scores| {
+        let mut scores = scores.borrow_mut();
+        scores.clear();
+        scores.resize(ids.len(), 0.0);
+        for (j, &wj) in w.iter().enumerate() {
+            let col = ds.column(j);
+            for (o, &id) in scores.iter_mut().zip(ids) {
+                *o += wj * col[id as usize];
+            }
+        }
+        KEYS.with(|keys| {
+            let mut keys = keys.borrow_mut();
+            keys.clear();
+            keys.extend(scores.iter().zip(ids).map(|(&s, &id)| rank_key(s, id)));
+            append_best(&mut keys, take, order, out);
+        });
+    });
+}
+
+/// Select the best `take` of `keys` (clamped to `keys.len()`) and append
+/// their ids to `out`: in ranking order under [`PrefixOrder::Sorted`],
+/// otherwise unordered except that the worst of them comes last.
+fn append_best(keys: &mut [u128], take: usize, order: PrefixOrder, out: &mut Vec<u32>) {
+    let take = take.min(keys.len());
+    if take == 0 {
+        return;
+    }
+    // The same order as `select_nth_unstable`, through a comparator of
+    // its own: a second caller of `top_k_select_into`'s selection
+    // instance made LLVM outline it from that serving-path kernel.
+    keys.select_nth_unstable_by(take - 1, u128::cmp);
+    if order == PrefixOrder::Sorted {
+        keys[..take].sort_unstable();
+    }
+    out.extend(keys[..take].iter().map(|&key| key as u32));
 }
 
 /// Classify every entry of a scored column against `threshold`:
@@ -701,11 +758,12 @@ mod tests {
         }
     }
 
-    /// Any gathered superset of the top-`k` yields the full ranking's
-    /// top-`k`: the same set with the `k`-th item last under `Set`, the
-    /// same sequence under `Sorted`. The data has exact score ties (the
-    /// values sit on a 1/8 lattice) and negative weights' worth of signs
-    /// via a shifted column.
+    /// Any gathered superset of the top-`k`, and any id list holding it,
+    /// yields the full ranking's top-`k`: the same set with the `k`-th
+    /// item last under `Set`, the same sequence under `Sorted`, whatever
+    /// the order of the ids. The data has exact score ties (the values
+    /// sit on a 1/8 lattice) and negative weights' worth of signs via a
+    /// shifted column.
     #[test]
     fn subset_top_k_matches_full_select() {
         let base = ds(90, 3, 21);
@@ -719,6 +777,17 @@ mod tests {
         let ds = Dataset::from_rows((0..3).map(|j| format!("a{j}")).collect(), &rows).unwrap();
         let n = ds.len();
         let mut subset = ItemSubset::default();
+        // The gathered copy and the id-list kernel, behind one signature.
+        let mut append =
+            |gathered: bool, ids: &[u32], w: &[f64], take, order, out: &mut Vec<u32>| {
+                if gathered {
+                    subset.gather(&ds, ids);
+                    assert_eq!(subset.len(), ids.len());
+                    subset.top_k_append(w, take, order, out);
+                } else {
+                    top_k_among_append(&ds, w, ids, take, order, out);
+                }
+            };
         for (wi, w) in [[0.5, 0.3, 0.8], [1.0, 0.0, 0.25], [0.1, 0.9, 0.4]]
             .iter()
             .enumerate()
@@ -727,28 +796,28 @@ mod tests {
             score_all_into(&ds, w, &mut scores);
             let mut full = Vec::new();
             top_k_select_into(&scores, None, PrefixOrder::Sorted, &mut full);
-            for k in [1usize, 2, 17, n - 1, n] {
-                // The top-k plus every third other item, in id order.
+            for (k, gathered) in [1usize, 2, 17, n - 1, n]
+                .into_iter()
+                .flat_map(|k| [(k, true), (k, false)])
+            {
+                // The top-k plus every third other item, best id last.
                 let mut ids: Vec<u32> = (0..n as u32)
                     .filter(|&i| full[..k].contains(&i) || (i as usize + wi).is_multiple_of(3))
                     .collect();
-                ids.sort_unstable();
-                subset.gather(&ds, &ids);
-                assert_eq!(subset.len(), ids.len());
+                ids.reverse();
 
-                let mut sorted = Vec::new();
-                subset.top_k_append(w, k, PrefixOrder::Sorted, &mut sorted);
-                assert_eq!(sorted, &full[..k], "sorted k={k}");
+                let mut sorted = vec![7u32];
+                append(gathered, &ids, w, k, PrefixOrder::Sorted, &mut sorted);
+                assert_eq!(&sorted[1..], &full[..k], "sorted k={k}");
 
                 // Set order, after a fixed head of the best two items
-                // taken out of the gathered set.
+                // taken out of the candidates.
                 if k > 2 {
                     let head = &full[..2];
                     let rest: Vec<u32> =
                         ids.iter().copied().filter(|i| !head.contains(i)).collect();
-                    subset.gather(&ds, &rest);
                     let mut set = head.to_vec();
-                    subset.top_k_append(w, k - 2, PrefixOrder::Set, &mut set);
+                    append(gathered, &rest, w, k - 2, PrefixOrder::Set, &mut set);
                     assert_eq!(set.len(), k);
                     assert_eq!(set[k - 1], full[k - 1], "set k-th, k={k}");
                     let mut got = set.clone();
@@ -758,7 +827,43 @@ mod tests {
                     assert_eq!(got, want, "set k={k}");
                 }
             }
+            let mut none = Vec::new();
+            top_k_among_append(&ds, w, &[], 3, PrefixOrder::Sorted, &mut none);
+            assert!(none.is_empty());
         }
+    }
+
+    /// A row of `-0.0` values scores `0.0` on every scoring path, so both
+    /// kernel legs rank it exactly like a row of `0.0` values (by id).
+    /// `Iterator::sum` for `f64` starts from `-0.0` and gave `-0.0` here.
+    #[test]
+    fn negative_zero_rows_score_alike_on_every_path() {
+        let rows = vec![
+            vec![1.0, 0.0],
+            vec![-0.0, -0.0],
+            vec![0.0, 0.0],
+            vec![-1.0, 0.5],
+        ];
+        let ds = Dataset::from_rows(vec!["a".into(), "b".into()], &rows).unwrap();
+        let mut subset = ItemSubset::default();
+        subset.gather(&ds, &[0, 1, 2, 3]);
+        for w in [[0.5, 0.5], [0.0, 1.0], [0.0, 0.0]] {
+            let mut column = Vec::new();
+            score_all_into(&ds, &w, &mut column);
+            subset.fill_scores(&w);
+            for (i, (c, s)) in column.iter().zip(&subset.scores).enumerate() {
+                let bits = ds.score(&w, i).to_bits();
+                assert_eq!(c.to_bits(), bits, "score_all_into, item {i}");
+                assert_eq!(s.to_bits(), bits, "ItemSubset, item {i}");
+            }
+            assert_eq!(ds.score(&w, 1).to_bits(), 0.0f64.to_bits(), "w = {w:?}");
+        }
+        // Rows 1 and 2 tie at 0.0, so they rank by id on every path.
+        let w = [0.5, 0.5];
+        assert_eq!(ds.rank(&w), vec![0, 1, 2, 3]);
+        let mut top = Vec::new();
+        top_k_among_append(&ds, &w, &[3, 2, 1, 0], 3, PrefixOrder::Sorted, &mut top);
+        assert_eq!(top, vec![0, 1, 2]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! (FA*IR's exact binomial tables reduce to this shape for the dataset
 //! sizes used here).
 
-use fairrank_datasets::TypeAttribute;
+use fairrank_datasets::{Dataset, TypeAttribute};
 
 use crate::oracle::FairnessOracle;
 
@@ -23,6 +23,8 @@ use crate::oracle::FairnessOracle;
 /// protected group's count stays above a p-proportion lower bound.
 #[derive(Debug, Clone)]
 pub struct PrefixFairness {
+    /// The type attribute's name, for re-binding after a dataset update.
+    attr_name: String,
     group_of: Vec<u32>,
     protected: u32,
     k: usize,
@@ -43,6 +45,7 @@ impl PrefixFairness {
         assert!((0.0..=1.0).contains(&p), "p must be a proportion");
         assert!(alpha_z >= 0.0, "z-score must be non-negative");
         PrefixFairness {
+            attr_name: attr.name.clone(),
             group_of: attr.values.clone(),
             protected,
             k,
@@ -92,6 +95,16 @@ impl FairnessOracle for PrefixFairness {
     fn top_k_bound(&self) -> Option<usize> {
         Some(self.k)
     }
+
+    // Group membership is per item: re-read it from the updated
+    // dataset's attribute of the same name (`None` when it is gone).
+    fn rebind(&self, ds: &Dataset) -> Option<Box<dyn FairnessOracle>> {
+        let attr = ds.type_attribute(&self.attr_name)?;
+        Some(Box::new(PrefixFairness {
+            group_of: attr.values.clone(),
+            ..self.clone()
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -114,6 +127,19 @@ mod tests {
         }
         let ranking: Vec<u32> = (0..n as u32).collect();
         (attr(values), ranking)
+    }
+
+    #[test]
+    fn rebind_reads_the_updated_membership() {
+        let mut ds =
+            Dataset::from_rows(vec!["a".into()], &[vec![3.0], vec![2.0], vec![1.0]]).unwrap();
+        ds.add_type_attribute("g", vec!["prot".into(), "other".into()], vec![1, 0, 1])
+            .unwrap();
+        let o = PrefixFairness::new(ds.type_attribute("g").unwrap(), 0, 1, 1.0, 0.0);
+        assert!(!o.is_satisfactory(&[0, 1, 2]));
+        ds.insert_row(&[4.0], &[0]).unwrap();
+        let rebound = o.rebind(&ds).expect("attribute still present");
+        assert!(rebound.is_satisfactory(&[3, 0, 1, 2]));
     }
 
     #[test]

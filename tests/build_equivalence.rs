@@ -83,6 +83,8 @@ fn signed_with_duplicates(n: usize, seed: u64) -> Dataset {
 
 /// Replay every MARKCELL probe record against a full ranking, and check
 /// that 2 and 4 workers build the same index with the same probe logs.
+/// The build is maintainable (no hyperplane cap), the only kind that
+/// keeps its probe logs.
 fn replay_probe_log(ds: &Dataset, oracle: &dyn FairnessOracle) -> Result<(), TestCaseError> {
     let build = |threads: usize| {
         ApproxIndex::build(
@@ -90,7 +92,6 @@ fn replay_probe_log(ds: &Dataset, oracle: &dyn FairnessOracle) -> Result<(), Tes
             oracle,
             &BuildOptions {
                 n_cells: 120,
-                max_hyperplanes: Some(150),
                 threads: Some(threads),
                 ..Default::default()
             },
@@ -178,6 +179,54 @@ proptest! {
         replay_probe_log(&ds, &set)?;
         let sorted = PrefixFairness::new(group, 1, k, 0.4, 1.0);
         replay_probe_log(&ds, &sorted)?;
+    }
+}
+
+/// An unmaintainable build (here: a hyperplane cap that keeps every
+/// hyperplane) rebuilds on every update, so it keeps no probe log; the
+/// search itself is the maintainable build's, probe for probe.
+#[test]
+fn unmaintainable_build_keeps_no_probe_log() {
+    for seed in [3u64, 17, 29] {
+        let ds = signed_with_duplicates(30, seed);
+        let group = ds.type_attribute("group").unwrap();
+        let oracle = Proportionality::new(group, 10).with_max_count(0, 5);
+        let build = |max_hyperplanes: Option<usize>| {
+            ApproxIndex::build(
+                &ds,
+                &oracle,
+                &BuildOptions {
+                    n_cells: 120,
+                    max_hyperplanes,
+                    threads: Some(2),
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        };
+        let logged = build(None);
+        let capped = build(Some(ds.len() * ds.len()));
+        assert!(logged.is_maintainable() && !capped.is_maintainable());
+        assert!(capped.probe_log().is_empty(), "seed {seed}");
+        let records = logged.probe_log().iter().flatten().count() as u64;
+        assert_eq!(records, logged.stats().oracle_calls, "seed {seed}");
+        assert_eq!(capped.functions(), logged.functions(), "seed {seed}");
+        let (a, b) = (capped.stats(), logged.stats());
+        assert_eq!(
+            (
+                a.oracle_calls,
+                a.lp_solves,
+                a.probe_items,
+                a.satisfied_cells
+            ),
+            (
+                b.oracle_calls,
+                b.lp_solves,
+                b.probe_items,
+                b.satisfied_cells
+            ),
+            "seed {seed}"
+        );
     }
 }
 

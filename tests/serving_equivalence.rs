@@ -1,16 +1,21 @@
-//! Sharded serving and strategy selection must be invisible in the
-//! answers: `respond_batch_parallel` is element-wise identical to serial
-//! `respond` on every backend and shard count, and `Strategy::Auto`
-//! answers bit-identically to the explicit strategy it resolves to.
+//! Sharded serving, strategy selection and the cell-partitioned oracle
+//! pass must be invisible in the answers: `respond_batch_parallel` is
+//! element-wise identical to serial `respond` on every backend and shard
+//! count, `Strategy::Auto` answers bit-identically to the explicit
+//! strategy it resolves to, and the approximate grid's "already fair?"
+//! check through a cell's top-k partition answers bit-identically to the
+//! full-ranking audit path (`index_fastpath = false`).
 
 use proptest::prelude::*;
 
 use fairrank::approximate::BuildOptions;
 use fairrank::md::SatRegionsOptions;
-use fairrank::{FairRanker, Strategy, SuggestRequest, Suggestion};
+use fairrank::{DatasetUpdate, FairRanker, Strategy, SuggestOptions, SuggestRequest, Suggestion};
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
-use fairrank_fairness::Proportionality;
+use fairrank_fairness::{FairnessOracle, PrefixFairness, Proportionality};
+use fairrank_geometry::grid::CellId;
+use fairrank_geometry::polar::to_cartesian;
 use fairrank_geometry::HALF_PI;
 
 fn oracle_for(ds: &Dataset, kfrac: f64, cap_frac: f64) -> Proportionality {
@@ -205,5 +210,199 @@ fn degenerate_shard_counts_still_validate() {
     ];
     for shards in [0, 2, 100, usize::MAX] {
         assert!(ranker.respond_batch_parallel(&bad, shards).is_err());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Cell-partitioned oracle pass vs the full-ranking audit path
+// ---------------------------------------------------------------------
+
+/// `generic::uniform` rows in 3-D with the second attribute shifted
+/// negative and every fourth row a copy of the one before it, so exact
+/// score ties can sit at the top-k boundary under every function.
+fn signed_with_duplicates(n: usize, seed: u64) -> Dataset {
+    let base = generic::uniform(n, 3, 0.8, seed);
+    let mut rows: Vec<Vec<f64>> = (0..n).map(|i| base.row(i)).collect();
+    for row in &mut rows {
+        row[1] -= 0.5;
+    }
+    for i in (4..n).step_by(4) {
+        rows[i] = rows[i - 1].clone();
+    }
+    let mut ds = Dataset::from_rows(base.attr_names().to_vec(), &rows).unwrap();
+    let group = base.type_attribute("group").unwrap();
+    ds.add_type_attribute("group", group.labels.clone(), group.values.clone())
+        .unwrap();
+    ds
+}
+
+/// Query directions: the corners, edge midpoints and centre of a spread
+/// of grid cells (angles exactly on cell boundaries), plus the random
+/// directions of the case, each at norms from 1e-6 to 1e6 and at norms
+/// whose scores underflow or overflow (which must rank fully).
+fn partition_queries(ranker: &FairRanker, random: &[(f64, f64)], norm_exp: f64) -> Vec<Vec<f64>> {
+    let grid = ranker.approx_index().expect("approximate grid").grid();
+    let cells = grid.cell_count() as CellId;
+    let mut directions: Vec<Vec<f64>> = Vec::new();
+    for c in (0..cells).step_by((cells as usize / 9).max(1)) {
+        let (bl, tr) = grid.cell_bounds(c);
+        let centre = grid.center(c);
+        directions.extend([
+            bl.to_vec(),
+            tr.to_vec(),
+            vec![bl[0], tr[1]],
+            vec![centre[0], bl[1]],
+            vec![tr[0], centre[1]],
+            centre,
+        ]);
+    }
+    directions.extend(random.iter().map(|&(a, b)| vec![a, b]));
+    let norms = [1e-310, 1e-6, 1e-3, 1.0, 10f64.powf(norm_exp), 1e6, 1e308];
+    directions
+        .iter()
+        .flat_map(|angles| norms.iter().map(move |&r| to_cartesian(r, angles)))
+        .collect()
+}
+
+/// Every answer of the fast path is bit-identical to the audit path's
+/// (compared through `Debug`, which tells `-0.0` from `0.0`), through
+/// `respond_batch` and `respond_batch_parallel`. Returns how many of the
+/// queries the partition covers.
+fn assert_partition_pass_matches_audit(
+    ranker: &FairRanker,
+    queries: &[Vec<f64>],
+    label: &str,
+) -> Result<usize, TestCaseError> {
+    let fast: Vec<SuggestRequest> = queries.iter().cloned().map(SuggestRequest::new).collect();
+    let audit: Vec<SuggestRequest> = fast
+        .iter()
+        .cloned()
+        .map(|r| r.with_options(SuggestOptions::default().index_fastpath(false)))
+        .collect();
+    let want = format!("{:?}", ranker.respond_batch(&audit).unwrap());
+    prop_assert_eq!(
+        &format!("{:?}", ranker.respond_batch(&fast).unwrap()),
+        &want,
+        "{}",
+        label
+    );
+    prop_assert_eq!(
+        &format!("{:?}", ranker.respond_batch_parallel(&fast, 2).unwrap()),
+        &want,
+        "{} (parallel)",
+        label
+    );
+    let backend = ranker.backend();
+    Ok(queries
+        .iter()
+        .filter(|q| backend.top_k_partition(q).is_some_and(|p| p.covers(q)))
+        .count())
+}
+
+fn check_partitioned_serving(
+    ds: &Dataset,
+    oracle: &(dyn FairnessOracle + 'static),
+    boxed: impl Fn() -> Box<dyn FairnessOracle>,
+    threads: usize,
+    maintainable: bool,
+    random: &[(f64, f64)],
+    norm_exp: f64,
+) -> Result<(), TestCaseError> {
+    let opts = BuildOptions {
+        n_cells: 80,
+        max_hyperplanes: (!maintainable).then_some(120),
+        threads: Some(threads),
+        ..Default::default()
+    };
+    let mut ranker = FairRanker::builder(ds.clone(), boxed())
+        .strategy(Strategy::MdApprox)
+        .approx_options(opts)
+        .build()
+        .unwrap();
+    let label = format!("{} threads={threads}", oracle.describe());
+    let queries = partition_queries(&ranker, random, norm_exp);
+    let covered = assert_partition_pass_matches_audit(&ranker, &queries, &label)?;
+    prop_assert!(covered > 0, "{}: no query used a partition", label);
+
+    let dup = ds.row(ds.len() - 1);
+    let updates = [
+        DatasetUpdate::Insert {
+            scores: dup.clone(),
+            groups: vec![1],
+        },
+        DatasetUpdate::Rescore {
+            item: 2,
+            scores: vec![dup[0], -dup[1], dup[2]],
+        },
+        DatasetUpdate::Remove { item: 0 },
+    ];
+    for (i, update) in updates.into_iter().enumerate() {
+        ranker.update(update).unwrap();
+        let queries = partition_queries(&ranker, random, norm_exp);
+        assert_partition_pass_matches_audit(&ranker, &queries, &format!("{label} update {i}"))?;
+    }
+
+    // A decoded ranker persists no partitions; attaching it recomputes
+    // them for the replica's dataset and oracle, by the definition
+    // MARKCELL used.
+    let bytes = ranker.to_bytes();
+    let decoded = FairRanker::from_bytes(&bytes, ranker.dataset().clone(), boxed()).unwrap();
+    let (built, attached) = (
+        ranker.approx_index().unwrap(),
+        decoded.approx_index().unwrap(),
+    );
+    for c in 0..built.grid().cell_count() as CellId {
+        let centre = built.grid().center(c);
+        prop_assert_eq!(
+            built.partition(&centre),
+            attached.partition(&centre),
+            "{} cell {}",
+            label,
+            c
+        );
+    }
+    let covered =
+        assert_partition_pass_matches_audit(&decoded, &queries, &format!("{label} decoded"))?;
+    prop_assert!(
+        covered > 0,
+        "{}: the decoded ranker has no partitions",
+        label
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The partitioned "already fair?" check, for a set-based oracle
+    /// (`Proportionality`) and a rank-aware one (`PrefixFairness`), on
+    /// signed data with duplicate rows, at 1 and 4 build threads, on a
+    /// rebuilt (capped) and a maintained (uncapped) index, after Insert,
+    /// Rescore and Remove updates and after `to_bytes`/`from_bytes`.
+    #[test]
+    fn partitioned_oracle_pass_matches_full_ranking(
+        seed in 0u64..1000,
+        n in 16usize..30,
+        kfrac in 0.2f64..0.6,
+        maintained in 0usize..2,
+        random in prop::collection::vec((0.0..HALF_PI, 0.0..HALF_PI), 6),
+        norm_exp in -6.0f64..6.0,
+    ) {
+        let maintainable = maintained == 1;
+        let ds = signed_with_duplicates(n, seed);
+        let k = ((n as f64 * kfrac).round() as usize).clamp(2, n - 2);
+        let group = ds.type_attribute("group").unwrap().clone();
+        let set = Proportionality::new(&group, k).with_max_count(0, k / 2);
+        let sorted = PrefixFairness::new(&group, 1, k, 0.4, 1.0);
+        for threads in [1usize, 4] {
+            let o = set.clone();
+            check_partitioned_serving(
+                &ds, &set, || Box::new(o.clone()), threads, maintainable, &random, norm_exp,
+            )?;
+            let o = sorted.clone();
+            check_partitioned_serving(
+                &ds, &sorted, || Box::new(o.clone()), threads, maintainable, &random, norm_exp,
+            )?;
+        }
     }
 }

@@ -10,14 +10,18 @@
 //!   compile-time kill switch too;
 //! * `GET /metrics` parses back line by line and its counters agree
 //!   with the `/stats` JSON view over the same registry;
+//! * the decision-path counters of the serving oracle pass
+//!   (`fairrank_verdict_rankings_total{path}`,
+//!   `fairrank_verdict_items_total`) count on `/metrics` in both legs;
 //! * a cold-start overload answers 503 with a *deterministic*
 //!   `Retry-After: 1` (empty latency histogram).
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use fairrank::approximate::BuildOptions;
 use fairrank::geometry::HALF_PI;
-use fairrank::{FairRanker, Strategy, SuggestRequest, Suggestion};
+use fairrank::{FairRanker, Strategy, SuggestOptions, SuggestRequest, Suggestion};
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
 use fairrank_fairness::{FairnessOracle, FnOracle, Proportionality};
@@ -303,6 +307,75 @@ fn metrics_endpoint_agrees_with_stats_json() {
         fairrank_telemetry::ENABLED,
         "stage timer presence must track the telemetry-off feature"
     );
+    server.shutdown();
+}
+
+/// The serving oracle pass counts its verdict rankings by path on
+/// `/metrics`: queries inside a grid cell's top-k partition as `cell`,
+/// audit requests (`index_fastpath = false`) as `full`, and the items
+/// each scored. The counters live in the process-global registry, which
+/// other tests of this binary feed too, so the checks are on deltas.
+#[test]
+fn verdict_path_counters_count_on_metrics() {
+    let ds = generic::uniform(300, 3, 0.8, 93);
+    let n = ds.len() as f64;
+    let oracle = oracle_for(&ds);
+    let ranker = FairRanker::builder(ds, oracle)
+        .strategy(Strategy::MdApprox)
+        .approx_options(BuildOptions {
+            n_cells: 120,
+            max_hyperplanes: Some(150),
+            threads: Some(1),
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    let fast: Vec<SuggestRequest> = (0..8)
+        .map(|i| {
+            let t = (f64::from(i) + 0.5) / 8.0;
+            SuggestRequest::new(vec![0.3 + t, 1.0 - 0.6 * t, 0.5])
+        })
+        .collect();
+    let covered = fast
+        .iter()
+        .filter(|r| {
+            ranker
+                .backend()
+                .top_k_partition(&r.query)
+                .is_some_and(|p| p.covers(&r.query))
+        })
+        .count() as f64;
+    assert!(covered > 0.0, "no query falls inside a partition");
+    let audit: Vec<SuggestRequest> = fast
+        .iter()
+        .cloned()
+        .map(|r| r.with_options(SuggestOptions::default().index_fastpath(false)))
+        .collect();
+
+    let service = Arc::new(FairRankService::builder(ranker).workers(1).build());
+    let server =
+        HttpServer::bind(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let scrape = |client: &mut Client| {
+        let resp = client.request("GET", "/metrics", b"").unwrap();
+        assert_eq!(resp.status, 200);
+        let samples = parse_prom(std::str::from_utf8(&resp.body).unwrap());
+        let get = |series: &str| sample(&samples, series).unwrap_or(0.0);
+        (
+            get("fairrank_verdict_rankings_total{path=\"cell\"}"),
+            get("fairrank_verdict_rankings_total{path=\"full\"}"),
+            get("fairrank_verdict_items_total"),
+        )
+    };
+    let before = scrape(&mut client);
+    for req in fast.iter().chain(&audit) {
+        let _ = http_suggest(&mut client, req);
+    }
+    let after = scrape(&mut client);
+    let (cell, full, items) = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+    assert!(cell >= covered, "cell rankings {cell} < {covered}");
+    assert!(full >= audit.len() as f64, "full rankings {full}");
+    assert!(items >= n * audit.len() as f64, "items {items}");
     server.shutdown();
 }
 
