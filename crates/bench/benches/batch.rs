@@ -85,15 +85,6 @@ fn bench_suggest_batch(c: &mut Criterion) {
     group.bench_function("suggest_batch", |b| {
         b.iter(|| black_box(ranker.respond_batch(&reqs).unwrap()));
     });
-    // The sharded serving path: index-decided fairness per shard (the
-    // 2-D intervals answer the pre-check in O(log n)) plus worker
-    // threads. Answers are element-wise identical to `respond`
-    // (tests/serving_equivalence.rs).
-    for shards in [1usize, 2, 4] {
-        group.bench_function(format!("suggest_batch_parallel_{shards}shard"), |b| {
-            b.iter(|| black_box(ranker.respond_batch_parallel(&reqs, shards).unwrap()));
-        });
-    }
     group.finish();
 }
 

@@ -232,19 +232,6 @@ fn main() {
         "batch.suggest_batch_64q_us",
         us(time_avg(30, || ranker.respond_batch(&serve_reqs).unwrap())),
     );
-    // Sharded serving: the 2-D backend decides fairness from the index
-    // (O(log n) per query instead of the O(n log n) oracle ranking), and
-    // shards run on scoped worker threads. Same answers as `respond`
-    // (tests/serving_equivalence.rs); the 4-shard series is the
-    // committed throughput reference against `batch.suggest_batch_64q_us`.
-    for shards in [1usize, 2, 4] {
-        push(
-            &format!("batch.suggest_parallel_{shards}shard_64q_us"),
-            us(time_avg(30, || {
-                ranker.respond_batch_parallel(&serve_reqs, shards).unwrap()
-            })),
-        );
-    }
 
     // --- service_throughput (async micro-batched serving) -----------
     // The FairRankService front door: requests/s sustained end to end —
@@ -254,16 +241,12 @@ fn main() {
     // Answers are bit-identical to `respond_batch`
     // (tests/service_equivalence.rs); this series tracks the pipeline
     // overhead and its scaling across worker counts and batch sizes.
-    // The answer cache is disabled here so the series keeps measuring
-    // the raw pipeline (and doubles as the reference arm for the cached
-    // series below).
     for workers in [1usize, 2, 4] {
         for max_batch in [1usize, 16, 64] {
             let service = FairRankService::builder(ranker.snapshot())
                 .workers(workers)
                 .max_batch(max_batch)
                 .queue_capacity(4096)
-                .cache(false)
                 .build();
             let total = 512usize;
             let (_, elapsed) = time(|| {
@@ -284,47 +267,6 @@ fn main() {
                 rps,
             );
         }
-    }
-
-    // --- cached serving (region-identity answer cache) --------------
-    // The same front door with the verdict cache enabled (the default):
-    // the 64-query fan lands in a handful of weight-space regions, so
-    // steady-state traffic replays cached verdicts and skips the
-    // per-query oracle ranking pass — the `service.throughput_4w_64b_rps`
-    // series above (cache disabled) is the reference arm. Answers stay
-    // bit-identical (tests/cache_equivalence.rs).
-    {
-        let service = FairRankService::builder(ranker.snapshot())
-            .workers(4)
-            .max_batch(64)
-            .queue_capacity(4096)
-            .build();
-        // One warm-up pass seeds every region the fan touches.
-        for req in &serve_reqs {
-            service.suggest(req.clone()).unwrap();
-        }
-        let total = 4096usize;
-        let (_, elapsed) = time(|| {
-            let futures: Vec<_> = serve_reqs
-                .iter()
-                .cycle()
-                .take(total)
-                .map(|r| service.submit(r.clone()).unwrap())
-                .collect();
-            for fut in futures {
-                fut.wait().unwrap();
-            }
-        });
-        let cache_stats = service.stats().cache.expect("cache enabled by default");
-        service.shutdown();
-        push(
-            "service.throughput_cached_rps",
-            (total as f64 / elapsed.as_secs_f64()).round(),
-        );
-        push(
-            "service.cache_hit_rate",
-            (cache_stats.hit_rate() * 1000.0).round() / 1000.0,
-        );
     }
 
     // --- update_throughput (live updates vs full rebuild) -----------

@@ -222,12 +222,6 @@ pub struct ApproxIndex {
     /// MARKCELL computes it, [`ApproxIndex::attach`] recomputes it for a
     /// decoded index, and every update recomputes it.
     pub(crate) partitions: Vec<Option<TopKPartition>>,
-    /// Per cell: whether the MARKCELL search saw the cell's *complete*
-    /// hyperplane list (i.e. `max_hyperplanes_per_cell` did not truncate
-    /// it), so an unsatisfied verdict covers every sub-region of the
-    /// cell. Region-identity state — empty on a decoded index (no key
-    /// is then certified for any cell).
-    pub(crate) decided: Vec<bool>,
 }
 
 impl ApproxIndex {
@@ -359,7 +353,6 @@ impl ApproxIndex {
             found.sort_unstable_by_key(|o| o.cell);
         }
         let mut index = assemble(grid, found, opts.clone(), record);
-        index.decided = decided_mask(&hc, opts.max_hyperplanes_per_cell);
         index.stats = stats;
         index.stats.oracle_calls = oracle_calls;
         index.stats.lp_solves = lp_solves;
@@ -595,7 +588,6 @@ impl ApproxIndex {
 
         let stats = self.stats.clone();
         *self = assemble(self.grid.clone(), found, self.opts.clone(), true);
-        self.decided = decided_mask(&hc, self.opts.max_hyperplanes_per_cell);
         self.stats = stats;
         self.stats.hyperplane_count = hyperplanes.len();
         self.stats.hc_histogram = cellplane::crossing_histogram(&hc);
@@ -776,7 +768,6 @@ fn assemble(
         satisfied,
         probe_log,
         partitions,
-        decided: Vec::new(),
     }
 }
 
@@ -816,16 +807,6 @@ fn cell_partitions(
             .flat_map(|h| h.join().expect("partition worker panicked"))
             .collect()
     })
-}
-
-/// The per-cell completeness mask behind region identity: `true` iff the
-/// cell's hyperplane list survived the `max_hyperplanes_per_cell` cap
-/// intact, so its MARKCELL verdict speaks for the whole cell. Recomputed
-/// after every (re)assembly from the same `hc` the search consumed.
-fn decided_mask(hc: &[Vec<u32>], cap: Option<usize>) -> Vec<bool> {
-    hc.iter()
-        .map(|cell_hc| cap.is_none_or(|cap| cell_hc.len() <= cap))
-        .collect()
 }
 
 /// Can this probe's stored verdict provably survive the update? True

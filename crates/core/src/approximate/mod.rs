@@ -26,14 +26,10 @@ pub use index::{ApproxIndex, BuildOptions, BuildStats, ProbeRecord};
 use fairrank_geometry::polar::{angular_distance, to_polar};
 use fairrank_geometry::vector::norm;
 
-use crate::backend::{Answer, BackendStats, IndexBackend, QueryCtx, RegionKey, SharedCounters};
+use crate::backend::{Answer, BackendStats, IndexBackend, QueryCtx, SharedCounters};
 use crate::error::FairRankError;
 use crate::probes::TopKPartition;
 use crate::update::{DatasetUpdate, UpdateCtx, UpdateOutcome};
-
-/// [`RegionKey`] kind discriminant for a certified-unfair grid cell (the
-/// only region family this backend can certify).
-const REGION_GRID_UNFAIR: u8 = 0;
 
 /// The §5 serving backend: [`ApproxIndex`] packaged for
 /// [`crate::FairRanker`] — `O(log N)` cell lookups under the Theorem 6
@@ -96,31 +92,6 @@ impl IndexBackend for ApproxGrid {
 
     fn attach(&mut self, ctx: &QueryCtx<'_>) {
         self.index.attach(ctx.ds, ctx.oracle);
-    }
-
-    // The grid cells are *coarser* than the true regions, so a cell is a
-    // certified region only in one case: MARKCELL searched the cell's
-    // complete hyperplane list (`decided` — no per-cell truncation, so
-    // every sub-region was probed) and found no satisfactory sub-region
-    // (`!satisfied`) — then every query in the cell is unfair. Satisfied
-    // cells get no key (they mix fair and unfair sub-regions), and so
-    // does any index whose verdicts are not exact: decoded indexes
-    // (empty masks), globally truncated hyperplane lists, or pruned
-    // builds.
-    fn region_of(&self, weights: &[f64]) -> Option<RegionKey> {
-        let idx = &self.index;
-        let cells = idx.grid().cell_count();
-        if idx.decided.len() != cells
-            || idx.satisfied.len() != cells
-            || idx.opts.max_hyperplanes.is_some()
-            || idx.opts.prune_top_k
-        {
-            return None;
-        }
-        let (_, query_angles) = to_polar(weights);
-        let cell = idx.grid().locate(&query_angles) as usize;
-        (idx.decided[cell] && !idx.satisfied[cell])
-            .then(|| RegionKey::new(REGION_GRID_UNFAIR, cell as u64))
     }
 
     // Incremental maintenance via [`ApproxIndex::maintain`]: only cells

@@ -28,8 +28,8 @@
 //! Exact backends can additionally decide a query's fairness from the
 //! index alone via [`known_fairness`](IndexBackend::known_fairness) —
 //! the 2-D interval index characterizes the satisfactory angles
-//! *exactly*, so the sharded serving path
-//! ([`FairRanker::respond_batch_parallel`](crate::FairRanker::respond_batch_parallel))
+//! *exactly*, so the serving path
+//! ([`FairRanker::respond_batch`](crate::FairRanker::respond_batch))
 //! skips the `O(n log n)` rank-and-ask pass entirely for it, answering
 //! in `O(log n)` per query.
 //!
@@ -126,55 +126,6 @@ impl SharedCounters {
     }
 }
 
-/// An opaque identity for a region of weight space over which a
-/// backend's answers are constant — the handle the serving tier's
-/// answer cache keys on.
-///
-/// The paper's central geometric fact is that suggestions are
-/// piecewise-constant over regions of weight space: the satisfactory
-/// intervals of §3, the arrangement cells of §4, the grid cells of §5.
-/// [`IndexBackend::region_of`] maps a query to the key of its region
-/// *when the backend can certify that every query in the region gets
-/// the same fairness verdict*; two queries with equal keys may then
-/// share one oracle verdict, which is exactly what the serve-tier
-/// `SuggestionCache` memoizes.
-///
-/// Keys are meaningful only relative to one backend instance at one
-/// dataset version — they are not stable across updates, rebuilds, or
-/// backend kinds, which is why the cache includes
-/// [`FairRanker::version`](crate::FairRanker::version) in its key and
-/// purges on every update.
-///
-/// Construct via [`RegionKey::new`]; the `(kind, index)` split exists
-/// so one backend can expose several disjoint key families (e.g. the
-/// 2-D backend keys fair intervals and unfair gaps separately).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RegionKey(u64);
-
-impl RegionKey {
-    /// Build a key from a small key-family discriminant (`kind`) and a
-    /// region index within that family. The pair is packed into one
-    /// word: `kind` occupies the top 8 bits, so `index` must fit in 56
-    /// bits (far beyond any real region count).
-    #[must_use]
-    pub fn new(kind: u8, index: u64) -> Self {
-        debug_assert!(index < (1 << 56), "region index overflows RegionKey");
-        RegionKey((u64::from(kind) << 56) | (index & ((1 << 56) - 1)))
-    }
-
-    /// The key-family discriminant this key was built with.
-    #[must_use]
-    pub fn kind(self) -> u8 {
-        (self.0 >> 56) as u8
-    }
-
-    /// The region index within the key family.
-    #[must_use]
-    pub fn index(self) -> u64 {
-        self.0 & ((1 << 56) - 1)
-    }
-}
-
 /// Everything a backend may consult while answering one query: the
 /// dataset the index was built over and the fairness oracle.
 ///
@@ -242,7 +193,8 @@ pub trait IndexBackend: Send + Sync {
     ///
     /// The 2-D interval index is the exact output of 2DRAYSWEEP, so it
     /// answers in `O(log n)` what the oracle answers in `O(n log n)`;
-    /// the sharded serving path exploits this. Implementations must
+    /// [`FairRanker::respond_batch`](crate::FairRanker::respond_batch)
+    /// asks it before the oracle. Implementations must
     /// return verdicts identical to the oracle's on every query except
     /// exactly on an ordering-exchange angle, where the ranking ties
     /// and the oracle's verdict is itself tie-break-dependent.
@@ -277,31 +229,6 @@ pub trait IndexBackend: Send + Sync {
     /// before serving. The default has nothing to recompute.
     fn attach(&mut self, ctx: &QueryCtx<'_>) {
         let _ = ctx;
-    }
-
-    /// The identity of the weight-space region containing `weights`,
-    /// when the backend can certify that its *fairness verdict* is
-    /// constant over that region — `None` when it cannot (the default).
-    ///
-    /// The contract is the soundness property the serve-tier answer
-    /// cache rests on: for any two validated queries `q1`, `q2` on the
-    /// same backend instance, `region_of(q1) == region_of(q2)` (both
-    /// `Some`) implies the oracle reaches the same verdict for both,
-    /// so one cached verdict may answer both queries. Only the
-    /// *verdict* need be constant — the suggested weights for unfair
-    /// queries still depend on the query's own norm and position, and
-    /// are recomputed per query through
-    /// [`suggest_unfair`](IndexBackend::suggest_unfair).
-    ///
-    /// Like [`known_fairness`](IndexBackend::known_fairness), exactness
-    /// is required everywhere except exactly on region borders
-    /// (ordering-exchange surfaces where rankings tie and the oracle's
-    /// verdict is itself tie-break-dependent). Backends must return
-    /// `None` rather than guess: a wrong key silently serves wrong
-    /// verdicts, while `None` merely skips the cache.
-    fn region_of(&self, weights: &[f64]) -> Option<RegionKey> {
-        let _ = weights;
-        None
     }
 
     /// Maintain the index through one dataset update. `ctx` carries the

@@ -78,9 +78,7 @@ pub mod sampling;
 pub mod twod;
 pub mod update;
 
-pub use backend::{
-    Answer, BackendStats, IndexBackend, QueryCtx, RegionKey, SharedCounters, Strategy,
-};
+pub use backend::{Answer, BackendStats, IndexBackend, QueryCtx, SharedCounters, Strategy};
 pub use error::FairRankError;
 pub use ranker::{FairRanker, FairRankerBuilder};
 pub use request::{KnownFairness, SuggestOptions, SuggestRequest, SuggestStats, Suggestion};

@@ -18,13 +18,9 @@ use fairrank_fairness::FairnessOracle;
 use fairrank_geometry::polar::to_polar;
 use fairrank_geometry::vector::norm;
 
-use crate::backend::{Answer, BackendStats, IndexBackend, QueryCtx, RegionKey, SharedCounters};
+use crate::backend::{Answer, BackendStats, IndexBackend, QueryCtx, SharedCounters};
 use crate::error::FairRankError;
 use crate::update::{DatasetUpdate, UpdateCtx, UpdateOutcome};
-
-/// [`RegionKey`] kind discriminant for a satisfactory arrangement
-/// region (the only region family this backend can certify).
-const REGION_MD_FAIR: u8 = 0;
 
 /// The §4 serving backend: the satisfactory regions of the exchange
 /// arrangement, answered by MDBASELINE (one NLP per region) with oracle
@@ -32,8 +28,8 @@ const REGION_MD_FAIR: u8 = 0;
 /// [`crate::approximate::ApproxGrid`] at scale.
 ///
 /// Unlike the 2-D intervals this backend does *not* decide fairness from
-/// the index: for `d > 3` the linearized exchange hyperplanes only
-/// approximate the true curved exchange surfaces, so region membership
+/// the index: the linearized exchange hyperplanes only approximate the
+/// true curved exchange surfaces (already at `d = 3`), so region membership
 /// is not a trustworthy verdict and the oracle stays in the loop (both
 /// for the fairness pre-check and for validating suggestions).
 #[derive(Debug, Clone)]
@@ -81,9 +77,7 @@ impl ExactRegions {
     /// needs the arrangement — memoized for every later query and shared
     /// across copy-on-write forks. Answers are bit-identical to the
     /// eagerly built backend with the same options; the only observable
-    /// differences are *when* the build cost is paid and that
-    /// [`IndexBackend::region_of`] refuses to certify region identity
-    /// until materialization has happened.
+    /// difference is *when* the build cost is paid.
     #[must_use]
     pub fn new_lazy(angle_dim: usize, opts: SatRegionsOptions, rebuild_every: usize) -> Self {
         ExactRegions {
@@ -177,42 +171,6 @@ impl IndexBackend for ExactRegions {
                 distance: res.distance,
             }),
         }
-    }
-
-    // Region identity is certified only for *satisfactory* regions, and
-    // only when the stored arrangement is trustworthy: `d ≤ 3` (beyond
-    // that the linearized hyperplanes merely approximate the curved
-    // exchange surfaces — the same reason `known_fairness` stays
-    // `None`), no deferred updates pending (the region list would be
-    // stale), and no hyperplane truncation or top-k pruning (a capped
-    // or pruned arrangement under-splits, so one stored region can span
-    // different verdicts). Unfair queries get no key: their NLP answers
-    // vary continuously across a region, so there is nothing
-    // region-constant to certify beyond what a fair-region hit gives.
-    // A lazy backend additionally refuses until its first materializing
-    // query has run — there is no arrangement to certify against yet.
-    fn region_of(&self, weights: &[f64]) -> Option<RegionKey> {
-        let regions = self.materialized()?;
-        if self.dim() > 3
-            || self.pending > 0
-            || self.opts.max_hyperplanes.is_some()
-            || self.opts.prune_top_k
-        {
-            return None;
-        }
-        let (_, query_angles) = to_polar(weights);
-        // First containing region, with the same containment predicate
-        // (and tolerance) as `closest_satisfactory`'s distance-zero quick
-        // exit — the two must agree on what "inside" means.
-        regions
-            .iter()
-            .position(|region| {
-                region
-                    .constraints
-                    .iter()
-                    .all(|c| c.satisfied(&query_angles, 1e-9))
-            })
-            .map(|i| RegionKey::new(REGION_MD_FAIR, i as u64))
     }
 
     // The exact arrangement has no sound in-place maintenance (every

@@ -507,7 +507,6 @@ pub fn decode_approx_index(bytes: &[u8]) -> Result<ApproxIndex, PersistError> {
         satisfied: vec![false; cell_count],
         probe_log: Vec::new(),
         partitions: Vec::new(),
-        decided: Vec::new(),
     })
 }
 

@@ -4,10 +4,10 @@
 //! [`FairRanker`] is a thin serving shell around a pluggable
 //! [`IndexBackend`]: [`FairRanker::builder`] runs one of the paper's
 //! offline algorithms (chosen by [`Strategy`], including `Auto`
-//! selection), [`FairRanker::respond`] / [`respond_batch`] /
-//! [`respond_batch_parallel`] answer [`SuggestRequest`]s against the
-//! shared backend, and [`FairRanker::save`] / [`load`] hand a complete
-//! ranker from an offline process to online replicas.
+//! selection), [`FairRanker::respond`] / [`respond_batch`] answer
+//! [`SuggestRequest`]s against the shared backend, and
+//! [`FairRanker::save`] / [`load`] hand a complete ranker from an
+//! offline process to online replicas.
 //!
 //! ## Snapshots and copy-on-write updates
 //!
@@ -22,7 +22,6 @@
 //! serving the old index and dataset version untouched.
 //!
 //! [`respond_batch`]: FairRanker::respond_batch
-//! [`respond_batch_parallel`]: FairRanker::respond_batch_parallel
 //! [`load`]: FairRanker::load
 
 use std::path::Path;
@@ -55,22 +54,12 @@ struct RankerCore {
     version: u64,
 }
 
-/// Micro-batch threshold for the inline fast path of
-/// [`FairRanker::respond_batch_parallel`]: batches at or below this size
-/// whose requested shard count exceeds the batch run inline (each shard
-/// would hold ≤ 1 request, so thread-spawn overhead dominates any
-/// parallel win at this scale). Larger under-filled batches clamp the
-/// shard count to the batch size and still parallelize.
-pub const PARALLEL_INLINE_MAX: usize = 16;
-
 /// The query-answering system of the paper: offline preprocessing behind
 /// an interactive suggestion API.
 ///
 /// The ranker holds its dataset, oracle and index behind one shared
-/// [`Arc`], so it is `Send + Sync`, [`FairRanker::snapshot`] is a
-/// pointer copy, and
-/// [`respond_batch_parallel`](FairRanker::respond_batch_parallel) fans
-/// shards out over one instance.
+/// [`Arc`], so it is `Send + Sync` and [`FairRanker::snapshot`] is a
+/// pointer copy.
 pub struct FairRanker {
     core: Arc<RankerCore>,
 }
@@ -141,9 +130,7 @@ impl FairRankerBuilder {
     /// Defer the exact arrangement: [`Strategy::MdExact`] construction
     /// returns immediately and the full [`sat_regions`] pass runs — at
     /// most once, memoized — on the first query that needs it. Answers
-    /// are bit-identical to an eager build;
-    /// [`IndexBackend::region_of`] refuses to certify region identity
-    /// until materialization has happened (see
+    /// are bit-identical to an eager build (see
     /// [`ExactRegions::new_lazy`]). Ignored by the other strategies.
     #[must_use]
     pub fn lazy_regions(mut self, lazy: bool) -> Self {
@@ -357,17 +344,15 @@ impl FairRanker {
     /// what is the closest satisfactory function?
     ///
     /// Matching the paper's algorithms (2DONLINE line 8, MDBASELINE
-    /// line 1, MDONLINE line 1), the oracle is first consulted on the
-    /// query itself; only unfair queries hit the index. The response
-    /// carries the weights to serve with, the verdict, the dataset
-    /// [`version`](FairRanker::version) it reflects, and — when
+    /// line 1, MDONLINE line 1), the query's own fairness is decided
+    /// first; only unfair queries hit the index's suggestion search. The
+    /// response carries the weights to serve with, the verdict, the
+    /// dataset [`version`](FairRanker::version) it reflects, and — when
     /// [`SuggestRequest::k`] is set — the top-k ranking under the
     /// answered weights.
     ///
     /// This is the one-request case of [`FairRanker::respond_batch`]
-    /// and returns its single answer, so the query is ranked through the
-    /// same workspace path (partial top-k when the oracle exposes a
-    /// bound) rather than a full sort.
+    /// and returns its single answer.
     ///
     /// # Errors
     /// [`FairRankError::InvalidWeights`] / `DimensionMismatch` on
@@ -377,76 +362,39 @@ impl FairRanker {
         Ok(answers.pop().expect("one answer per request"))
     }
 
-    /// Answer one request with the oracle's fairness verdict supplied by
-    /// the caller, skipping the `O(n log n)` rank-and-ask pass — the
-    /// serve-tier answer cache's hit path.
+    /// Answer a batch of requests at once — the one serving path:
+    /// [`FairRanker::respond`], the micro-batch executor of the async
+    /// `FairRankService` and the HTTP tier all run through it, and
+    /// answers come back in request order.
     ///
-    /// `fair` must be the verdict the oracle *would* reach for
-    /// `req.query` on this snapshot; the caller certifies this through
-    /// [`IndexBackend::region_of`] identity with a previously answered
-    /// query at the same [`version`](FairRanker::version). Everything
-    /// query-dependent — suggested weights, distance, echoed query,
-    /// top-k ranking — is still computed here through the same
-    /// [`IndexBackend::suggest_unfair`]/`finish` code the uncached
-    /// [`FairRanker::respond`] path runs, so a hit is bit-identical to a
-    /// miss by construction.
+    /// Each request's "is it already fair?" check (2DONLINE line 8 /
+    /// MDBASELINE line 1 / MDONLINE line 1) goes to the cheapest source
+    /// that decides it exactly:
     ///
-    /// # Errors
-    /// [`FairRankError::InvalidWeights`] / `DimensionMismatch` on
-    /// malformed input; backend failures as [`FairRanker::respond`].
-    pub fn respond_with_verdict(
-        &self,
-        req: &SuggestRequest,
-        fair: bool,
-    ) -> Result<Suggestion, FairRankError> {
-        validate_weights(&req.query, self.core.ds.dim())?;
-        let mut ws = RankWorkspace::new();
-        if fair {
-            return Ok(self.finish(req, Answer::AlreadyFair, false, &mut ws));
-        }
-        let answer = self.core.backend.suggest_unfair(&req.query, &self.ctx())?;
-        Ok(self.finish(req, answer, false, &mut ws))
-    }
-
-    /// The backend's region identity for `weights`, when it can certify
-    /// one — the convenience forwarding of
-    /// [`IndexBackend::region_of`]. Returns `None` for malformed
-    /// weights as well as for backends (or queries) without a certified
-    /// region, so cache layers can call it unconditionally.
-    #[must_use]
-    pub fn region_of(&self, weights: &[f64]) -> Option<crate::backend::RegionKey> {
-        if validate_weights(weights, self.core.ds.dim()).is_err() {
-            return None;
-        }
-        self.core.backend.region_of(weights)
-    }
-
-    /// Answer a batch of requests at once — the multi-query entry point
-    /// online serving (and the micro-batch executor of the async
-    /// `FairRankService`) drains into.
+    /// 1. **The index.** When the backend characterizes the satisfactory
+    ///    set exactly ([`IndexBackend::known_fairness`] — the 2-D
+    ///    intervals do), the verdict costs `O(log n)` and the answer is
+    ///    marked [`SuggestStats::index_decided`].
+    /// 2. **The oracle.** The requests the index leaves undecided are
+    ///    ranked through one reused workspace — only the top-k placed
+    ///    when the oracle exposes a bound, and left unsorted when it
+    ///    reads it as a set ([`FairnessOracle::top_k_is_set`]) — and the
+    ///    oracle sees them through its batched entry point. When the
+    ///    backend keeps a top-`k` partition for the query's cell
+    ///    ([`IndexBackend::top_k_partition`] — the approximate grid does)
+    ///    and it covers the query, the ranking is built from the cell's
+    ///    sure-in items and the best of its undecided ones alone: the
+    ///    same top-`k` bit for bit, without scoring every item (the
+    ///    soundness argument is in [`crate::probes`]). The process-global
+    ///    counters `fairrank_verdict_rankings_total{path="cell"|"full"}`
+    ///    and `fairrank_verdict_items_total` record which way each
+    ///    ranking went.
     ///
-    /// Element-wise identical to calling [`FairRanker::respond`] per
-    /// request (property-tested), but amortized: the query rankings for
-    /// the paper's "is it already fair?" check (2DONLINE line 8 /
-    /// MDBASELINE line 1 / MDONLINE line 1) run through one reused
-    /// [`fairrank_datasets::RankWorkspace`] — only the top-k placed when
-    /// the oracle exposes a bound, and left unsorted when the oracle
-    /// reads it as a set ([`FairnessOracle::top_k_is_set`]); zero
-    /// allocations on the steady path — and the oracle sees them
-    /// through its batched entry point, so per-call setup is paid once
-    /// per chunk instead of once per query. Only queries whose ranking
-    /// the oracle rejects proceed to the index.
-    ///
-    /// When the backend keeps a top-`k` partition for the query's cell
-    /// ([`IndexBackend::top_k_partition`] — the approximate grid does)
-    /// and it covers the query, the ranking handed to the oracle is
-    /// built from the cell's sure-in items and the best of its undecided
-    /// ones alone: the same top-`k` bit for bit, without scoring every
-    /// item (the soundness argument is in [`crate::probes`]). Requests
-    /// with [`SuggestOptions::index_fastpath`](crate::SuggestOptions::index_fastpath)
-    /// `= false` always rank every item. The process-global counters
-    /// `fairrank_verdict_rankings_total{path="cell"|"full"}` and
-    /// `fairrank_verdict_items_total` record which way each ranking went.
+    /// Only unfair queries proceed to [`IndexBackend::suggest_unfair`].
+    /// Requests with
+    /// [`SuggestOptions::index_fastpath`](crate::SuggestOptions::index_fastpath)
+    /// `= false` are the audit path: they skip both index shortcuts and
+    /// rank every item for the oracle.
     ///
     /// # Errors
     /// [`FairRankError::InvalidWeights`] / `DimensionMismatch` if *any*
@@ -455,118 +403,16 @@ impl FairRanker {
         for req in reqs {
             validate_weights(&req.query, self.core.ds.dim())?;
         }
-        let (verdicts, tally) = crate::probes::batch_verdicts_by(
-            &self.core.ds,
-            self.core.oracle.as_ref(),
-            reqs.len(),
-            |i, out| out.extend_from_slice(&reqs[i].query),
-            |i, _| self.verdict_partition(&reqs[i]),
-        );
-        count_verdict_rankings(tally);
-        let mut ws = RankWorkspace::new();
-        reqs.iter()
-            .zip(verdicts)
-            .map(|(req, fair)| {
-                if fair {
-                    Ok(self.finish(req, Answer::AlreadyFair, false, &mut ws))
-                } else {
-                    let answer = self.core.backend.suggest_unfair(&req.query, &self.ctx())?;
-                    Ok(self.finish(req, answer, false, &mut ws))
-                }
-            })
-            .collect()
-    }
-
-    /// The sharded serving entry point: split `reqs` into up to `shards`
-    /// contiguous chunks and answer them on [`std::thread::scope`]
-    /// workers, each with its own
-    /// [`fairrank_datasets::RankWorkspace`]. Answers are element-wise
-    /// identical to [`FairRanker::respond`] (property-tested) and come
-    /// back in request order.
-    ///
-    /// Two effects make this the high-throughput path:
-    ///
-    /// * **Index-decided fairness.** When the backend characterizes the
-    ///   satisfactory set exactly
-    ///   ([`IndexBackend::known_fairness`] — the 2-D intervals do), each
-    ///   worker answers the "is it already fair?" check in `O(log n)`
-    ///   from the index instead of ranking all `n` items for the
-    ///   oracle — a large constant-factor win per query even on one
-    ///   core. Requests that opt out
-    ///   ([`SuggestOptions::index_fastpath`](crate::SuggestOptions::index_fastpath)
-    ///   = `false`) and backends that cannot decide fairness (the
-    ///   approximate grid, the `d > 3` exact regions) fall back to the
-    ///   same batched oracle pass [`FairRanker::respond_batch`] uses,
-    ///   per shard.
-    /// * **Parallelism.** Shards run concurrently, so on a multi-core
-    ///   serving host throughput scales with cores on top of the
-    ///   index-decided win.
-    ///
-    /// `shards == 0` uses [`std::thread::available_parallelism`]. One
-    /// shard — or a micro-batch (≤ [`PARALLEL_INLINE_MAX`] requests)
-    /// smaller than the shard count, the shape micro-batching services
-    /// produce constantly — runs inline without touching
-    /// [`std::thread::scope`] at all, so small batches pay zero spawn
-    /// overhead; larger batches that under-fill the requested shard
-    /// count clamp the shard count to the batch size and parallelize.
-    ///
-    /// # Errors
-    /// [`FairRankError::InvalidWeights`] / `DimensionMismatch` if *any*
-    /// request is malformed (checked upfront; no partial answers).
-    pub fn respond_batch_parallel(
-        &self,
-        reqs: &[SuggestRequest],
-        shards: usize,
-    ) -> Result<Vec<Suggestion>, FairRankError> {
-        for req in reqs {
-            validate_weights(&req.query, self.core.ds.dim())?;
-        }
-        let shards = match shards {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            s => s,
-        };
-        // Inline fast path: one shard, or a *micro-batch* smaller than
-        // the shard count (each shard would hold ≤ 1 request — all spawn
-        // overhead, no parallel win at that size; micro-batch callers
-        // wiring this entry point pay zero thread spawns). Mid-size
-        // batches that merely under-fill the requested shard count still
-        // parallelize: the shard count clamps to the batch size instead,
-        // because for expensive oracle-bound queries one thread per
-        // request beats running them serially.
-        if shards <= 1
-            || reqs.len() <= 1
-            || (reqs.len() < shards && reqs.len() <= PARALLEL_INLINE_MAX)
-        {
-            return self.serve_shard(reqs);
-        }
-        let shards = shards.min(reqs.len());
-        let chunk_len = reqs.len().div_ceil(shards);
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = reqs
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(move || self.serve_shard(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("serving shard panicked"))
-                .collect::<Vec<_>>()
-        });
-        let mut out = Vec::with_capacity(reqs.len());
-        for shard in results {
-            out.extend(shard?);
-        }
-        Ok(out)
-    }
-
-    /// One shard's worth of serving: answer index-decidable requests
-    /// straight from the backend, batch the rest through one
-    /// workspace-backed oracle pass (the shard's private
-    /// [`fairrank_datasets::RankWorkspace`] lives inside
-    /// [`crate::probes::batch_verdicts_by`]), ranked through the cells'
-    /// top-`k` partitions as in [`FairRanker::respond_batch`].
-    fn serve_shard(&self, reqs: &[SuggestRequest]) -> Result<Vec<Suggestion>, FairRankError> {
         let ctx = self.ctx();
         let mut ws = RankWorkspace::new();
+        let answer = |req: &SuggestRequest, fair: bool, index_decided: bool, ws: &mut _| {
+            let answer = if fair {
+                Answer::AlreadyFair
+            } else {
+                self.core.backend.suggest_unfair(&req.query, &ctx)?
+            };
+            Ok::<_, FairRankError>(self.finish(req, answer, index_decided, ws))
+        };
         let mut out: Vec<Option<Suggestion>> = vec![None; reqs.len()];
         let mut oracle_needed: Vec<usize> = Vec::new();
         for (i, req) in reqs.iter().enumerate() {
@@ -575,17 +421,10 @@ impl FairRanker {
             } else {
                 None
             };
-            out[i] = match index_verdict {
-                Some(true) => Some(self.finish(req, Answer::AlreadyFair, true, &mut ws)),
-                Some(false) => {
-                    let answer = self.core.backend.suggest_unfair(&req.query, &ctx)?;
-                    Some(self.finish(req, answer, true, &mut ws))
-                }
-                None => {
-                    oracle_needed.push(i);
-                    None
-                }
-            };
+            match index_verdict {
+                Some(fair) => out[i] = Some(answer(req, fair, true, &mut ws)?),
+                None => oracle_needed.push(i),
+            }
         }
         if !oracle_needed.is_empty() {
             let (verdicts, tally) = crate::probes::batch_verdicts_by(
@@ -597,12 +436,7 @@ impl FairRanker {
             );
             count_verdict_rankings(tally);
             for (&i, fair) in oracle_needed.iter().zip(verdicts) {
-                out[i] = Some(if fair {
-                    self.finish(&reqs[i], Answer::AlreadyFair, false, &mut ws)
-                } else {
-                    let answer = self.core.backend.suggest_unfair(&reqs[i].query, &ctx)?;
-                    self.finish(&reqs[i], answer, false, &mut ws)
-                });
+                out[i] = Some(answer(&reqs[i], fair, false, &mut ws)?);
             }
         }
         Ok(out
@@ -983,6 +817,13 @@ mod tests {
         SuggestRequest::new(weights)
     }
 
+    /// A request on the audit path: no index shortcut, every item ranked.
+    fn audit_req(weights: &[f64]) -> SuggestRequest {
+        req(weights).with_options(crate::request::SuggestOptions {
+            index_fastpath: false,
+        })
+    }
+
     #[test]
     fn ranker_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -1011,31 +852,47 @@ mod tests {
             other => panic!("expected a suggestion, got {other:?}"),
         }
         assert_eq!(sug.version, 0);
-        assert!(!sug.stats.index_decided, "respond() is the oracle path");
+        // The 2-D intervals decide fairness exactly, so a default request
+        // never reaches the oracle; an audit request always does.
+        assert!(sug.stats.index_decided, "the 2-D index decides the verdict");
+        let audit = ranker.respond(&audit_req(&[1.0, 0.02])).unwrap();
+        assert!(!audit.stats.index_decided, "the audit path asks the oracle");
+        assert_eq!(
+            (&audit.weights, &audit.fairness),
+            (&sug.weights, &sug.fairness)
+        );
     }
 
     #[test]
     fn respond_batch_variants_agree_elementwise() {
         let (ds, oracle) = biased_2d();
         let ranker = build_2d(&ds, Box::new(oracle));
-        let queries = [[1.0, 0.02], [0.3, 1.7], [1.0, 1.0]];
+        let fan = (0..33).map(|i| {
+            let t = (f64::from(i) + 0.5) / 33.0 * fairrank_geometry::HALF_PI;
+            [2.0 * t.cos(), 2.0 * t.sin()]
+        });
+        let queries: Vec<[f64; 2]> = [[1.0, 0.02], [0.3, 1.7], [1.0, 1.0]]
+            .into_iter()
+            .chain(fan)
+            .collect();
         let reqs: Vec<SuggestRequest> = queries.iter().map(|q| req(q)).collect();
         let batch = ranker.respond_batch(&reqs).unwrap();
-        let parallel = ranker.respond_batch_parallel(&reqs, 2).unwrap();
+        let audits: Vec<SuggestRequest> = queries.iter().map(|q| audit_req(q)).collect();
+        let audit = ranker.respond_batch(&audits).unwrap();
         assert_eq!(batch.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
             let single = ranker.respond(&req(q)).unwrap();
             assert_eq!(batch[i], single, "batch diverges on query {i}");
-            // The sharded path may decide fairness from the index alone
-            // (stats.index_decided), so compare the served answer.
+            assert!(
+                batch[i].stats.index_decided,
+                "the 2-D index decides query {i}"
+            );
+            // The audit path asks the oracle where the index decided
+            // (stats.index_decided differs), so compare the served answer.
             assert_eq!(
-                (
-                    &parallel[i].weights,
-                    &parallel[i].fairness,
-                    parallel[i].version
-                ),
+                (&audit[i].weights, &audit[i].fairness, audit[i].version),
                 (&single.weights, &single.fairness, single.version),
-                "parallel batch diverges on query {i}"
+                "audit batch diverges on query {i}"
             );
         }
     }
@@ -1156,43 +1013,16 @@ mod tests {
     }
 
     #[test]
-    fn respond_batch_parallel_matches_serial_2d() {
-        let (ds, oracle) = biased_2d();
-        let ranker = build_2d(&ds, Box::new(oracle));
-        let reqs: Vec<SuggestRequest> = (0..33)
-            .map(|i| {
-                let t = (i as f64 + 0.5) / 33.0 * fairrank_geometry::HALF_PI;
-                SuggestRequest::new(vec![2.0 * t.cos(), 2.0 * t.sin()])
-            })
-            .collect();
-        for shards in [0, 1, 2, 4, 33, 100] {
-            let parallel = ranker.respond_batch_parallel(&reqs, shards).unwrap();
-            assert_eq!(parallel.len(), reqs.len());
-            for (r, p) in reqs.iter().zip(&parallel) {
-                // The parallel path may decide fairness from the index
-                // (`index_decided` differs); the answers must agree.
-                let serial = ranker.respond(r).unwrap();
-                assert_eq!(p.weights, serial.weights, "shards={shards} at {r:?}");
-                assert_eq!(p.fairness, serial.fairness, "shards={shards} at {r:?}");
-            }
-        }
-    }
-
-    #[test]
     fn fastpath_opt_out_forces_oracle() {
         let (ds, oracle) = biased_2d();
         let ranker = build_2d(&ds, Box::new(oracle));
         let no_fastpath: Vec<SuggestRequest> = (0..12)
             .map(|i| {
                 let t = (i as f64 + 0.5) / 12.0 * fairrank_geometry::HALF_PI;
-                SuggestRequest::new(vec![2.0 * t.cos(), 2.0 * t.sin()]).with_options(
-                    crate::request::SuggestOptions {
-                        index_fastpath: false,
-                    },
-                )
+                audit_req(&[2.0 * t.cos(), 2.0 * t.sin()])
             })
             .collect();
-        let answers = ranker.respond_batch_parallel(&no_fastpath, 3).unwrap();
+        let answers = ranker.respond_batch(&no_fastpath).unwrap();
         for (r, a) in no_fastpath.iter().zip(&answers) {
             assert!(!a.stats.index_decided, "opt-out must use the oracle");
             assert_eq!(*a, ranker.respond(r).unwrap());
@@ -1204,10 +1034,8 @@ mod tests {
         let (ds, oracle) = biased_2d();
         let ranker = build_2d(&ds, Box::new(oracle));
         assert_eq!(ranker.respond_batch(&[]).unwrap(), vec![]);
-        assert_eq!(ranker.respond_batch_parallel(&[], 4).unwrap(), vec![]);
         let bad = vec![req(&[1.0, 1.0]), req(&[-1.0, 1.0])];
         assert!(ranker.respond_batch(&bad).is_err());
-        assert!(ranker.respond_batch_parallel(&bad, 4).is_err());
     }
 
     #[test]

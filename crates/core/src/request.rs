@@ -1,9 +1,8 @@
 //! The unified request/response types of the serving API.
 //!
 //! Every serving entry point — [`FairRanker::respond`],
-//! [`FairRanker::respond_batch`],
-//! [`FairRanker::respond_batch_parallel`], and the async
-//! `FairRankService` in the `fairrank-serve` crate — speaks one pair of
+//! [`FairRanker::respond_batch`], and the async `FairRankService` in the
+//! `fairrank-serve` crate — speaks one pair of
 //! types: a [`SuggestRequest`] in, a [`Suggestion`] out. The request
 //! carries the query weights plus per-request options (top-k
 //! materialization, fast-path control); the response carries the weights
@@ -22,7 +21,6 @@
 //!
 //! [`FairRanker::respond`]: crate::FairRanker::respond
 //! [`FairRanker::respond_batch`]: crate::FairRanker::respond_batch
-//! [`FairRanker::respond_batch_parallel`]: crate::FairRanker::respond_batch_parallel
 
 /// One closest-satisfactory-function query, as submitted to the serving
 /// API: the proposed weight vector plus per-request options.
@@ -100,13 +98,16 @@ impl From<&[f64]> for SuggestRequest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub struct SuggestOptions {
-    /// Allow the sharded serving path to answer the "is it already
-    /// fair?" check from the index alone when the backend characterizes
-    /// the satisfactory set exactly
+    /// Allow the serving path to answer the "is it already fair?" check
+    /// from the index: from the index alone when the backend
+    /// characterizes the satisfactory set exactly
     /// ([`IndexBackend::known_fairness`](crate::backend::IndexBackend::known_fairness)
-    /// — `O(log n)` instead of the `O(n log n)` oracle ranking).
-    /// Default `true`; set `false` to force the oracle into the loop for
-    /// every query (useful when auditing the index against the oracle).
+    /// — `O(log n)` instead of the `O(n log n)` oracle ranking), else by
+    /// ranking only the query cell's top-`k` candidates for the oracle
+    /// ([`IndexBackend::top_k_partition`](crate::backend::IndexBackend::top_k_partition)).
+    /// Default `true`; set `false` for the audit path, which ranks every
+    /// item for the oracle on every query (useful when auditing the
+    /// index against the oracle).
     pub index_fastpath: bool,
 }
 
@@ -153,8 +154,11 @@ pub enum KnownFairness {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuggestStats {
     /// Whether the fairness verdict came from the index alone
-    /// (the `O(log n)` exact-backend fast path) rather than an oracle
-    /// ranking pass.
+    /// ([`IndexBackend::known_fairness`](crate::backend::IndexBackend::known_fairness),
+    /// `O(log n)`) rather than an oracle ranking pass. Every default
+    /// request on the 2-D intervals is index-decided; audit requests
+    /// (`index_fastpath = false`) and the backends that leave
+    /// `known_fairness` undecided never are.
     pub index_decided: bool,
     /// The top-k item ids ranked under [`Suggestion::weights`], present
     /// iff the request set [`SuggestRequest::k`].

@@ -11,22 +11,13 @@ pub use raysweep::{ray_sweep, ray_sweep_incremental, ray_sweep_threads, RaySweep
 use fairrank_datasets::kernels;
 use fairrank_datasets::Dataset;
 use fairrank_fairness::FairnessOracle;
-use fairrank_geometry::interval::{AngularIntervals, NearestId};
+use fairrank_geometry::interval::AngularIntervals;
 use fairrank_geometry::HALF_PI;
 
-use crate::backend::{Answer, BackendStats, IndexBackend, QueryCtx, RegionKey, SharedCounters};
+use crate::backend::{Answer, BackendStats, IndexBackend, QueryCtx, SharedCounters};
 use crate::error::FairRankError;
 use crate::update::{DatasetUpdate, UpdateCtx, UpdateOutcome};
 use raysweep::{event_cmp, exchange_events, item_events, sweep_events, sweep_events_threaded};
-
-/// [`RegionKey`] kind discriminants for the 2-D backend: a satisfactory
-/// interval, the two sides of an unsatisfactory gap (split by which
-/// endpoint [`AngularIntervals::nearest`] snaps to), and the single
-/// all-unfair region of an empty index.
-const REGION_2D_FAIR: u8 = 0;
-const REGION_2D_GAP_START: u8 = 1;
-const REGION_2D_GAP_END: u8 = 2;
-const REGION_2D_INFEASIBLE: u8 = 3;
 
 /// The sweep structure behind incremental maintenance: the full sorted
 /// ordering-exchange event list plus the per-sector oracle verdicts the
@@ -59,8 +50,8 @@ impl SweepMaint {
 ///
 /// Because 2DRAYSWEEP is exact — the intervals *are* the satisfactory
 /// set — this backend also decides fairness from the index alone
-/// ([`IndexBackend::known_fairness`]), which lets the sharded serving
-/// path skip the per-query oracle ranking entirely.
+/// ([`IndexBackend::known_fairness`]), which lets the serving path skip
+/// the per-query oracle ranking entirely.
 ///
 /// Built through [`FairRanker::builder`](crate::FairRanker::builder) the
 /// backend keeps its sweep structure and maintains it **incrementally**
@@ -303,23 +294,6 @@ impl IndexBackend for TwoDIntervals {
     // ranking ties and the oracle's own answer is tie-break-dependent).
     fn known_fairness(&self, weights: &[f64]) -> Option<bool> {
         Some(self.intervals.contains(Self::theta(weights)))
-    }
-
-    // The intervals characterize the satisfactory set exactly, so every
-    // query gets a region: a fair interval, a gap side (split by which
-    // endpoint `nearest` snaps to, so the suggested angle is constant
-    // per key too, not just the verdict), or the single infeasible
-    // region of an empty index. Exactness caveats are the same as
-    // `known_fairness`: borders only.
-    fn region_of(&self, weights: &[f64]) -> Option<RegionKey> {
-        if self.intervals.is_empty() {
-            return Some(RegionKey::new(REGION_2D_INFEASIBLE, 0));
-        }
-        match self.intervals.nearest_id(Self::theta(weights))? {
-            NearestId::Inside(i) => Some(RegionKey::new(REGION_2D_FAIR, i as u64)),
-            NearestId::Start(i) => Some(RegionKey::new(REGION_2D_GAP_START, i as u64)),
-            NearestId::End(i) => Some(RegionKey::new(REGION_2D_GAP_END, i as u64)),
-        }
     }
 
     // True incremental maintenance (the headline of the update design):

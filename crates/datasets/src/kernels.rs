@@ -201,11 +201,6 @@ impl FromIterator<f64> for AlignedCol {
     }
 }
 
-/// Values per accumulation tile of [`score_all_into`]: the output block
-/// plus one column block stay resident in L1/L2 while the `d` column
-/// passes stream over them.
-const BLOCK: usize = 4096;
-
 /// Score every item under `w` into `out` (cleared and refilled to
 /// `ds.len()` entries): `out[i] = Σ_j w[j] · column_j[i]`.
 ///
@@ -228,6 +223,10 @@ pub fn score_all_into(ds: &Dataset, w: &[f64], out: &mut Vec<f64>) {
 /// The vectorized columnar sweep (default build).
 #[cfg(not(feature = "scalar-kernels"))]
 fn fill_scores(ds: &Dataset, w: &[f64], out: &mut [f64]) {
+    /// Values per accumulation tile: the output block plus one column
+    /// block stay resident in L1/L2 while the `d` column passes stream
+    /// over them.
+    const BLOCK: usize = 4096;
     let n = out.len();
     let mut start = 0usize;
     while start < n {

@@ -9,7 +9,7 @@ use crate::incremental::IncrementalOracle;
 /// A fairness oracle `O : ordered(D) → {⊤, ⊥}` (paper §2).
 ///
 /// `ranking` is a permutation of item ids, best first. Implementations must
-/// be deterministic: the indexing algorithms cache verdicts per region.
+/// be deterministic: the indexing algorithms store verdicts per region.
 pub trait FairnessOracle: Send + Sync {
     /// Does this ranking meet the fairness criteria?
     fn is_satisfactory(&self, ranking: &[u32]) -> bool;

@@ -8,22 +8,6 @@
 
 use crate::{GEOM_EPS, HALF_PI};
 
-/// Which interval (or interval endpoint) [`AngularIntervals::nearest`]
-/// resolves a query angle to — see [`AngularIntervals::nearest_id`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NearestId {
-    /// The query lies inside the interval at this index (the
-    /// [`AngularIntervals::locate`] answer); `nearest` returns the query
-    /// itself.
-    Inside(usize),
-    /// The query snaps to the *start* endpoint of the interval at this
-    /// index.
-    Start(usize),
-    /// The query snaps to the *end* endpoint of the interval at this
-    /// index.
-    End(usize),
-}
-
 /// A set of disjoint, sorted, closed angular intervals within `[0, π/2]`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AngularIntervals {
@@ -116,53 +100,30 @@ impl AngularIntervals {
     /// endpoint, with exact ties broken toward the endpoint *above*
     /// `theta` (deterministic, and stable under adding candidates).
     /// `None` when the set is empty (no satisfactory function).
-    ///
-    /// Defined by [`AngularIntervals::nearest_id`]: the two methods
-    /// resolve the same interval/endpoint by construction, which is what
-    /// lets region-identity callers key caches on the id.
     #[must_use]
     pub fn nearest(&self, theta: f64) -> Option<f64> {
-        match self.nearest_id(theta)? {
-            NearestId::Inside(_) => Some(theta),
-            NearestId::Start(i) => Some(self.intervals[i].0),
-            NearestId::End(i) => Some(self.intervals[i].1),
-        }
-    }
-
-    /// The *identity* of the answer [`AngularIntervals::nearest`] gives
-    /// for `theta`: which interval contains it, or which endpoint it
-    /// snaps to — including the exact-tie break toward the endpoint
-    /// above `theta`.
-    ///
-    /// Two queries with the same `NearestId` snap to the same angle (or
-    /// are both contained), so the id partitions `[0, π/2]` into ranges
-    /// over which the nearest-answer structure is constant — the 2-D
-    /// backend's region identity for answer caching.
-    #[must_use]
-    pub fn nearest_id(&self, theta: f64) -> Option<NearestId> {
         if self.intervals.is_empty() || theta.is_nan() {
             return None;
         }
-        if let Some(i) = self.locate(theta) {
-            return Some(NearestId::Inside(i));
+        if self.locate(theta).is_some() {
+            return Some(theta);
         }
         let idx = self.intervals.partition_point(|&(s, _)| s < theta);
         // Exactly two candidates can be nearest: the start of the first
         // interval above theta and the end of the last interval below it.
         // Fold every candidate through one comparison that updates the
-        // (distance, identity) pair together — a candidate list can then
-        // grow without the distance going stale against the stored id.
-        let above =
-            (idx < self.intervals.len()).then(|| (self.intervals[idx].0, NearestId::Start(idx)));
-        let below = (idx > 0).then(|| (self.intervals[idx - 1].1, NearestId::End(idx - 1)));
-        let mut best: Option<(f64, NearestId)> = None;
-        for (angle, id) in [above, below].into_iter().flatten() {
+        // (distance, angle) pair together — a candidate list can then
+        // grow without the distance going stale against the stored angle.
+        let above = self.intervals.get(idx).map(|&(s, _)| s);
+        let below = idx.checked_sub(1).map(|i| self.intervals[i].1);
+        let mut best: Option<(f64, f64)> = None;
+        for angle in [above, below].into_iter().flatten() {
             let d = (angle - theta).abs();
             if best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, id));
+                best = Some((d, angle));
             }
         }
-        best.map(|(_, id)| id)
+        best.map(|(_, angle)| angle)
     }
 
     /// Like [`AngularIntervals::nearest`], but endpoint answers are nudged

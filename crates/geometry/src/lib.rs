@@ -48,7 +48,7 @@ pub use arrangement::{Arrangement, RegionId};
 pub use arrangement_tree::ArrangementTree;
 pub use grid::{AngleGrid, CellId};
 pub use hyperplane::{Hyperplane, Sign};
-pub use interval::{AngularIntervals, NearestId};
+pub use interval::AngularIntervals;
 pub use polar::{angular_distance, to_cartesian, to_polar};
 
 /// Upper bound of every angle coordinate: the space of non-negative weight

@@ -14,7 +14,7 @@
 //! vectors, which is algebraically identical to the paper's expanded product
 //! formula and numerically better behaved.
 
-use crate::vector::{dot, norm};
+use crate::vector::{dot, norm, square_safe_scale};
 use crate::{GEOM_EPS, HALF_PI};
 
 /// Convert a polar representation `(r, Θ)` to Cartesian coordinates.
@@ -99,9 +99,17 @@ pub fn weight_bounds_into(bl: &[f64], tr: &[f64], lo: &mut Vec<f64>, hi: &mut Ve
 ///
 /// Inverse of [`to_cartesian`] for non-negative points; zero prefixes map to
 /// angle `π/2` when the component is positive and `0` when it is zero, so
-/// axis-aligned rays round-trip exactly.
+/// axis-aligned rays round-trip exactly. A point whose components would
+/// overflow or underflow when squared is rescaled by a power of two
+/// first, as in [`norm`]: it gets the angles of the rescaled point,
+/// which points exactly the same way.
 #[must_use]
 pub fn to_polar(point: &[f64]) -> (f64, Vec<f64>) {
+    if let Some(s) = square_safe_scale(point) {
+        let scaled: Vec<f64> = point.iter().map(|x| x * s).collect();
+        let (r, angles) = to_polar(&scaled);
+        return (r / s, angles);
+    }
     let d = point.len();
     let r = norm(point);
     let mut angles = vec![0.0; d.saturating_sub(1)];
@@ -262,6 +270,28 @@ mod tests {
         let back = to_cartesian(r, &a);
         for (o, b) in original.iter().zip(&back) {
             assert_close(*o, *b);
+        }
+    }
+
+    #[test]
+    fn extreme_norms_keep_their_direction() {
+        // Powers of two scale exactly, so the angles must be bit-identical;
+        // decimal scales round each component, so they agree to rounding.
+        let q = [1.0, 0.05, 0.05];
+        let (r1, a1) = to_polar(&q);
+        for exp in [-1000, -900, 700, 1000] {
+            let s = 2f64.powi(exp / 2) * 2f64.powi(exp - exp / 2);
+            let (r, a) = to_polar(&q.map(|x| x * s));
+            assert_eq!(a, a1, "2^{exp}");
+            assert!((r / s / r1 - 1.0).abs() < 1e-12, "2^{exp}: r = {r}");
+        }
+        for s in [1e200, 1e-310] {
+            let (r, a) = to_polar(&q.map(|x| x * s));
+            for (x, y) in a.iter().zip(&a1) {
+                assert!((x - y).abs() < 1e-12, "{s}: {a:?} vs {a1:?}");
+            }
+            assert!(r.is_finite() && r > 0.0);
+            assert!((r / s / r1 - 1.0).abs() < 1e-9, "{s}: r = {r}");
         }
     }
 

@@ -12,11 +12,39 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm.
+/// Euclidean norm. A vector whose largest magnitude would overflow or
+/// underflow when squared (outside `[2^-500, 2^500]`) is first rescaled
+/// by a power of two, so its norm neither overflows nor collapses to
+/// zero; every other vector takes the plain sum of squares.
 #[inline]
 #[must_use]
 pub fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
+    match square_safe_scale(a) {
+        None => dot(a, a).sqrt(),
+        Some(s) => a.iter().map(|x| (x * s) * (x * s)).sum::<f64>().sqrt() / s,
+    }
+}
+
+/// Magnitudes in `[2^-500, 2^500]` square, and sum a few squares, within
+/// the normal `f64` range.
+const SQUARE_SAFE_MAX: f64 = f64::from_bits((1023 + 500) << 52);
+const SQUARE_SAFE_MIN: f64 = f64::from_bits((1023 - 500) << 52);
+
+/// The power of two (`2^-600` or `2^600`) that brings the largest
+/// magnitude of `a` into `[2^-500, 2^500]` when it lies outside, so that
+/// its square would overflow or underflow; `None` when it lies inside,
+/// and for zero and non-finite vectors. Multiplying by a power of two is
+/// exact, so a rescaled vector points exactly the same way.
+#[must_use]
+pub(crate) fn square_safe_scale(a: &[f64]) -> Option<f64> {
+    let m = a.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    if m > SQUARE_SAFE_MAX && m.is_finite() {
+        Some(f64::from_bits((1023 - 600) << 52))
+    } else if m < SQUARE_SAFE_MIN && m > 0.0 {
+        Some(f64::from_bits((1023 + 600) << 52))
+    } else {
+        None
+    }
 }
 
 /// `a − b` as a new vector.
@@ -77,6 +105,19 @@ pub fn all_non_negative(a: &[f64], eps: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn norm_neither_overflows_nor_underflows() {
+        assert_eq!(norm(&[3.0, 4.0]), 5.0);
+        let huge = norm(&[3e200, 4e200]);
+        assert!((huge / 5e200 - 1.0).abs() < 1e-15, "{huge}");
+        let tiny = norm(&[3e-310, 4e-310]);
+        assert!((tiny / 5e-310 - 1.0).abs() < 1e-9, "{tiny}");
+        assert_eq!(norm(&[0.0, 0.0]), 0.0);
+        assert_eq!(norm(&[f64::MAX, f64::MAX]), f64::INFINITY);
+        assert!(norm(&[f64::NAN, 1.0]).is_nan());
+        assert_eq!(square_safe_scale(&[1e-100, 1e100]), None);
+    }
 
     #[test]
     fn dot_and_norm() {

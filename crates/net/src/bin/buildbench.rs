@@ -20,9 +20,6 @@
 //!   cost at the paper's full DOT scale (1,322,024 flights): one
 //!   columnar scoring pass, one full workspace rank, and one
 //!   top-k-bounded rank under the §6.4 oracle.
-//! * `service.throughput_cached_rps` / `service.cache_hit_rate` —
-//!   re-recorded with the exact `baseline` recipe so the committed
-//!   number and the README prose agree.
 //! * `host.build_cores` — the recording host's core count, so the
 //!   speedup series is interpretable (on a single-core host the
 //!   parallel arms measure sharding overhead, not speedup).
@@ -34,14 +31,11 @@ use std::time::Duration;
 
 use fairrank::approximate::{ApproxIndex, BuildOptions};
 use fairrank::md::SatRegionsOptions;
-use fairrank::{FairRanker, Strategy, SuggestRequest};
-use fairrank_bench::{
-    compas_2d, default_compas_oracle, dot_flights, dot_oracle, query_fan, time, time_avg,
-};
+use fairrank::{FairRanker, Strategy};
+use fairrank_bench::{default_compas_oracle, dot_flights, dot_oracle, time, time_avg};
 use fairrank_datasets::{kernels, RankWorkspace};
 use fairrank_fairness::FairnessOracle;
 use fairrank_net::json::merge_into_baseline;
-use fairrank_serve::FairRankService;
 
 fn ms(d: Duration) -> f64 {
     (d.as_secs_f64() * 1e3 * 1000.0).round() / 1000.0
@@ -156,47 +150,6 @@ fn main() {
         })),
     );
     drop(ds_dot);
-
-    // --- cached serving re-record (exact `baseline` bin recipe) -----
-    let ds_serve = compas_2d(1500);
-    let oracle_serve = default_compas_oracle(&ds_serve);
-    let ranker = FairRanker::builder(ds_serve, Box::new(oracle_serve))
-        .build()
-        .unwrap();
-    let serve_reqs: Vec<SuggestRequest> = query_fan(1, 64)
-        .iter()
-        .map(|q| SuggestRequest::new(vec![q[0].cos(), q[0].sin()]))
-        .collect();
-    let service = FairRankService::builder(ranker)
-        .workers(4)
-        .max_batch(64)
-        .queue_capacity(4096)
-        .build();
-    for req in &serve_reqs {
-        service.suggest(req.clone()).unwrap();
-    }
-    let total = 4096usize;
-    let (_, elapsed) = time(|| {
-        let futures: Vec<_> = serve_reqs
-            .iter()
-            .cycle()
-            .take(total)
-            .map(|r| service.submit(r.clone()).unwrap())
-            .collect();
-        for fut in futures {
-            fut.wait().unwrap();
-        }
-    });
-    let cache_stats = service.stats().cache.expect("cache enabled by default");
-    service.shutdown();
-    push(
-        "service.throughput_cached_rps",
-        (total as f64 / elapsed.as_secs_f64()).round(),
-    );
-    push(
-        "service.cache_hit_rate",
-        (cache_stats.hit_rate() * 1000.0).round() / 1000.0,
-    );
 
     let named: Vec<(&str, f64)> = series.iter().map(|(n, v)| (n.as_str(), *v)).collect();
     merge_into_baseline(&path, &named);

@@ -14,7 +14,7 @@
 //!   replicated deployment after convergence, clients spread across the
 //!   replica endpoints. The scaling series is the acceptance criterion:
 //!   aggregate throughput must grow with replica count.
-//! * `telemetry.overhead_pct` — cached-hit throughput cost of the stage
+//! * `telemetry.overhead_pct` — 2-D throughput cost of the stage
 //!   timing layer: the same workload against `.telemetry(true)` vs
 //!   `.telemetry(false)` services. The guard fails (exit 1) above 3%.
 //!
@@ -235,11 +235,11 @@ fn replicated_rps(n: usize) -> f64 {
     rps
 }
 
-/// Cached-hit throughput with the stage timing layer on vs off, as a
+/// 2-D throughput with the stage timing layer on vs off, as a
 /// percentage lost to telemetry. Best-of-two windows per leg damp
-/// scheduler noise; the same 64-request fan repeats, so after warmup
-/// the answer cache serves nearly every request — the worst case for
-/// timing overhead, since there is no oracle work to hide it behind.
+/// scheduler noise; the 2-D index decides every request without the
+/// oracle — the worst case for timing overhead, since there is no
+/// oracle work to hide it behind.
 fn telemetry_overhead_pct() -> (f64, f64, f64) {
     let mut best = [0f64; 2];
     for (slot, timing) in [(0usize, true), (1usize, false)] {
@@ -254,7 +254,7 @@ fn telemetry_overhead_pct() -> (f64, f64, f64) {
         )
         .expect("bind http");
         let addr = server.local_addr();
-        let _ = closed_loop_rps(&[addr], 2); // warm the answer cache
+        let _ = closed_loop_rps(&[addr], 2); // warm up
         best[slot] = closed_loop_rps(&[addr], 4).max(closed_loop_rps(&[addr], 4));
         server.shutdown();
     }
@@ -285,7 +285,7 @@ fn main() {
     .expect("bind http");
     let addr = server.local_addr();
 
-    // Short warmup settles the answer cache and the latency histogram.
+    // Short warmup settles the latency histogram.
     let _ = closed_loop_rps(&[addr], 2);
     let saturation = closed_loop_rps(&[addr], SATURATION_CONNS);
     println!("net.saturation_rps       {saturation:>12.0}");

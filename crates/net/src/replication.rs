@@ -322,8 +322,6 @@ pub struct ReplicaOptions {
     /// per core). Default 2 — replicas share a host in test and bench
     /// topologies.
     pub workers: usize,
-    /// Enable the replica's region-identity answer cache. Default true.
-    pub cache: bool,
     /// When the tail dies (stream error, version gap, writer restart),
     /// keep re-dialing the writer under capped exponential backoff
     /// (50 ms doubling to 2 s) and re-bootstrap from a fresh snapshot.
@@ -336,7 +334,6 @@ impl Default for ReplicaOptions {
     fn default() -> Self {
         ReplicaOptions {
             workers: 2,
-            cache: true,
             reconnect: true,
         }
     }
@@ -398,7 +395,6 @@ impl Replica {
         let service = Arc::new(
             FairRankService::builder(ranker)
                 .workers(options.workers)
-                .cache(options.cache)
                 .build(),
         );
 

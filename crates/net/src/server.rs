@@ -30,7 +30,7 @@
 //!   which is how deployments observe convergence.
 //! * `GET /metrics` — Prometheus text exposition over the service's
 //!   metric registry (request counters, per-stage latency histograms,
-//!   cache and replication counters, build timers). `/stats` is a JSON
+//!   replication counters, build timers). `/stats` is a JSON
 //!   view over the *same* registry cells, so the two cannot drift.
 //!
 //! **Backpressure → 503.** A [`ServiceError::Overloaded`] rejection
@@ -170,7 +170,7 @@ impl ServerShared {
     ///
     /// The per-request estimate is the **p95** of observed request
     /// latency (suggest and suggest_batch merged): a mean under bimodal
-    /// load — cache-hit floods punctuated by oracle-pass stragglers —
+    /// load — index-decided floods punctuated by oracle-pass stragglers —
     /// under-advises clients, while a tail quantile drains the backlog
     /// with high probability. Before any request has completed (nothing
     /// in the histograms), the clamp floor of 1 s applies —
@@ -434,7 +434,7 @@ fn route(shared: &ServerShared, req: &Request, keep_alive: bool, out: &mut Vec<u
         }
         ("GET", "/metrics") => {
             // `stats()` refreshes the derived gauges (queue depth,
-            // cache residency, version) in the registry; the counters
+            // version) in the registry; the counters
             // are the very cells `/stats` reports, so the two views
             // cannot drift. Build timers live in the process-global
             // registry — append every global family this service's
@@ -718,20 +718,6 @@ fn service_error_response(
 
 #[allow(clippy::cast_precision_loss)]
 fn stats_json(stats: &ServiceStats) -> String {
-    let cache = match &stats.cache {
-        Some(c) => Json::Obj(vec![
-            ("hits".to_string(), Json::Num(c.hits as f64)),
-            ("misses".to_string(), Json::Num(c.misses as f64)),
-            ("insertions".to_string(), Json::Num(c.insertions as f64)),
-            ("evictions".to_string(), Json::Num(c.evictions as f64)),
-            (
-                "invalidations".to_string(),
-                Json::Num(c.invalidations as f64),
-            ),
-            ("entries".to_string(), Json::Num(c.entries as f64)),
-        ]),
-        None => Json::Null,
-    };
     Json::Obj(vec![
         ("queued".to_string(), Json::Num(stats.queued as f64)),
         ("in_flight".to_string(), Json::Num(stats.in_flight as f64)),
@@ -740,7 +726,6 @@ fn stats_json(stats: &ServiceStats) -> String {
         ("batches".to_string(), Json::Num(stats.batches as f64)),
         ("rejected".to_string(), Json::Num(stats.rejected as f64)),
         ("workers".to_string(), Json::Num(stats.workers as f64)),
-        ("cache".to_string(), cache),
     ])
     .to_text()
 }

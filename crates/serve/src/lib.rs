@@ -35,26 +35,21 @@
 //! point-in-time [`FairRanker::snapshot`], and completes per-request
 //! one-shot futures. At most `workers` batches run at once, and a panic
 //! inside one fails only its callers ([`ServiceError::Panicked`]).
-//! Repeated traffic takes a fast path: a [`SuggestionCache`] memoizes
-//! the oracle's fairness verdict per certified weight-space region
-//! ([`fairrank::IndexBackend::region_of`]), so a hit skips the oracle's
-//! top-k selection pass while producing bit-identical answers.
+//! The service adds no answer path of its own, so its answers are the
+//! direct `respond_batch` answers on the same snapshot.
 //! [`FairRankService::try_suggest`] surfaces backpressure as
 //! [`ServiceError::Overloaded`]; [`FairRankService::update`] serializes
-//! writers, swaps generations copy-on-write so readers never block
-//! behind index maintenance, and purges the cache atomically with the
-//! swap. The whole pipeline is dependency-free: the tiny executor
-//! machinery lives in [`runtime`].
+//! writers and swaps generations copy-on-write so readers never block
+//! behind index maintenance. The whole pipeline is dependency-free: the
+//! tiny executor machinery lives in [`runtime`].
 //!
 //! [`FairRanker::respond_batch`]: fairrank::FairRanker::respond_batch
 //! [`FairRanker::snapshot`]: fairrank::FairRanker::snapshot
 
-mod cache;
 mod error;
 pub mod runtime;
 mod service;
 
-pub use cache::{CacheKey, CacheStats, SuggestionCache};
 pub use error::ServiceError;
 pub use service::{FairRankService, ServiceBuilder, ServiceStats, SuggestionFuture};
 
@@ -64,7 +59,9 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use fairrank::{DatasetUpdate, FairRanker, KnownFairness, Strategy, SuggestRequest};
+    use fairrank::{
+        DatasetUpdate, FairRanker, KnownFairness, Strategy, SuggestOptions, SuggestRequest,
+    };
     use fairrank_datasets::synthetic::generic;
     use fairrank_datasets::Dataset;
     use fairrank_fairness::{FairnessOracle, FnOracle, Proportionality};
@@ -112,6 +109,16 @@ mod tests {
                 let t = (i as f64 + 0.5) / count as f64 * HALF_PI;
                 SuggestRequest::new(vec![1.5 * t.cos(), 1.5 * t.sin()])
             })
+            .collect()
+    }
+
+    /// [`fan`] on the audit path (`index_fastpath = false`), so a slow
+    /// oracle is on every request's path: the 2-D index decides default
+    /// requests without asking it.
+    fn audit_fan(count: usize) -> Vec<SuggestRequest> {
+        fan(count)
+            .into_iter()
+            .map(|r| r.with_options(SuggestOptions::default().index_fastpath(false)))
             .collect()
     }
 
@@ -169,7 +176,7 @@ mod tests {
             .queue_capacity(4)
             .build();
         slow.store(true, Ordering::Relaxed);
-        let reqs = fan(64);
+        let reqs = audit_fan(64);
         let mut accepted = Vec::new();
         let mut overloaded = 0usize;
         for req in &reqs {
@@ -253,7 +260,7 @@ mod tests {
             .max_batch(64)
             .build();
         slow.store(true, Ordering::Relaxed);
-        let reqs = fan(12);
+        let reqs = audit_fan(12);
         let futures: Vec<_> = reqs
             .iter()
             .map(|r| service.submit(r.clone()).unwrap())

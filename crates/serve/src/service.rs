@@ -76,7 +76,6 @@ use fairrank::{
 use fairrank_datasets::kernels::RankScratch;
 use fairrank_telemetry::{Counter, Gauge, Histogram, Registry, Stopwatch};
 
-use crate::cache::{CacheKey, CacheStats, SuggestionCache};
 use crate::error::ServiceError;
 use crate::runtime::{oneshot, Deadline};
 
@@ -88,8 +87,6 @@ pub struct ServiceBuilder {
     workers: usize,
     max_batch: usize,
     queue_capacity: usize,
-    cache_enabled: bool,
-    cache_capacity: usize,
     telemetry_enabled: bool,
     registry: Option<Arc<Registry>>,
 }
@@ -114,23 +111,6 @@ impl ServiceBuilder {
     /// (clamped to at least 1; default 1024).
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Enable or disable the region-identity answer cache
-    /// ([`SuggestionCache`]; default enabled). Disabled, every request
-    /// takes the full [`FairRanker::respond_batch`] path — useful as the
-    /// reference arm in equivalence tests and benchmarks.
-    pub fn cache(mut self, enabled: bool) -> Self {
-        self.cache_enabled = enabled;
-        self
-    }
-
-    /// Maximum number of cached region verdicts (clamped to at least 1;
-    /// default 4096). Entries are tiny — a packed key plus one bool — so
-    /// generous capacities are cheap.
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity.max(1);
         self
     }
 
@@ -160,12 +140,6 @@ impl ServiceBuilder {
             w => w,
         };
         let registry = self.registry.unwrap_or_else(|| Arc::new(Registry::new()));
-        let cache = self
-            .cache_enabled
-            .then(|| SuggestionCache::new(self.cache_capacity, workers.clamp(1, 16)));
-        if let Some(cache) = &cache {
-            cache.bind_telemetry(&registry);
-        }
         // Stage timers exist only when the timing layer is compiled in
         // *and* runtime-enabled: `timers.is_none()` means workers take
         // no clock reads at all, and the stage families never appear in
@@ -191,7 +165,6 @@ impl ServiceBuilder {
             derived: DerivedGauges::register(&registry),
             timers,
             telemetry: registry,
-            cache,
         });
         let handles = (0..workers)
             .map(|i| {
@@ -303,13 +276,12 @@ impl Metrics {
 }
 
 /// Gauges whose truth lives elsewhere (queue length under its mutex,
-/// cache residency behind shard locks, the dataset version behind the
-/// slot lock). [`FairRankService::stats`] refreshes them, and the HTTP
-/// tier calls `stats()` before rendering `/metrics`, so a scrape always
-/// sees values from the same snapshot `/stats` reports.
+/// the dataset version behind the slot lock).
+/// [`FairRankService::stats`] refreshes them, and the HTTP tier calls
+/// `stats()` before rendering `/metrics`, so a scrape always sees values
+/// from the same snapshot `/stats` reports.
 struct DerivedGauges {
     queue_depth: Gauge,
-    cache_entries: Gauge,
     version: Gauge,
 }
 
@@ -319,11 +291,6 @@ impl DerivedGauges {
             queue_depth: registry.gauge(
                 "fairrank_service_queue_depth",
                 "Requests currently waiting in the submission queue.",
-                &[],
-            ),
-            cache_entries: registry.gauge(
-                "fairrank_cache_entries",
-                "Region verdicts currently resident in the cache.",
                 &[],
             ),
             version: registry.gauge(
@@ -342,8 +309,6 @@ impl DerivedGauges {
 struct StageTimers {
     queue_wait: Histogram,
     coalesce: Histogram,
-    cache_lookup: Histogram,
-    fastpath: Histogram,
     oracle_pass: Histogram,
 }
 
@@ -358,8 +323,6 @@ impl StageTimers {
         StageTimers {
             queue_wait: stage("queue_wait"),
             coalesce: stage("coalesce"),
-            cache_lookup: stage("cache_lookup"),
-            fastpath: stage("fastpath"),
             oracle_pass: stage("oracle_pass"),
         }
     }
@@ -390,12 +353,6 @@ struct Shared {
     /// The metric registry every handle above lives in — what
     /// `GET /metrics` renders.
     telemetry: Arc<Registry>,
-    /// The region-identity verdict cache ([`SuggestionCache`]), `None`
-    /// when disabled via [`ServiceBuilder::cache`]. Purged under the
-    /// slot's write lock on every generation swap, and keys carry the
-    /// generation's version besides, so a hit can never replay a verdict
-    /// from a superseded snapshot.
-    cache: Option<SuggestionCache>,
 }
 
 /// Operational counters for dashboards and load shedding.
@@ -420,9 +377,6 @@ pub struct ServiceStats {
     /// Worker threads in the pool, which is also the most batches that
     /// run at once.
     pub workers: usize,
-    /// Region-identity cache counters; `None` when the cache is disabled
-    /// ([`ServiceBuilder::cache`]).
-    pub cache: Option<CacheStats>,
 }
 
 /// An awaitable [`Suggestion`]: resolves when the request's batch is
@@ -490,8 +444,6 @@ impl FairRankService {
             workers: 0,
             max_batch: 16,
             queue_capacity: 1024,
-            cache_enabled: true,
-            cache_capacity: 4096,
             telemetry_enabled: true,
             registry: None,
         }
@@ -676,19 +628,7 @@ impl FairRankService {
         // and FairRanker::update takes its copy-on-write path: the old
         // index keeps serving until the swap below.
         let outcome = fork.update(update).map_err(ServiceError::Rank)?;
-        {
-            // Purge while holding the write lock: the swap and the cache
-            // invalidation are atomic with respect to workers, which read
-            // the slot before consulting the cache — no worker can pair
-            // the new generation with a pre-purge entry. (Keys carry the
-            // version too, so even a missed purge could only waste
-            // memory, never correctness.)
-            let mut slot = self.shared.slot.write().expect("slot lock poisoned");
-            *slot = fork;
-            if let Some(cache) = &self.shared.cache {
-                cache.purge();
-            }
-        }
+        *self.shared.slot.write().expect("slot lock poisoned") = fork;
         Ok(outcome)
     }
 
@@ -718,10 +658,8 @@ impl FairRankService {
     ///
     /// Runs through the same serialized writer path as
     /// [`update`](FairRankService::update): the swap happens under a
-    /// momentary write lock with the answer cache purged in the same
-    /// critical section, so in-flight micro-batches finish on the
-    /// snapshot they captured and no cached verdict survives from the
-    /// replaced generation.
+    /// momentary write lock, so in-flight micro-batches finish on the
+    /// snapshot they captured.
     ///
     /// # Errors
     /// [`ServiceError::Rank`] with a
@@ -739,11 +677,7 @@ impl FairRankService {
                 },
             ));
         }
-        let mut slot = self.shared.slot.write().expect("slot lock poisoned");
-        *slot = ranker;
-        if let Some(cache) = &self.shared.cache {
-            cache.purge();
-        }
+        *self.shared.slot.write().expect("slot lock poisoned") = ranker;
         Ok(())
     }
 
@@ -762,12 +696,7 @@ impl FairRankService {
             .snapshot();
         let outcome = fork.flush_updates().map_err(ServiceError::Rank)?;
         if outcome != UpdateOutcome::Noop {
-            // Same swap-and-purge critical section as `update`.
-            let mut slot = self.shared.slot.write().expect("slot lock poisoned");
-            *slot = fork;
-            if let Some(cache) = &self.shared.cache {
-                cache.purge();
-            }
+            *self.shared.slot.write().expect("slot lock poisoned") = fork;
         }
         Ok(outcome)
     }
@@ -807,18 +736,13 @@ impl FairRankService {
     }
 
     /// Operational counters. Also refreshes the derived registry gauges
-    /// (queue depth, cache residency, dataset version) so a `/metrics`
+    /// (queue depth, dataset version) so a `/metrics`
     /// scrape rendered right after reports the same snapshot — the
     /// counters themselves are shared cells and agree by construction.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
         let queued = self.shared.lock_queue().pending.len();
-        let cache = self.shared.cache.as_ref().map(SuggestionCache::stats);
         self.shared.derived.queue_depth.set(queued as i64);
-        self.shared
-            .derived
-            .cache_entries
-            .set(cache.map_or(0, |c| c.entries) as i64);
         self.shared.derived.version.set(self.version() as i64);
         ServiceStats {
             queued,
@@ -828,7 +752,6 @@ impl FairRankService {
             batches: self.shared.metrics.batches.get(),
             rejected: self.shared.metrics.rejected.get(),
             workers: self.shared.workers,
-            cache,
         }
     }
 
@@ -840,14 +763,6 @@ impl FairRankService {
     #[must_use]
     pub fn telemetry(&self) -> Arc<Registry> {
         Arc::clone(&self.shared.telemetry)
-    }
-
-    /// Region-identity cache counters alone (a cheaper subset of
-    /// [`stats`](FairRankService::stats)); `None` when the cache is
-    /// disabled.
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.shared.cache.as_ref().map(SuggestionCache::stats)
     }
 
     /// Stop accepting new submissions without tearing the pool down:
@@ -1055,9 +970,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Answer `reqs` in order on a point-in-time snapshot: region-cache hits
-/// through the verdict fast path, everything else through one
-/// [`FairRanker::respond_batch`].
+/// Answer `reqs` in order on a point-in-time snapshot, through one
+/// [`FairRanker::respond_batch`] timed as the `oracle_pass` stage.
 fn answer_batch(
     shared: &Shared,
     reqs: Vec<SuggestRequest>,
@@ -1066,111 +980,15 @@ fn answer_batch(
     // batch: a concurrent update advances the slot without touching the
     // generation we're answering from.
     let ranker = shared.slot.read().expect("slot lock poisoned").snapshot();
-    let version = ranker.version();
-    let cache = shared.cache.as_ref();
-    let timers = shared.timers.as_ref();
-
-    // Route each request: classify against the region cache first, then
-    // serve hits through the verdict fast path and misses through one
-    // `respond_batch` call — the same answers in the same completion
-    // order as the unstaged loop, but with each phase (`cache_lookup` →
-    // `fastpath` → `oracle_pass`) observable as a per-batch span. A
-    // cached region verdict skips the oracle ranking pass entirely
-    // ([`FairRanker::respond_with_verdict`] runs the same
-    // suggestion/finish code as the batch path, so answers stay
-    // bit-identical); misses seed the cache on the way out.
-    let mut answers: Vec<Option<Result<Suggestion, ServiceError>>> = Vec::with_capacity(reqs.len());
-    let mut hit_reqs: Vec<(usize, SuggestRequest, bool)> = Vec::new();
-    let mut miss_reqs: Vec<SuggestRequest> = Vec::new();
-    let mut miss_slots: Vec<(usize, Option<CacheKey>)> = Vec::new();
-    let lookup = Stopwatch::start_if(timers.is_some());
-    for req in reqs {
-        let key = cache.and_then(|cache| match ranker.region_of(&req.query) {
-            Some(region) => Some(CacheKey {
-                region,
-                k: req.k,
-                options: req.options,
-                version,
-            }),
-            None => {
-                // Uncertified queries still count in the hit-rate
-                // denominator — a backend that certifies nothing must
-                // read as 0% hits, not as no traffic.
-                cache.note_uncacheable();
-                None
-            }
-        });
-        let hit = match (&key, cache) {
-            (Some(key), Some(cache)) => cache.get(key),
-            _ => None,
-        };
-        match hit {
-            Some(fair) => {
-                // Version coherence: the key embeds the snapshot's
-                // version, so a hit replays a verdict from exactly the
-                // generation answering this batch.
-                debug_assert_eq!(key.map(|k| k.version), Some(version));
-                hit_reqs.push((answers.len(), req, fair));
-            }
-            None => {
-                miss_slots.push((answers.len(), key));
-                miss_reqs.push(req);
-            }
-        }
-        answers.push(None);
-    }
-    if let Some(timers) = timers {
-        lookup.record(&timers.cache_lookup);
-    }
-
-    if !hit_reqs.is_empty() {
-        let fastpath = Stopwatch::start_if(timers.is_some());
-        for (slot, req, fair) in hit_reqs {
-            let answer = ranker
-                .respond_with_verdict(&req, fair)
-                .map_err(ServiceError::Rank);
-            if let Ok(suggestion) = &answer {
-                debug_assert_eq!(
-                    suggestion.version, version,
-                    "cache hit answered from a different generation"
-                );
-            }
-            answers[slot] = Some(answer);
-        }
-        if let Some(timers) = timers {
-            fastpath.record(&timers.fastpath);
-        }
-    }
-
-    if !miss_reqs.is_empty() {
-        let oracle_pass = Stopwatch::start_if(timers.is_some());
-        match ranker.respond_batch(&miss_reqs) {
-            Ok(batch_answers) => {
-                for ((slot, key), answer) in miss_slots.into_iter().zip(batch_answers) {
-                    if let (Some(cache), Some(key)) = (cache, key) {
-                        // `AlreadyFair` is exactly the oracle-fair verdict
-                        // the fast path needs; Suggested and Infeasible
-                        // both replay through `suggest_unfair`.
-                        cache.insert(key, answer.is_already_fair());
-                    }
-                    answers[slot] = Some(Ok(answer));
-                }
-            }
-            Err(e) => {
-                // Unreachable for queue-validated requests; defensively
-                // fail the batch's callers rather than the executor.
-                let e = ServiceError::Rank(e);
-                for (slot, _) in miss_slots {
-                    answers[slot] = Some(Err(e.clone()));
-                }
-            }
-        }
-        if let Some(timers) = timers {
-            oracle_pass.record(&timers.oracle_pass);
-        }
+    let oracle_pass = Stopwatch::start_if(shared.timers.is_some());
+    let answers = match ranker.respond_batch(&reqs) {
+        Ok(answers) => answers.into_iter().map(Ok).collect(),
+        // Unreachable for queue-validated requests; defensively fail the
+        // batch's callers rather than the executor.
+        Err(e) => vec![Err(ServiceError::Rank(e)); reqs.len()],
+    };
+    if let Some(timers) = &shared.timers {
+        oracle_pass.record(&timers.oracle_pass);
     }
     answers
-        .into_iter()
-        .map(|a| a.expect("every routed request has an answer"))
-        .collect()
 }

@@ -262,8 +262,8 @@ impl Registry {
     }
 
     /// Registers an *existing* counter handle under `(name, labels)` —
-    /// for components (like the suggestion cache) that construct their
-    /// counters detached and bind them to a registry later. If the
+    /// for components that construct their counters detached and bind
+    /// them to a registry later. If the
     /// series already exists, the existing cell wins and `handle` is
     /// left detached.
     pub fn bind_counter(&self, name: &str, help: &str, labels: &[(&str, &str)], handle: &Counter) {

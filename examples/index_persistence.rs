@@ -3,8 +3,8 @@
 //! 1. **Whole ranker** — build with the unified builder, persist with
 //!    [`FairRanker::save`], reload in a fresh "online replica" with
 //!    [`FairRanker::load`] (the backend kind travels in the envelope;
-//!    the replica never names it), and serve a batch through the
-//!    sharded parallel path.
+//!    the replica never names it), and serve a batch through
+//!    [`FairRanker::respond_batch`].
 //! 2. **Raw artifact** — the original byte-level codec for shipping an
 //!    [`fairrank::approximate::ApproxIndex`] alone, for online sides
 //!    that keep neither the dataset nor the oracle.
@@ -56,15 +56,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         path.display()
     );
 
-    // ---- online replica (whole-ranker load + sharded serving) -----------
+    // ---- online replica (whole-ranker load + batched serving) -----------
     let replica = FairRanker::load(&path, ds.clone(), Box::new(oracle))?;
     let reqs: Vec<SuggestRequest> = (0..32)
         .map(|i| SuggestRequest::new(vec![1.0, 0.1 + 0.05 * f64::from(i), 0.4]))
         .collect();
     let t = Instant::now();
-    let answers = replica.respond_batch_parallel(&reqs, 4)?;
+    let answers = replica.respond_batch(&reqs)?;
     println!(
-        "online:  replica answered {} queries over 4 shards in {:.2?} \
+        "online:  replica answered {} queries in one batch in {:.2?} \
          (answers match the offline ranker: {})",
         answers.len(),
         t.elapsed(),

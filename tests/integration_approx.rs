@@ -2,7 +2,7 @@
 //! MARKCELL/ATC⁺ → CELLCOLORING → MDONLINE — against ground truth.
 
 use fairrank::approximate::{ApproxIndex, BuildOptions};
-use fairrank::{FairRanker, KnownFairness, Strategy, SuggestRequest};
+use fairrank::{Answer, FairRanker, KnownFairness, QueryCtx, Strategy, SuggestRequest};
 use fairrank_datasets::synthetic::{compas, generic};
 use fairrank_fairness::{FairnessOracle, Proportionality};
 use fairrank_geometry::grid::PartitionScheme;
@@ -183,5 +183,57 @@ fn four_dimensional_build() {
     if index.is_satisfiable() {
         let f = index.lookup(&[0.5, 0.5, 0.5]).unwrap();
         assert!(oracle.is_satisfactory(&ds.rank(&to_cartesian(1.0, f))));
+    }
+}
+
+/// A query whose components overflow or underflow when squared gets the
+/// grid's answer for the same direction at norm 1: the same suggested
+/// direction and distance, with finite weights at the query's own norm.
+#[test]
+fn extreme_query_norms_get_the_unit_norm_suggestion() {
+    let ds = generic::uniform(300, 3, 0.8, 5);
+    let oracle =
+        Proportionality::new(ds.type_attribute("group").unwrap(), 30).with_max_count(0, 18);
+    let ranker = FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
+        .strategy(Strategy::MdApprox)
+        .approx_options(BuildOptions {
+            n_cells: 100,
+            max_hyperplanes: Some(100),
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    let ctx = QueryCtx {
+        ds: &ds,
+        oracle: &oracle,
+    };
+    let suggest = |scale: f64| {
+        let q = [1.0, 0.05, 0.05].map(|x| x * scale);
+        match ranker.backend().suggest_unfair(&q, &ctx).unwrap() {
+            Answer::Suggested { weights, distance } => (weights, distance),
+            other => panic!("scale {scale}: expected a suggestion, got {other:?}"),
+        }
+    };
+    let norm = |w: &[f64]| fairrank_geometry::vector::norm(w);
+    let (unit_weights, unit_distance) = suggest(1.0);
+    let unit_norm = norm(&[1.0, 0.05, 0.05]);
+    for scale in [1e200, 1e-310] {
+        let (weights, distance) = suggest(scale);
+        assert!(
+            weights.iter().all(|w| w.is_finite()),
+            "{scale}: {weights:?}"
+        );
+        assert!(
+            (distance - unit_distance).abs() < 1e-9,
+            "{scale}: {distance}"
+        );
+        let n = norm(&weights);
+        assert!(
+            (n / scale / unit_norm - 1.0).abs() < 1e-9,
+            "{scale}: norm {n}"
+        );
+        for (w, u) in weights.iter().zip(&unit_weights) {
+            assert!((w / n - u / unit_norm).abs() < 1e-9, "{scale}: {weights:?}");
+        }
     }
 }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fairrank::geometry::HALF_PI;
-use fairrank::{DatasetUpdate, FairRanker, Strategy, SuggestRequest, Suggestion};
+use fairrank::{DatasetUpdate, FairRanker, Strategy, SuggestOptions, SuggestRequest, Suggestion};
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
 use fairrank_fairness::{FairnessOracle, FnOracle, Proportionality};
@@ -140,7 +140,6 @@ fn stats_healthz_and_routing() {
     assert_eq!(doc.get("submitted").and_then(Json::as_u64), Some(1));
     assert_eq!(doc.get("completed").and_then(Json::as_u64), Some(1));
     assert!(doc.get("in_flight").and_then(Json::as_u64).is_some());
-    assert!(doc.get("cache").is_some());
 
     let resp = client.request("GET", "/healthz", b"").unwrap();
     assert_eq!(resp.status, 200);
@@ -171,7 +170,9 @@ fn stats_healthz_and_routing() {
 fn overload_maps_to_503_with_retry_after() {
     // A sleeping oracle makes service time, not protocol overhead, the
     // bottleneck: 8 concurrent clients against a 1-worker/1-batch
-    // service with a 2-slot queue must shed load.
+    // service with a 2-slot queue must shed load. The requests take the
+    // audit path, which asks the oracle; the 2-D index would otherwise
+    // decide them without it.
     let ds = generic::uniform(12, 2, 0.9, 73);
     let oracle = FnOracle::new("slow-top-half", |ranking: &[u32]| {
         std::thread::sleep(Duration::from_millis(2));
@@ -186,7 +187,6 @@ fn overload_maps_to_503_with_retry_after() {
             .workers(1)
             .max_batch(1)
             .queue_capacity(2)
-            .cache(false)
             .build(),
     );
     let server = HttpServer::bind(
@@ -206,7 +206,8 @@ fn overload_maps_to_503_with_retry_after() {
             .map(|i| {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
-                    let req = SuggestRequest::new(vec![1.0, 0.2 + 0.1 * f64::from(i)]);
+                    let req = SuggestRequest::new(vec![1.0, 0.2 + 0.1 * f64::from(i)])
+                        .with_options(SuggestOptions::default().index_fastpath(false));
                     let mut served = 0u64;
                     let mut shed = 0u64;
                     for _ in 0..10 {
@@ -299,15 +300,13 @@ fn serving_panic_maps_to_500_without_its_message() {
         .build()
         .unwrap();
     let reference = ranker.snapshot();
-    let service = Arc::new(
-        FairRankService::builder(ranker)
-            .workers(1)
-            .cache(false)
-            .build(),
-    );
+    let service = Arc::new(FairRankService::builder(ranker).workers(1).build());
     let server = HttpServer::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let req = SuggestRequest::new(vec![1.0, 0.4]);
+    // An audit request, so the oracle is asked: the 2-D index would
+    // decide a default request without it.
+    let req = SuggestRequest::new(vec![1.0, 0.4])
+        .with_options(SuggestOptions::default().index_fastpath(false));
 
     armed.store(true, Ordering::SeqCst);
     let resp = client.suggest(&req).unwrap();

@@ -749,92 +749,3 @@ fn regression_duplicate_dataset_rows() {
     let sweep = ray_sweep(&ds, &oracle).unwrap();
     let _ = sweep.intervals.measure();
 }
-
-// ---------------------------------------------------------------------
-// Region identity (the serving cache's soundness contract)
-// ---------------------------------------------------------------------
-
-/// The three backends, built exactly (no hyperplane truncation) so every
-/// one can certify regions. Built once: arrangement/grid construction is
-/// far too expensive per proptest case.
-fn region_rankers() -> &'static [fairrank::FairRanker] {
-    use fairrank::approximate::BuildOptions;
-    use fairrank::{FairRanker, Strategy};
-    static RANKERS: std::sync::OnceLock<Vec<FairRanker>> = std::sync::OnceLock::new();
-    RANKERS.get_or_init(|| {
-        let build = |ds: &Dataset, strategy: Strategy| {
-            let attr = ds.type_attribute("group").unwrap();
-            let k = (ds.len() / 4).max(2);
-            let oracle = Proportionality::new(attr, k).with_max_count(0, (k * 3 / 5).max(1));
-            FairRanker::builder(ds.clone(), Box::new(oracle))
-                .strategy(strategy)
-                .approx_options(BuildOptions {
-                    n_cells: 100,
-                    ..Default::default()
-                })
-                .build()
-                .unwrap()
-        };
-        vec![
-            build(&generic::uniform(40, 2, 0.9, 201), Strategy::TwoD),
-            build(&generic::uniform(14, 3, 0.9, 202), Strategy::MdExact),
-            build(&generic::uniform(24, 3, 0.85, 203), Strategy::MdApprox),
-        ]
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// [`IndexBackend::region_of`] soundness, the contract the serving
-    /// tier's answer cache rests on: two random queries that receive the
-    /// *same* region key must receive the same answer modulo the echoed
-    /// query weights — the same fairness verdict, and (for suggestions)
-    /// the same suggested ray. Exercised on all three backends.
-    #[test]
-    fn equal_region_keys_imply_equal_answers(
-        q1 in positive_weights(3),
-        q2 in positive_weights(3),
-    ) {
-        use fairrank::{KnownFairness, SuggestRequest};
-        for ranker in region_rankers() {
-            let d = ranker.dataset().dim();
-            let (a, b) = (&q1[..d], &q2[..d]);
-            let (Some(k1), Some(k2)) = (ranker.region_of(a), ranker.region_of(b)) else {
-                continue;
-            };
-            if k1 != k2 {
-                continue;
-            }
-            let r1 = ranker.respond(&SuggestRequest::new(a.to_vec())).unwrap();
-            let r2 = ranker.respond(&SuggestRequest::new(b.to_vec())).unwrap();
-            prop_assert_eq!(
-                std::mem::discriminant(&r1.fairness),
-                std::mem::discriminant(&r2.fairness),
-                "verdict differs within region {:?}: {:?} vs {:?}",
-                k1,
-                r1.fairness,
-                r2.fairness
-            );
-            if let (
-                KnownFairness::Suggested { .. },
-                KnownFairness::Suggested { .. },
-            ) = (&r1.fairness, &r2.fairness)
-            {
-                // The suggested *ray* is a property of the region; only
-                // its scaling follows the query's norm.
-                let n1: f64 = r1.weights.iter().map(|v| v * v).sum::<f64>().sqrt();
-                let n2: f64 = r2.weights.iter().map(|v| v * v).sum::<f64>().sqrt();
-                for (x, y) in r1.weights.iter().zip(&r2.weights) {
-                    prop_assert!(
-                        (x / n1 - y / n2).abs() < 1e-9,
-                        "suggested rays diverge within region {:?}: {:?} vs {:?}",
-                        k1,
-                        r1.weights,
-                        r2.weights
-                    );
-                }
-            }
-        }
-    }
-}

@@ -19,11 +19,14 @@ use std::time::{Duration, Instant};
 
 use fairrank::approximate::BuildOptions;
 use fairrank::md::SatRegionsOptions;
-use fairrank::{DatasetUpdate, FairRanker, Strategy, SuggestRequest, UpdateOutcome};
+use fairrank::{
+    DatasetUpdate, FairRanker, Strategy, SuggestOptions, SuggestRequest, UpdateOutcome,
+};
 use fairrank_datasets::kernels::RankScratch;
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
 use fairrank_fairness::{FairnessOracle, FnOracle, Proportionality};
+use fairrank_geometry::polar::to_cartesian;
 use fairrank_geometry::HALF_PI;
 use fairrank_serve::{runtime, FairRankService, ServiceError};
 
@@ -90,6 +93,19 @@ fn fan(d: usize, count: usize) -> Vec<SuggestRequest> {
     queries.into_iter().map(SuggestRequest::new).collect()
 }
 
+/// `req` on the audit path (`index_fastpath = false`), where the oracle
+/// decides the verdict. The tests whose oracle sleeps, blocks, counts
+/// or panics serve audit requests: the 2-D index decides a default
+/// request without asking the oracle.
+fn audit(req: SuggestRequest) -> SuggestRequest {
+    req.with_options(SuggestOptions::default().index_fastpath(false))
+}
+
+/// [`fan`] in 2-D on the audit path.
+fn audit_fan(count: usize) -> Vec<SuggestRequest> {
+    fan(2, count).into_iter().map(audit).collect()
+}
+
 /// Concurrently submitted service answers must equal the direct
 /// synchronous batch path, field for field (weights, verdict, version,
 /// stats) — on every backend.
@@ -140,6 +156,61 @@ fn service_matches_direct_md_approx() {
     assert_service_matches_direct(build(&ds, Strategy::MdApprox), &fan(3, 24));
 }
 
+/// Every query of a dense 3-D angle grid over the orthant, `side` steps
+/// per angle, in row-major order.
+fn angle_grid(side: usize) -> Vec<SuggestRequest> {
+    let step = |i: usize| (i as f64 + 0.5) / side as f64 * HALF_PI;
+    (0..side * side)
+        .map(|c| SuggestRequest::new(to_cartesian(1.0, &[step(c / side), step(c % side)])))
+        .collect()
+}
+
+/// A default-built one-worker service answers every query of a dense
+/// angle grid exactly as `respond` does on the same snapshot, served one
+/// at a time so each answer could depend on those before it.
+fn assert_service_matches_respond_on_grid(strategy: Strategy, seed: u64, side: usize) {
+    let ds = generic::uniform(24, 3, 0.95, seed);
+    let oracle = Proportionality::new(ds.type_attribute("group").unwrap(), 6).with_max_count(0, 3);
+    let ranker = FairRanker::builder(ds, Box::new(oracle))
+        .strategy(strategy)
+        .approx_options(BuildOptions {
+            n_cells: 120,
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    let reference = ranker.snapshot();
+    let service = FairRankService::builder(ranker).workers(1).build();
+    for req in angle_grid(side) {
+        assert_eq!(
+            service.suggest(req.clone()).unwrap(),
+            reference.respond(&req).unwrap(),
+            "{strategy:?} seed {seed}: the service diverged from respond at {req:?}"
+        );
+    }
+    service.shutdown();
+}
+
+// A served answer must not depend on the queries served before it. The
+// grids and seeds are dense enough that reusing one query's verdict for
+// a later query in the same stored arrangement region or grid cell
+// (whose linearized borders only approximate the true exchange
+// surfaces) changes answers: 4 of the 256 exact-arrangement queries at
+// seed 1000, and 6, 1 and 8 of the 3,600 grid queries at seeds 1000,
+// 1001 and 1003.
+
+#[test]
+fn service_matches_respond_on_dense_grid_md_exact() {
+    assert_service_matches_respond_on_grid(Strategy::MdExact, 1000, 16);
+}
+
+#[test]
+fn service_matches_respond_on_dense_grid_md_approx() {
+    for seed in 1000..1006 {
+        assert_service_matches_respond_on_grid(Strategy::MdApprox, seed, 60);
+    }
+}
+
 /// Interleaved updates, deterministic half: after each update the
 /// service's answers are bit-identical to a direct ranker at the same
 /// version, and pre-update snapshots stay frozen.
@@ -169,6 +240,7 @@ fn interleaved_updates_match_per_version_references() {
         for req in &reqs {
             let got = service.suggest(req.clone()).unwrap();
             assert_eq!(got.version, round as u64);
+            assert!(got.stats.index_decided, "the 2-D index decides {req:?}");
             let want = references[&got.version].respond(req).unwrap();
             assert_eq!(got, want, "diverged at version {} {req:?}", got.version);
         }
@@ -236,6 +308,7 @@ fn concurrent_updates_preserve_snapshot_semantics() {
                         }
                         std::thread::yield_now();
                     };
+                    assert!(got.stats.index_decided, "the 2-D index decides {req:?}");
                     assert_eq!(got, reference.respond(req).unwrap());
                 }
             });
@@ -259,7 +332,7 @@ fn shutdown_drains_and_answers_pending_requests() {
         .max_batch(128)
         .build();
     slow.store(true, Ordering::Relaxed);
-    let reqs = fan(2, 20);
+    let reqs = audit_fan(20);
     let futures: Vec<_> = reqs
         .iter()
         .map(|r| service.submit(r.clone()).unwrap())
@@ -290,7 +363,7 @@ fn overloaded_submissions_shed_accepted_ones_answer() {
         .queue_capacity(3)
         .build();
     slow.store(true, Ordering::Relaxed);
-    let reqs = fan(2, 40);
+    let reqs = audit_fan(40);
     let mut accepted = Vec::new();
     let mut shed = 0usize;
     for req in &reqs {
@@ -320,7 +393,7 @@ fn overloaded_submissions_shed_accepted_ones_answer() {
 fn requests_queued_behind_a_busy_worker_drain_together() {
     let ds = generic::uniform(30, 2, 0.9, 89);
     let (ranker, slow) = build_slow(&ds);
-    let reqs = fan(2, 12);
+    let reqs = audit_fan(12);
     let direct = ranker.snapshot().respond_batch(&reqs).unwrap();
     let service = FairRankService::builder(ranker).workers(1).build();
     slow.store(true, Ordering::Relaxed);
@@ -407,46 +480,6 @@ fn updater_done(service: &FairRankService, rounds: u64) -> bool {
     service.backend_stats().updates >= rounds
 }
 
-/// The region-identity answer cache (enabled by default) must be
-/// invisible in the answers on every backend: serving the same repeated
-/// request stream through a cache-enabled and a cache-disabled service
-/// yields bit-identical suggestions. The deeper cached-path gates
-/// (certified builds, updates, races) live in `cache_equivalence.rs` —
-/// this one pins the default service configuration used everywhere else
-/// in this suite.
-#[test]
-fn cached_and_uncached_services_answer_bit_identically() {
-    let cases = [
-        (Strategy::TwoD, generic::uniform(45, 2, 0.9, 95), 2),
-        (Strategy::MdExact, generic::uniform(16, 3, 0.9, 96), 3),
-        (Strategy::MdApprox, generic::uniform(30, 3, 0.85, 97), 3),
-    ];
-    for (strategy, ds, d) in cases {
-        let ranker = build(&ds, strategy);
-        let reqs = fan(d, 16);
-        let cached = FairRankService::builder(ranker.snapshot())
-            .workers(2)
-            .max_batch(4)
-            .build();
-        let uncached = FairRankService::builder(ranker)
-            .workers(2)
-            .max_batch(4)
-            .cache(false)
-            .build();
-        for req in reqs.iter().cycle().take(reqs.len() * 3) {
-            assert_eq!(
-                cached.suggest(req.clone()).unwrap(),
-                uncached.suggest(req.clone()).unwrap(),
-                "cache changed the answer for {strategy:?} at {req:?}"
-            );
-        }
-        assert!(cached.stats().cache.is_some());
-        assert!(uncached.stats().cache.is_none());
-        cached.shutdown();
-        uncached.shutdown();
-    }
-}
-
 thread_local! {
     /// Set on a thread while it applies an update: the writer's index
     /// maintenance may consult the oracle, and that is not serving.
@@ -501,7 +534,7 @@ fn caller_run_and_pool_run_batches_stay_within_workers() {
         .max_batch(4)
         .build();
     let references = Mutex::new(HashMap::from([(0u64, service.snapshot())]));
-    let reqs = fan(2, 18);
+    let reqs = audit_fan(18);
     probe.counting.store(true, Ordering::SeqCst);
     let answers: Vec<(SuggestRequest, fairrank::Suggestion)> = std::thread::scope(|scope| {
         let service = &service;
@@ -591,8 +624,8 @@ fn blocked_caller_waits_for_a_free_slot() {
         .build();
     probe.counting.store(true, Ordering::SeqCst);
     let burst = [
-        SuggestRequest::new(vec![1.0, 0.1]),
-        SuggestRequest::new(vec![0.4, 1.0]),
+        audit(SuggestRequest::new(vec![1.0, 0.1])),
+        audit(SuggestRequest::new(vec![0.4, 1.0])),
     ];
     let futures: Vec<_> = burst
         .iter()
@@ -608,12 +641,14 @@ fn blocked_caller_waits_for_a_free_slot() {
         );
         std::thread::yield_now();
     }
-    let probe_req = SuggestRequest::new(vec![1.0, 0.35]);
+    let probe_req = audit(SuggestRequest::new(vec![1.0, 0.35]));
     let got = service.suggest(probe_req.clone()).unwrap();
-    for (req, fut) in burst.iter().zip(futures) {
-        assert_eq!(fut.wait().unwrap(), reference.respond(req).unwrap());
-    }
+    let answers: Vec<_> = futures.into_iter().map(|f| f.wait().unwrap()).collect();
+    // Stop counting before the reference answers ask the oracle.
     probe.counting.store(false, Ordering::SeqCst);
+    for (req, answer) in burst.iter().zip(answers) {
+        assert_eq!(answer, reference.respond(req).unwrap());
+    }
     assert_eq!(got, reference.respond(&probe_req).unwrap());
     assert_eq!(
         probe.peak.load(Ordering::SeqCst),
@@ -639,8 +674,8 @@ fn a_freed_slot_wakes_the_pool_for_queued_requests() {
     let service = Arc::new(FairRankService::builder(ranker).workers(1).build());
     probe.counting.store(true, Ordering::SeqCst);
     let reqs = [
-        SuggestRequest::new(vec![1.0, 0.1]),
-        SuggestRequest::new(vec![0.4, 1.0]),
+        audit(SuggestRequest::new(vec![1.0, 0.1])),
+        audit(SuggestRequest::new(vec![0.4, 1.0])),
     ];
     let (tx, rx) = mpsc::channel();
     for (i, req) in reqs.iter().enumerate() {
@@ -655,14 +690,19 @@ fn a_freed_slot_wakes_the_pool_for_queued_requests() {
             std::thread::yield_now();
         }
     }
-    for _ in 0..reqs.len() {
-        let (i, got) = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("a queued request was left unserved");
-        assert_eq!(got.unwrap(), reference.respond(&reqs[i]).unwrap());
-    }
+    let answers: Vec<_> = reqs
+        .iter()
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("a queued request was left unserved")
+        })
+        .collect();
+    // Stop counting before the reference answers ask the oracle.
     probe.counting.store(false, Ordering::SeqCst);
     assert_eq!(probe.peak.load(Ordering::SeqCst), 1);
+    for (i, got) in answers {
+        assert_eq!(got.unwrap(), reference.respond(&reqs[i]).unwrap());
+    }
 }
 
 /// Regression: a panicking oracle used to kill the only pool worker; its
@@ -683,7 +723,7 @@ fn oracle_panic_fails_its_batch_and_serving_continues() {
     let ranker = build_with(&ds, Strategy::TwoD, Box::new(oracle));
     let reference = ranker.snapshot();
     let service = Arc::new(FairRankService::builder(ranker).workers(1).build());
-    let reqs = fan(2, 4);
+    let reqs = audit_fan(4);
 
     // Each step runs on its own thread under a deadline: a wedged
     // service must fail the test, not hang it.
@@ -740,9 +780,8 @@ fn serving_callers_keep_no_ranking_scratch() {
     let ds = generic::uniform(400, 2, 0.9, 111);
     let service = FairRankService::builder(build(&ds, Strategy::TwoD))
         .workers(2)
-        .cache(false)
         .build();
-    let reqs = fan(2, 8);
+    let reqs = audit_fan(8);
     std::thread::scope(|scope| {
         for _ in 0..6 {
             let (service, reqs) = (&service, &reqs);
@@ -801,10 +840,9 @@ fn shutdown_completes_while_blocked_callers_hold_every_slot() {
     let service = FairRankService::builder(ranker)
         .workers(2)
         .max_batch(1)
-        .cache(false)
         .build();
     let service = Arc::new(Mutex::new(Some(service)));
-    let reqs = fan(2, 3);
+    let reqs = audit_fan(3);
     let finished = Arc::new(AtomicUsize::new(0));
     let await_count = |counter: &AtomicUsize, target: usize, what: &str| {
         let start = Instant::now();

@@ -1,10 +1,12 @@
-//! Sharded serving, strategy selection and the cell-partitioned oracle
-//! pass must be invisible in the answers: `respond_batch_parallel` is
-//! element-wise identical to serial `respond` on every backend and shard
-//! count, `Strategy::Auto` answers bit-identically to the explicit
-//! strategy it resolves to, and the approximate grid's "already fair?"
-//! check through a cell's top-k partition answers bit-identically to the
-//! full-ranking audit path (`index_fastpath = false`).
+//! The index shortcuts of the serving path, batching and strategy
+//! selection must be invisible in the answers: `respond_batch` is
+//! element-wise identical to serial `respond`, and its index-first
+//! answers serve the same weights, verdict, version and top-k as the
+//! audit path (`index_fastpath = false`) on every backend;
+//! `Strategy::Auto` answers bit-identically to the explicit strategy it
+//! resolves to; and the approximate grid's "already fair?" check through
+//! a cell's top-k partition answers bit-identically to the full-ranking
+//! audit path.
 
 use proptest::prelude::*;
 
@@ -58,33 +60,43 @@ fn fan(d: usize, count: usize) -> Vec<Vec<f64>> {
     queries
 }
 
-fn assert_parallel_matches_serial(ranker: &FairRanker, queries: &[Vec<f64>]) {
-    let reqs: Vec<SuggestRequest> = queries.iter().cloned().map(SuggestRequest::new).collect();
+fn audit(req: &SuggestRequest) -> SuggestRequest {
+    req.clone()
+        .with_options(SuggestOptions::default().index_fastpath(false))
+}
+
+/// `respond_batch` equals serial `respond` bit for bit, and serves what
+/// the audit path serves. Only `stats.index_decided` may differ: the
+/// index decides the verdicts it knows exactly, the audit path asks the
+/// oracle for every one. Returns the index-first answers.
+fn assert_index_first_matches_audit(ranker: &FairRanker, queries: &[Vec<f64>]) -> Vec<Suggestion> {
+    let reqs: Vec<SuggestRequest> = queries
+        .iter()
+        .cloned()
+        .map(|q| SuggestRequest::new(q).with_top_k(5))
+        .collect();
     let serial: Vec<Suggestion> = reqs.iter().map(|r| ranker.respond(r).unwrap()).collect();
     let batch = ranker.respond_batch(&reqs).unwrap();
     assert_eq!(batch, serial, "respond_batch diverged from serial");
-    for shards in [0, 1, 2, 3, 4, 9] {
-        let parallel = ranker.respond_batch_parallel(&reqs, shards).unwrap();
-        // The sharded path may answer the fairness pre-check from the
-        // index (`stats.index_decided`); weights and verdicts must agree
-        // with the serial oracle path on every query.
-        for ((r, p), s) in reqs.iter().zip(&parallel).zip(&serial) {
-            assert_eq!(
-                (&p.weights, &p.fairness, p.version),
-                (&s.weights, &s.fairness, s.version),
-                "respond_batch_parallel diverged at {shards} shards on {r:?}"
-            );
-        }
+    let audits: Vec<SuggestRequest> = reqs.iter().map(audit).collect();
+    let audited = ranker.respond_batch(&audits).unwrap();
+    for ((r, a), s) in reqs.iter().zip(&audited).zip(&serial) {
+        assert!(!a.stats.index_decided, "the audit path asked the index");
+        assert_eq!(
+            (&a.weights, &a.fairness, a.version, &a.stats.top_k),
+            (&s.weights, &s.fairness, s.version, &s.stats.top_k),
+            "index-first answer diverged from the audit path on {r:?}"
+        );
     }
+    batch
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// 2-D backend: the sharded path (index-decided fairness + worker
-    /// threads) answers exactly like per-query `suggest`.
+    /// 2-D backend: the index decides every default request's verdict.
     #[test]
-    fn parallel_equals_serial_twod(
+    fn index_first_equals_audit_twod(
         seed in 0u64..400,
         n in 20usize..70,
         kfrac in 0.15f64..0.5,
@@ -96,12 +108,16 @@ proptest! {
             .strategy(Strategy::TwoD)
             .build()
             .unwrap();
-        assert_parallel_matches_serial(&ranker, &fan(2, 40));
+        let answers = assert_index_first_matches_audit(&ranker, &fan(2, 40));
+        prop_assert!(
+            answers.iter().all(|a| a.stats.index_decided),
+            "a default 2-D request reached the oracle"
+        );
     }
 
-    /// Exact m-D backend (oracle stays in the loop per shard).
+    /// Exact m-D backend (the oracle decides every verdict).
     #[test]
-    fn parallel_equals_serial_md_exact(
+    fn index_first_equals_audit_md_exact(
         seed in 0u64..200,
         n in 12usize..26,
     ) {
@@ -111,12 +127,13 @@ proptest! {
             .strategy(Strategy::MdExact)
             .build()
             .unwrap();
-        assert_parallel_matches_serial(&ranker, &fan(3, 18));
+        assert_index_first_matches_audit(&ranker, &fan(3, 18));
     }
 
-    /// Approximate grid backend.
+    /// Approximate grid backend (verdicts ranked through the cells'
+    /// top-k partitions).
     #[test]
-    fn parallel_equals_serial_md_approx(
+    fn index_first_equals_audit_md_approx(
         seed in 0u64..200,
         n in 20usize..45,
     ) {
@@ -126,7 +143,7 @@ proptest! {
             .strategy(Strategy::MdApprox)
             .build()
             .unwrap();
-        assert_parallel_matches_serial(&ranker, &fan(3, 24));
+        assert_index_first_matches_audit(&ranker, &fan(3, 24));
     }
 
     /// `Strategy::Auto` builds the same index — and therefore answers
@@ -157,59 +174,6 @@ proptest! {
                 "Auto ({:?}) diverged at {:?}", picked, q
             );
         }
-    }
-}
-
-/// Shard-count clamping regressions: degenerate shard requests (0 =
-/// auto, more shards than queries, absurdly large counts) must clamp to
-/// the query count — never panic, never spawn empty workers, and always
-/// answer element-wise identically to serial `suggest`.
-#[test]
-fn degenerate_shard_counts_clamp() {
-    let ds = generic::uniform(30, 2, 0.9, 404);
-    let oracle = oracle_for(&ds, 0.25, 0.6);
-    let ranker = builder_for(&ds, &oracle)
-        .strategy(Strategy::TwoD)
-        .build()
-        .unwrap();
-    let reqs: Vec<SuggestRequest> = fan(2, 7).into_iter().map(SuggestRequest::new).collect();
-    let serial: Vec<Suggestion> = reqs.iter().map(|r| ranker.respond(r).unwrap()).collect();
-    for shards in [0, 1, reqs.len(), reqs.len() + 1, 1000, usize::MAX] {
-        let parallel = ranker.respond_batch_parallel(&reqs, shards).unwrap();
-        for (p, s) in parallel.iter().zip(&serial) {
-            assert_eq!(p.weights, s.weights, "diverged at shards = {shards}");
-            assert_eq!(p.fairness, s.fairness, "diverged at shards = {shards}");
-        }
-    }
-    // Empty batches under every degenerate shard count.
-    for shards in [0, 1, 5, usize::MAX] {
-        assert_eq!(ranker.respond_batch_parallel(&[], shards).unwrap(), vec![]);
-    }
-    // A single request never spawns workers, whatever the shard request.
-    for shards in [0, 1, 64, usize::MAX] {
-        let one = ranker.respond_batch_parallel(&reqs[..1], shards).unwrap();
-        assert_eq!(one[0].weights, serial[0].weights);
-        assert_eq!(one[0].fairness, serial[0].fairness);
-    }
-}
-
-/// Invalid queries surface the error under degenerate shard counts too
-/// (checked upfront — no partial answers, no worker panics).
-#[test]
-fn degenerate_shard_counts_still_validate() {
-    let ds = generic::uniform(20, 2, 0.9, 405);
-    let oracle = oracle_for(&ds, 0.25, 0.6);
-    let ranker = builder_for(&ds, &oracle)
-        .strategy(Strategy::TwoD)
-        .build()
-        .unwrap();
-    let bad: Vec<SuggestRequest> = vec![
-        SuggestRequest::new(vec![1.0, 1.0]),
-        SuggestRequest::new(vec![-1.0, 0.5]),
-        SuggestRequest::new(vec![0.4, 0.4]),
-    ];
-    for shards in [0, 2, 100, usize::MAX] {
-        assert!(ranker.respond_batch_parallel(&bad, shards).is_err());
     }
 }
 
@@ -265,9 +229,8 @@ fn partition_queries(ranker: &FairRanker, random: &[(f64, f64)], norm_exp: f64) 
 }
 
 /// Every answer of the fast path is bit-identical to the audit path's
-/// (compared through `Debug`, which tells `-0.0` from `0.0`), through
-/// `respond_batch` and `respond_batch_parallel`. Returns how many of the
-/// queries the partition covers.
+/// (compared through `Debug`, which tells `-0.0` from `0.0`). Returns how
+/// many of the queries the partition covers.
 fn assert_partition_pass_matches_audit(
     ranker: &FairRanker,
     queries: &[Vec<f64>],
@@ -284,12 +247,6 @@ fn assert_partition_pass_matches_audit(
         &format!("{:?}", ranker.respond_batch(&fast).unwrap()),
         &want,
         "{}",
-        label
-    );
-    prop_assert_eq!(
-        &format!("{:?}", ranker.respond_batch_parallel(&fast, 2).unwrap()),
-        &want,
-        "{} (parallel)",
         label
     );
     let backend = ranker.backend();
