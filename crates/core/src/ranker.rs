@@ -898,6 +898,34 @@ mod tests {
     }
 
     #[test]
+    fn respond_batch_parallel_matches_serial_2d() {
+        let (ds, oracle) = biased_2d();
+        let ranker = build_2d(&ds, Box::new(oracle));
+        let reqs: Vec<SuggestRequest> = (0..33)
+            .map(|i| {
+                let t = (f64::from(i) + 0.5) / 33.0 * fairrank_geometry::HALF_PI;
+                req(&[2.0 * t.cos(), 2.0 * t.sin()])
+            })
+            .collect();
+        let serial: Vec<Suggestion> = reqs.iter().map(|r| ranker.respond(r).unwrap()).collect();
+        // However the stream is split into batches, and from however many
+        // threads the batches are served, every answer is the serial one.
+        for batch in [1, 2, 4, 33] {
+            let answers: Vec<Suggestion> = std::thread::scope(|scope| {
+                let handles: Vec<_> = reqs
+                    .chunks(batch)
+                    .map(|chunk| scope.spawn(|| ranker.respond_batch(chunk).unwrap()))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap())
+                    .collect()
+            });
+            assert_eq!(answers, serial, "batches of {batch}");
+        }
+    }
+
+    #[test]
     fn already_fair_short_circuits() {
         let ds = generic::uniform(30, 2, 0.0, 5);
         let o = FnOracle::new("always", |_: &[u32]| true);

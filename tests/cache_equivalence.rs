@@ -1,18 +1,18 @@
-//! The region-identity answer cache must be invisible in the answers: a
-//! cache-enabled [`FairRankService`] answers **bit-identically** to a
-//! cache-disabled one (and to the direct synchronous
-//! [`FairRanker::respond_batch`] path) on every backend — including
-//! across interleaved live updates and under concurrent
-//! update/submitter races. Also the regression gate for version
-//! coherence (a cache hit never answers from a superseded generation)
-//! and for the cache's operational counters.
+//! Repeated queries through [`FairRankService`] — the traffic a
+//! region-keyed answer cache would serve — must be answered
+//! **bit-identically** to the direct synchronous
+//! [`FairRanker::respond_batch`] path on every pass, within a version and
+//! across live updates, also while submitters race an updater. The
+//! service keeps no answers between requests: every one is served by the
+//! index-first `respond_batch` of the snapshot it ran on, which on the
+//! 2-D backend decides every verdict from the interval index.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use fairrank::approximate::BuildOptions;
 use fairrank::md::SatRegionsOptions;
-use fairrank::{DatasetUpdate, FairRanker, Strategy, SuggestRequest};
+use fairrank::{DatasetUpdate, FairRanker, Strategy, SuggestOptions, SuggestRequest};
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
 use fairrank_fairness::Proportionality;
@@ -26,10 +26,8 @@ fn oracle_for(ds: &Dataset, kfrac: f64, cap_frac: f64) -> Proportionality {
     Proportionality::new(attr, k).with_max_count(0, cap)
 }
 
-/// A ranker whose backend can certify regions: exact (untruncated)
-/// hyperplane lists for both the arrangement and the grid — the builds
-/// `IndexBackend::region_of` demands before handing out keys.
-fn build_cacheable(ds: &Dataset, strategy: Strategy) -> FairRanker {
+/// A ranker with untruncated hyperplane lists for both m-D backends.
+fn build(ds: &Dataset, strategy: Strategy) -> FairRanker {
     let oracle = oracle_for(ds, 0.25, 0.6);
     FairRanker::builder(ds.clone(), Box::new(oracle))
         .strategy(strategy)
@@ -62,129 +60,54 @@ fn fan(d: usize, count: usize) -> Vec<SuggestRequest> {
     queries.into_iter().map(SuggestRequest::new).collect()
 }
 
-/// The tentpole gate: serve the same request stream (repeated `passes`
-/// times, so the cache actually fires) through a cache-enabled and a
-/// cache-disabled service, and demand bit-identical answers from both —
-/// and from the direct synchronous path.
-fn assert_cached_matches_uncached(ranker: FairRanker, reqs: &[SuggestRequest], passes: usize) {
-    let direct = ranker.snapshot().respond_batch(reqs).unwrap();
-    let cacheable = {
-        let reference = ranker.snapshot();
-        reqs.iter()
-            .filter(|r| reference.region_of(&r.query).is_some())
-            .count()
-    };
-    let cached = FairRankService::builder(ranker.snapshot())
-        .workers(1)
-        .max_batch(8)
-        .build();
-    let uncached = FairRankService::builder(ranker)
-        .workers(1)
-        .max_batch(8)
-        .cache(false)
-        .build();
-    for _ in 0..passes {
-        for (req, want) in reqs.iter().zip(&direct) {
-            let hot = cached.suggest(req.clone()).unwrap();
-            let cold = uncached.suggest(req.clone()).unwrap();
-            assert_eq!(&hot, want, "cached service diverged from direct at {req:?}");
-            assert_eq!(
-                &cold, want,
-                "uncached service diverged from direct at {req:?}"
-            );
-        }
-    }
-    let stats = cached.stats().cache.expect("cache enabled by default");
-    // Single worker: the first pass misses each certified region once,
-    // every later pass hits it.
-    assert!(
-        stats.hits >= (cacheable * (passes - 1)) as u64,
-        "expected ≥{} hits over {passes} passes, got {stats:?}",
-        cacheable * (passes - 1)
-    );
-    assert_eq!(
-        stats.hits + stats.misses,
-        (reqs.len() * passes) as u64,
-        "every request must count as a hit or a miss"
-    );
-    assert!(
-        uncached.stats().cache.is_none(),
-        "disabled cache must not report stats"
-    );
-    cached.shutdown();
-    uncached.shutdown();
+fn audit(req: &SuggestRequest) -> SuggestRequest {
+    req.clone()
+        .with_options(SuggestOptions::default().index_fastpath(false))
 }
 
+/// The same 2-D request stream, served three times over by one worker,
+/// answers bit-identically to the direct path on every pass, every answer
+/// is index-decided, and the audit path served through the same service
+/// agrees on weights, verdict and version.
 #[test]
 fn cached_matches_uncached_twod() {
     let ds = generic::uniform(45, 2, 0.9, 171);
-    let ranker = build_cacheable(&ds, Strategy::TwoD);
+    let ranker = build(&ds, Strategy::TwoD);
     let reqs = fan(2, 40);
-    // The 2-D interval index certifies every query (fair intervals, gap
-    // sides, or global infeasibility).
-    assert!(reqs.iter().all(|r| ranker.region_of(&r.query).is_some()));
-    assert_cached_matches_uncached(ranker, &reqs, 3);
-}
-
-#[test]
-fn cached_matches_uncached_md_exact() {
-    let ds = generic::uniform(16, 3, 0.9, 172);
-    let ranker = build_cacheable(&ds, Strategy::MdExact);
-    let reqs = fan(3, 18);
-    // The arrangement certifies fair-region membership only; make sure
-    // the workload exercises at least one certified query.
-    assert!(
-        reqs.iter().any(|r| ranker.region_of(&r.query).is_some()),
-        "fan must land in at least one satisfactory region"
-    );
-    assert_cached_matches_uncached(ranker, &reqs, 3);
-}
-
-#[test]
-fn cached_matches_uncached_md_approx() {
-    let ds = generic::uniform(30, 3, 0.85, 173);
-    let ranker = build_cacheable(&ds, Strategy::MdApprox);
-    let reqs = fan(3, 24);
-    assert_cached_matches_uncached(ranker, &reqs, 3);
-}
-
-/// Truncated builds must refuse to certify regions — the cache then
-/// degrades to a 0%-hit pass-through instead of serving unsound keys.
-#[test]
-fn truncated_builds_fall_back_to_uncached_serving() {
-    let ds = generic::uniform(16, 3, 0.9, 174);
-    let oracle = oracle_for(&ds, 0.25, 0.6);
-    let ranker = FairRanker::builder(ds.clone(), Box::new(oracle))
-        .strategy(Strategy::MdExact)
-        .sat_regions_options(SatRegionsOptions {
-            max_hyperplanes: Some(50),
-            ..Default::default()
-        })
-        .build()
-        .unwrap();
-    let reqs = fan(3, 12);
-    assert!(reqs.iter().all(|r| ranker.region_of(&r.query).is_none()));
+    let passes = 3;
     let direct = ranker.snapshot().respond_batch(&reqs).unwrap();
-    let service = FairRankService::builder(ranker).workers(1).build();
-    for pass in 0..2 {
+    let service = FairRankService::builder(ranker)
+        .workers(1)
+        .max_batch(8)
+        .build();
+    for pass in 0..passes {
         for (req, want) in reqs.iter().zip(&direct) {
-            assert_eq!(&service.suggest(req.clone()).unwrap(), want, "pass {pass}");
+            let got = service.suggest(req.clone()).unwrap();
+            assert_eq!(&got, want, "pass {pass}: service diverged at {req:?}");
+            assert!(got.stats.index_decided, "the 2-D index decides {req:?}");
+            let audited = service.suggest(audit(req)).unwrap();
+            assert!(!audited.stats.index_decided, "audit asks the oracle");
+            assert_eq!(
+                (&audited.weights, &audited.fairness, audited.version),
+                (&want.weights, &want.fairness, want.version),
+                "pass {pass}: audit path diverged at {req:?}"
+            );
         }
     }
-    let stats = service.stats().cache.unwrap();
-    assert_eq!(stats.hits, 0, "uncertified queries must never hit");
-    assert_eq!(stats.misses, 2 * reqs.len() as u64);
-    assert_eq!(stats.entries, 0);
+    let stats = service.stats();
+    let served = (2 * reqs.len() * passes) as u64;
+    assert_eq!(stats.submitted, served);
+    assert_eq!(stats.completed, served);
     service.shutdown();
 }
 
-/// Interleaved updates: after every generation swap the cached service
-/// still answers bit-identically to a direct ranker at the same version,
-/// and each swap purges (invalidates) the cache.
+/// Interleaved updates: two passes per generation, each answer
+/// bit-identical to a reference frozen at that generation; no answer
+/// outlives the swap that superseded its generation.
 #[test]
 fn updates_purge_the_cache_and_preserve_equivalence() {
     let ds = generic::uniform(40, 2, 0.9, 181);
-    let ranker = build_cacheable(&ds, Strategy::TwoD);
+    let ranker = build(&ds, Strategy::TwoD);
     let service = FairRankService::builder(ranker)
         .workers(2)
         .max_batch(4)
@@ -204,36 +127,33 @@ fn updates_purge_the_cache_and_preserve_equivalence() {
     let rounds = updates.len() as u64;
     for (round, update) in updates.into_iter().enumerate() {
         let reference = service.snapshot();
-        // Two passes per round: the second one hits the cache seeded by
-        // the first — both must match the per-version reference exactly.
         for _ in 0..2 {
             for req in &reqs {
                 let got = service.suggest(req.clone()).unwrap();
                 assert_eq!(got.version, round as u64);
+                assert!(got.stats.index_decided, "the 2-D index decides {req:?}");
                 assert_eq!(got, reference.respond(req).unwrap());
             }
         }
         service.update(update).unwrap();
     }
-    let stats = service.stats().cache.unwrap();
-    assert_eq!(
-        stats.invalidations, rounds,
-        "every generation swap must purge the cache"
-    );
-    assert!(stats.hits > 0, "repeated passes must hit within a version");
+    assert_eq!(service.version(), rounds);
+    let last = service.snapshot();
+    for req in &reqs {
+        let got = service.suggest(req.clone()).unwrap();
+        assert_eq!(got.version, rounds, "served from a superseded generation");
+        assert_eq!(got, last.respond(req).unwrap());
+    }
     service.shutdown();
 }
 
-/// Version-coherence regression (the satellite-3 race): submitters
-/// hammer repeated queries — maximizing cache traffic — while an updater
-/// swaps generations. A cache hit must never produce a `Suggestion`
-/// whose `version` differs from the generation that served it: every
-/// answer must be bit-identical to the reference ranker frozen at the
-/// answer's own version.
+/// Submitters hammer a short cycle of repeated queries while an updater
+/// swaps generations: every answer is bit-identical to the reference
+/// ranker frozen at the answer's own version.
 #[test]
 fn concurrent_updates_never_serve_stale_cached_verdicts() {
     let ds = generic::uniform(35, 2, 0.9, 183);
-    let ranker = build_cacheable(&ds, Strategy::TwoD);
+    let ranker = build(&ds, Strategy::TwoD);
     let service = FairRankService::builder(ranker)
         .workers(2)
         .max_batch(4)
@@ -262,8 +182,6 @@ fn concurrent_updates_never_serve_stale_cached_verdicts() {
         for _ in 0..3 {
             let reqs = reqs.clone();
             scope.spawn(move || {
-                // A short cycle of repeated queries: most lookups are
-                // cache hits racing the purge/swap.
                 for req in reqs.iter().cycle().take(80) {
                     let got = service.suggest(req.clone()).unwrap();
                     let reference = loop {
@@ -272,6 +190,7 @@ fn concurrent_updates_never_serve_stale_cached_verdicts() {
                         }
                         std::thread::yield_now();
                     };
+                    assert!(got.stats.index_decided, "the 2-D index decides {req:?}");
                     assert_eq!(
                         got,
                         reference.respond(req).unwrap(),
@@ -283,36 +202,6 @@ fn concurrent_updates_never_serve_stale_cached_verdicts() {
         }
         updater.join().unwrap();
     });
-    let stats = service.stats().cache.unwrap();
-    assert_eq!(stats.invalidations, rounds);
-    service.shutdown();
-}
-
-/// A capacity-1 cache thrashes (every distinct region evicts the last)
-/// but never compromises correctness.
-#[test]
-fn tiny_capacity_evicts_without_affecting_answers() {
-    let ds = generic::uniform(45, 2, 0.9, 187);
-    let ranker = build_cacheable(&ds, Strategy::TwoD);
-    let direct = ranker.snapshot();
-    let service = FairRankService::builder(ranker)
-        .workers(1)
-        .cache_capacity(1)
-        .build();
-    let reqs = fan(2, 30);
-    for _ in 0..2 {
-        for req in &reqs {
-            assert_eq!(
-                service.suggest(req.clone()).unwrap(),
-                direct.respond(req).unwrap()
-            );
-        }
-    }
-    let stats = service.stats().cache.unwrap();
-    assert!(stats.entries <= 1, "capacity must bound residency");
-    assert!(
-        stats.evictions > 0,
-        "30 distinct queries through one slot must evict"
-    );
+    assert_eq!(service.version(), rounds);
     service.shutdown();
 }

@@ -177,6 +177,42 @@ proptest! {
     }
 }
 
+/// One invalid query fails the whole batch, whatever the batch size and
+/// wherever the query sits, on the index-first and the audit path alike
+/// (checked upfront — no partial answers, no panics); the valid rest of
+/// the batch still answers as `respond` does.
+#[test]
+fn degenerate_shard_counts_still_validate() {
+    let ds = generic::uniform(20, 2, 0.9, 405);
+    let oracle = oracle_for(&ds, 0.25, 0.6);
+    let ranker = builder_for(&ds, &oracle)
+        .strategy(Strategy::TwoD)
+        .build()
+        .unwrap();
+    let bad = SuggestRequest::new(vec![-1.0, 0.5]);
+    for size in [1, 2, 3, 33] {
+        let good: Vec<SuggestRequest> = fan(2, size)
+            .into_iter()
+            .take(size - 1)
+            .map(SuggestRequest::new)
+            .collect();
+        for at in [0, (size - 1) / 2, size - 1] {
+            let mut batch = good.clone();
+            batch.insert(at, bad.clone());
+            assert!(ranker.respond_batch(&batch).is_err(), "size {size} at {at}");
+            let audits: Vec<SuggestRequest> = batch.iter().map(audit).collect();
+            assert!(
+                ranker.respond_batch(&audits).is_err(),
+                "audit size {size} at {at}"
+            );
+        }
+        let answers = ranker.respond_batch(&good).unwrap();
+        for (r, a) in good.iter().zip(&answers) {
+            assert_eq!(*a, ranker.respond(r).unwrap(), "size {size} at {r:?}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cell-partitioned oracle pass vs the full-ranking audit path
 // ---------------------------------------------------------------------
