@@ -41,11 +41,6 @@ pub struct BuildOptions {
     /// hyperplane list is *sound* — at worst a sliver region inside the
     /// cell is missed and the cell falls through to CELLCOLORING.
     pub max_hyperplanes_per_cell: Option<usize>,
-    /// Worker threads for the MARKCELL phase (the build's dominant cost;
-    /// paper Figures 22–23). Cells are searched independently and results
-    /// merged in cell order, so the produced index is *identical* for any
-    /// thread count. `None` = all available cores.
-    pub threads: Option<usize>,
 }
 
 impl Default for BuildOptions {
@@ -56,7 +51,6 @@ impl Default for BuildOptions {
             max_hyperplanes: None,
             prune_top_k: false,
             max_hyperplanes_per_cell: Some(48),
-            threads: None,
         }
     }
 }
@@ -207,6 +201,10 @@ pub struct ApproxIndex {
     pub(crate) stats: BuildStats,
     /// The options the index was built with (reused by update rebuilds).
     pub(crate) opts: BuildOptions,
+    /// Worker count for maintenance, rebuilds and
+    /// [`ApproxIndex::attach`]: the build's, or all cores for a decoded
+    /// index. Not persisted.
+    pub(crate) threads: usize,
     /// Which cells MARKCELL satisfied directly (as opposed to coloring).
     /// Maintenance state — empty on a decoded index.
     pub(crate) satisfied: Vec<bool>,
@@ -225,7 +223,7 @@ pub struct ApproxIndex {
 }
 
 impl ApproxIndex {
-    /// Run the full §5 preprocessing pipeline.
+    /// Run the full §5 preprocessing pipeline on all available cores.
     ///
     /// # Errors
     /// [`FairRankError::TooFewAttributes`] for datasets with fewer than
@@ -235,14 +233,23 @@ impl ApproxIndex {
         oracle: &dyn FairnessOracle,
         opts: &BuildOptions,
     ) -> Result<ApproxIndex, FairRankError> {
+        Self::build_with_threads(ds, oracle, opts, crate::parallel::all_cores())
+    }
+
+    /// [`ApproxIndex::build`] on `workers` threads, kept for the index's
+    /// later maintenance. MARKCELL (the build's dominant cost; paper
+    /// Figures 22–23) searches cells independently and merges results in
+    /// cell order, so the produced index is *identical* for any count.
+    pub(crate) fn build_with_threads(
+        ds: &Dataset,
+        oracle: &dyn FairnessOracle,
+        opts: &BuildOptions,
+        workers: usize,
+    ) -> Result<ApproxIndex, FairRankError> {
         if ds.dim() < 2 {
             return Err(FairRankError::TooFewAttributes);
         }
         let mut stats = BuildStats::default();
-        let workers = opts
-            .threads
-            .unwrap_or_else(crate::parallel::all_cores)
-            .max(1);
 
         // Phase 1: exchange hyperplanes. A cap stops the enumeration at
         // exactly the first `cap` hyperplanes of the canonical order
@@ -352,7 +359,7 @@ impl ApproxIndex {
             }
             found.sort_unstable_by_key(|o| o.cell);
         }
-        let mut index = assemble(grid, found, opts.clone(), record);
+        let mut index = assemble(grid, found, opts.clone(), workers, record);
         index.stats = stats;
         index.stats.oracle_calls = oracle_calls;
         index.stats.lp_solves = lp_solves;
@@ -447,11 +454,7 @@ impl ApproxIndex {
         let mut dirty: Vec<bool> = delta_hc.iter().map(|l| !l.is_empty()).collect();
 
         // Fresh geometry for the re-searched cells (oracle-free).
-        let workers = self
-            .opts
-            .threads
-            .unwrap_or_else(crate::parallel::all_cores)
-            .max(1);
+        let workers = self.threads;
         let hyperplanes = exchange_hyperplanes_limited(ctx.ds, None, workers);
         let hc = cellplane::hyperplanes_per_cell(&self.grid, &hyperplanes);
 
@@ -587,7 +590,7 @@ impl ApproxIndex {
         }
 
         let stats = self.stats.clone();
-        *self = assemble(self.grid.clone(), found, self.opts.clone(), true);
+        *self = assemble(self.grid.clone(), found, self.opts.clone(), workers, true);
         self.stats = stats;
         self.stats.hyperplane_count = hyperplanes.len();
         self.stats.hc_histogram = cellplane::crossing_histogram(&hc);
@@ -624,13 +627,8 @@ impl ApproxIndex {
     /// a decoded index, which persists none, needs before its partitions
     /// serve. Uses the build's worker count.
     pub(crate) fn attach(&mut self, ds: &Dataset, oracle: &dyn FairnessOracle) {
-        let workers = self
-            .opts
-            .threads
-            .unwrap_or_else(crate::parallel::all_cores)
-            .max(1);
         let cells: Vec<CellId> = (0..self.grid.cell_count() as CellId).collect();
-        self.partitions = cell_partitions(ds, oracle, &self.grid, &cells, workers);
+        self.partitions = cell_partitions(ds, oracle, &self.grid, &cells, self.threads);
     }
 
     /// The underlying grid.
@@ -736,6 +734,7 @@ fn assemble(
     grid: AngleGrid,
     found: Vec<CellOutcome>,
     opts: BuildOptions,
+    threads: usize,
     record: bool,
 ) -> ApproxIndex {
     let n_cells = grid.cell_count();
@@ -765,6 +764,7 @@ fn assemble(
         functions,
         stats: BuildStats::default(),
         opts,
+        threads,
         satisfied,
         probe_log,
         partitions,
@@ -923,21 +923,15 @@ mod tests {
         let ds = generic::uniform(40, 3, 0.85, 7);
         let attr = ds.type_attribute("group").unwrap();
         let oracle = Proportionality::new(attr, 8).with_max_count(0, 4);
-        let build = |threads: Option<usize>| {
-            ApproxIndex::build(
-                &ds,
-                &oracle,
-                &BuildOptions {
-                    n_cells: 150,
-                    max_hyperplanes: Some(200),
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
+        let opts = BuildOptions {
+            n_cells: 150,
+            max_hyperplanes: Some(200),
+            ..Default::default()
         };
-        let sequential = build(Some(1));
-        let parallel = build(Some(4));
+        let build =
+            |threads| ApproxIndex::build_with_threads(&ds, &oracle, &opts, threads).unwrap();
+        let sequential = build(1);
+        let parallel = build(4);
         assert_eq!(sequential.functions(), parallel.functions());
         assert_eq!(sequential.assigned, parallel.assigned);
         assert_eq!(

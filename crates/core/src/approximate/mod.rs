@@ -112,7 +112,8 @@ impl IndexBackend for ApproxGrid {
             return Ok(UpdateOutcome::Incremental);
         }
         let opts = self.index.opts.clone();
-        *self.index = ApproxIndex::build(ctx.ds, ctx.oracle, &opts)?;
+        *self.index =
+            ApproxIndex::build_with_threads(ctx.ds, ctx.oracle, &opts, self.index.threads)?;
         self.counters.record(true, true);
         Ok(UpdateOutcome::Rebuilt)
     }

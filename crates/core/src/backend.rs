@@ -236,14 +236,12 @@ pub trait IndexBackend: Send + Sync {
     /// and the re-bound oracle; the update has already been applied to
     /// `ctx.ds` and validated.
     ///
-    /// The contract: once the update (and any
-    /// [`Deferred`](UpdateOutcome::Deferred) coalescing window) has
-    /// settled, the backend must answer
+    /// The contract: once the update returns, the backend must answer
     /// [`suggest_unfair`](IndexBackend::suggest_unfair) /
     /// [`known_fairness`](IndexBackend::known_fairness) identically to
     /// the same backend rebuilt from scratch on `ctx.ds` — whether it
-    /// maintains in place, rebuilds, or defers is its own trade-off,
-    /// reported through the outcome.
+    /// maintains in place or rebuilds is its own trade-off, reported
+    /// through the outcome.
     ///
     /// The default rejects with [`FairRankError::UpdateUnsupported`]:
     /// third-party backends opt in explicitly.
@@ -261,27 +259,6 @@ pub trait IndexBackend: Send + Sync {
         Err(FairRankError::UpdateUnsupported(
             self.stats().kind.to_string(),
         ))
-    }
-
-    /// Force any [`Deferred`](UpdateOutcome::Deferred) updates to take
-    /// effect now (backends without a coalescing buffer return
-    /// [`UpdateOutcome::Noop`], the default).
-    ///
-    /// # Errors
-    /// Backend-specific rebuild failures.
-    fn flush(&mut self, ctx: &UpdateCtx<'_>) -> Result<UpdateOutcome, FairRankError> {
-        let _ = ctx;
-        Ok(UpdateOutcome::Noop)
-    }
-
-    /// Whether [`flush`](IndexBackend::flush) would do real work: `true`
-    /// iff updates are buffered behind a coalescing threshold. The
-    /// default (`false`) matches the default no-op `flush`. Lets
-    /// [`FairRanker::flush_updates`](crate::FairRanker::flush_updates)
-    /// skip the copy-on-write backend fork entirely on shared rankers
-    /// when there is nothing to flush.
-    fn has_pending_updates(&self) -> bool {
-        false
     }
 
     /// A deep copy of this backend as a fresh boxed instance — the hook

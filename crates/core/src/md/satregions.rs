@@ -2,14 +2,14 @@
 //!
 //! Constructs the arrangement of ordering-exchange hyperplanes in the angle
 //! coordinate system, probes one strictly-interior function per region, and
-//! keeps the regions whose ranking the fairness oracle accepts. Both the
-//! flat incremental arrangement (the paper's baseline) and the
-//! arrangement-tree index are supported — Figure 18 of the paper measures
-//! exactly this choice.
+//! keeps the regions whose ranking the fairness oracle accepts. Regions
+//! are enumerated by the arrangement tree; the flat incremental
+//! arrangement (the paper's baseline, which Figure 18 compares against)
+//! stays in `fairrank_geometry::arrangement` as the reference the
+//! property suite and the `experiments` bin measure the tree against.
 
 use fairrank_datasets::Dataset;
 use fairrank_fairness::FairnessOracle;
-use fairrank_geometry::arrangement::Arrangement;
 use fairrank_geometry::arrangement_tree::ArrangementTree;
 use fairrank_lp::Constraint;
 
@@ -30,34 +30,14 @@ pub struct SatRegion {
 }
 
 /// Options for [`sat_regions`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SatRegionsOptions {
-    /// Use the arrangement tree (Algorithm 5) instead of the flat linear
-    /// region scan. Same output, different construction cost.
-    pub use_tree: bool,
     /// Cap on the number of hyperplanes inserted (benchmark sweeps insert
     /// prefixes, as the paper's Figure 18/19 do). `None` = all.
     pub max_hyperplanes: Option<usize>,
     /// When the oracle exposes a top-k bound, drop items outside the first
     /// k dominance layers before computing exchanges (paper §8).
     pub prune_top_k: bool,
-    /// Worker count for hyperplane enumeration and per-region witness
-    /// verification (resolved per
-    /// [`crate::parallel::resolve_build_threads`]; `Some(0)` = all cores,
-    /// `None` = the `FAIRRANK_BUILD_THREADS` environment variable, else
-    /// serial). Output is bit-identical for every value.
-    pub threads: Option<usize>,
-}
-
-impl Default for SatRegionsOptions {
-    fn default() -> Self {
-        SatRegionsOptions {
-            use_tree: true,
-            max_hyperplanes: None,
-            prune_top_k: false,
-            threads: None,
-        }
-    }
 }
 
 /// Output of the offline multi-dimensional preprocessing.
@@ -74,16 +54,15 @@ pub struct SatRegions {
     /// Number of oracle invocations.
     pub oracle_calls: u64,
     /// Number of LPs the arrangement's insertions solved
-    /// ([`ArrangementTree::lp_calls`], or the flat
-    /// [`Arrangement::lp_calls`] when `use_tree` is off).
+    /// ([`ArrangementTree::lp_calls`]).
     pub lp_solves: u64,
     /// Number of items that survived top-k pruning (equals `n` when
     /// pruning is off).
     pub items_used: usize,
 }
 
-/// Run the offline phase: build the arrangement and identify satisfactory
-/// regions.
+/// Run the offline phase on all available cores: build the arrangement
+/// and identify satisfactory regions.
 ///
 /// # Errors
 /// [`FairRankError::TooFewAttributes`] for datasets with fewer than two
@@ -93,11 +72,22 @@ pub fn sat_regions(
     oracle: &dyn FairnessOracle,
     opts: &SatRegionsOptions,
 ) -> Result<SatRegions, FairRankError> {
+    sat_regions_with_threads(ds, oracle, opts, crate::parallel::all_cores())
+}
+
+/// [`sat_regions`] on `threads` workers (hyperplane enumeration and
+/// per-region witness verification); the output is bit-identical for
+/// every count.
+pub(crate) fn sat_regions_with_threads(
+    ds: &Dataset,
+    oracle: &dyn FairnessOracle,
+    opts: &SatRegionsOptions,
+    threads: usize,
+) -> Result<SatRegions, FairRankError> {
     if ds.dim() < 2 {
         return Err(FairRankError::TooFewAttributes);
     }
     let dim = ds.dim() - 1;
-    let threads = crate::parallel::resolve_build_threads(opts.threads);
 
     // §8 pruning: exchanges among items that can never reach the top-k are
     // irrelevant to a top-k-bounded oracle. A hyperplane cap stops the
@@ -124,24 +114,12 @@ pub fn sat_regions(
 
     // Region enumeration: (constraints, witness) pairs.
     let phase = crate::buildtel::PhaseTimer::start("md_exact", "regions");
-    let (witnesses, region_count, lp_solves) = if opts.use_tree {
+    let (witnesses, region_count, lp_solves) = {
         let mut tree = ArrangementTree::new(dim);
         for h in &hyperplanes {
             tree.insert(h);
         }
         (tree.region_witnesses(), tree.region_count(), tree.lp_calls)
-    } else {
-        let mut arr = Arrangement::new(dim);
-        for h in hyperplanes {
-            arr.insert(h);
-        }
-        let mut out = Vec::with_capacity(arr.region_count());
-        for rid in arr.region_ids() {
-            if let Some(w) = arr.interior_point_of(rid) {
-                out.push((arr.constraints_of(rid), w));
-            }
-        }
-        (out, arr.region_count(), arr.lp_calls)
     };
     phase.finish();
     crate::buildtel::count_lp_solves("md_exact", lp_solves);
@@ -217,35 +195,22 @@ mod tests {
         assert!(r.satisfactory.is_empty());
     }
 
+    /// The tree-built regions match the flat reference arrangement over
+    /// the same hyperplanes (the LP-count comparison lives with both
+    /// structures in `fairrank_geometry::arrangement_tree`).
     #[test]
     fn tree_and_flat_agree_on_region_count() {
         let ds = small_ds();
         let o = FnOracle::new("always", |_: &[u32]| true);
-        let tree = sat_regions(
-            &ds,
-            &o,
-            &SatRegionsOptions {
-                use_tree: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let flat = sat_regions(
-            &ds,
-            &o,
-            &SatRegionsOptions {
-                use_tree: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(tree.region_count, flat.region_count);
-        assert_eq!(tree.hyperplane_count, flat.hyperplane_count);
-        // Both arrangements count their LPs; on this input the tree's
-        // subtree pruning solves fewer than the flat scan's two per region
-        // and insertion.
-        assert!(tree.lp_solves > 0 && flat.lp_solves > 0);
-        assert!(tree.lp_solves < flat.lp_solves);
+        let tree = sat_regions(&ds, &o, &SatRegionsOptions::default()).unwrap();
+        let hyperplanes = crate::md::exchange_hyperplanes(&ds);
+        let mut flat = fairrank_geometry::arrangement::Arrangement::new(ds.dim() - 1);
+        for h in hyperplanes {
+            flat.insert(h);
+        }
+        assert_eq!(tree.region_count, flat.region_count());
+        assert_eq!(tree.hyperplane_count, flat.hyperplanes().len());
+        assert!(tree.lp_solves > 0);
     }
 
     #[test]
@@ -294,7 +259,6 @@ mod tests {
             &SatRegionsOptions {
                 prune_top_k: true,
                 max_hyperplanes: Some(200),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -310,17 +274,10 @@ mod tests {
         let ds = generic::uniform(30, 3, 0.9, 7);
         let attr = ds.type_attribute("group").unwrap();
         let oracle = Proportionality::new(attr, 6).with_max_count(0, 3);
-        let serial = sat_regions(&ds, &oracle, &SatRegionsOptions::default()).unwrap();
+        let opts = SatRegionsOptions::default();
+        let serial = sat_regions_with_threads(&ds, &oracle, &opts, 1).unwrap();
         for threads in [2usize, 3, 4] {
-            let par = sat_regions(
-                &ds,
-                &oracle,
-                &SatRegionsOptions {
-                    threads: Some(threads),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let par = sat_regions_with_threads(&ds, &oracle, &opts, threads).unwrap();
             assert_eq!(par.region_count, serial.region_count);
             assert_eq!(par.hyperplane_count, serial.hyperplane_count);
             assert_eq!(par.oracle_calls, serial.oracle_calls);

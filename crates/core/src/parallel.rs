@@ -6,34 +6,23 @@
 //! order — so the worker count is a pure throughput knob, never a
 //! semantics knob (gated by `tests/build_equivalence.rs`).
 //!
-//! Resolution order for a builder's thread request:
-//!
-//! 1. an explicit `Some(n)` (`n = 0` means "all available cores"),
-//! 2. the `FAIRRANK_BUILD_THREADS` environment variable (same encoding),
-//! 3. serial (`1`).
-//!
-//! The environment hook exists so an entire test or benchmark run can be
-//! flipped to parallel builds without touching call sites — CI runs the
-//! equivalence suites once serially and once with the variable set.
+//! The one setting is
+//! [`FairRankerBuilder::build_threads`](crate::FairRankerBuilder::build_threads);
+//! unset or `0` means all available cores, for every backend. A backend
+//! reuses its build's count for the rebuilds its updates pay and for
+//! [`IndexBackend::attach`](crate::IndexBackend::attach); a decoded
+//! backend, and every free-standing build function
+//! ([`crate::twod::ray_sweep`], [`crate::md::sat_regions`],
+//! [`crate::approximate::ApproxIndex::build`]), uses all cores. Workers
+//! are scoped threads that have exited before a build returns.
 
-/// Environment variable consulted when a builder does not pin a worker
-/// count explicitly. `0` (or unset) semantics as documented on
-/// [`resolve_build_threads`].
-pub const BUILD_THREADS_ENV: &str = "FAIRRANK_BUILD_THREADS";
-
-/// Resolve a builder's requested worker count (see the module docs for
-/// the resolution order).
+/// Resolve a worker-count request: `0` means all available cores.
 #[must_use]
-pub fn resolve_build_threads(requested: Option<usize>) -> usize {
-    let requested = requested.or_else(|| {
-        std::env::var(BUILD_THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-    });
-    match requested {
-        Some(0) => all_cores(),
-        Some(n) => n,
-        None => 1,
+pub(crate) fn resolve_build_threads(requested: usize) -> usize {
+    if requested == 0 {
+        all_cores()
+    } else {
+        requested
     }
 }
 
@@ -89,7 +78,7 @@ mod tests {
 
     #[test]
     fn explicit_request_wins() {
-        assert_eq!(resolve_build_threads(Some(3)), 3);
-        assert_eq!(resolve_build_threads(Some(0)), all_cores());
+        assert_eq!(resolve_build_threads(3), 3);
+        assert_eq!(resolve_build_threads(0), all_cores());
     }
 }

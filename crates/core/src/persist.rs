@@ -33,13 +33,9 @@
 //! little-endian; floats are IEEE-754 bit patterns. Decoders never
 //! panic on malformed input (fuzz-style property-tested in
 //! `tests/ranker_persistence.rs` and `tests/build_equivalence.rs`).
-//!
-//! Datasets and region lists additionally have a **version-3 chunked
-//! transport** ([`encode_dataset_chunked`] / [`encode_regions_chunked`])
-//! that wraps the sealed whole-buffer artifact in self-sealing frames so
-//! [`decode_dataset_from`] / [`decode_regions_from`] can consume them
-//! incrementally off a byte stream — verifying integrity chunk by chunk
-//! instead of after buffering the whole artifact.
+//! Every artifact is one whole buffer; version 3, a retired chunked
+//! framing of datasets and region lists, decodes as
+//! [`PersistError::UnsupportedVersion`].
 
 use bytes::{Buf, BufMut};
 
@@ -149,32 +145,11 @@ impl From<PersistError> for FairRankError {
     }
 }
 
-/// Incremental FNV-1a 64-bit state, for hashing data that arrives in
-/// pieces (the streaming decoders hash as they read).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// FNV-1a 64-bit — small, dependency-free integrity check (not crypto).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
 }
 
 fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
@@ -256,135 +231,6 @@ fn unseal(bytes: &[u8]) -> Result<&[u8], PersistError> {
         return Err(PersistError::ChecksumMismatch);
     }
     Ok(body)
-}
-
-/// Chunked-transport format for [`TAG_DATASET`] / [`TAG_REGIONS`]: the
-/// payload is the complete sealed whole-buffer artifact, carried as a
-/// sequence of `[u32 len, bytes, u64 fnv1a(bytes)]` frames and closed
-/// by a zero-length terminator frame, so a reader can both verify each
-/// chunk as it arrives and find the end of the artifact without a length
-/// prefix — the properties a streaming decode over a socket or file
-/// handle needs. The outer trailing seal still covers the whole stream.
-/// Version-1/2 whole-buffer layouts are unchanged.
-const CHUNKED_VERSION: u16 = 3;
-/// Default chunk granularity for the chunked encoders (1 MiB): large
-/// enough that per-chunk overhead (12 bytes) vanishes, small enough that
-/// a corrupted transfer is caught within a chunk of where it happened.
-pub const DEFAULT_CHUNK_LEN: usize = 1 << 20;
-/// Upper bound a decoder accepts for a single chunk's length — a guard
-/// against a corrupted or hostile length prefix forcing a giant
-/// allocation before the checksum can catch it.
-const MAX_CHUNK_LEN: usize = 1 << 26;
-
-/// Wrap a sealed whole-buffer artifact in the version-3 chunked frame.
-fn encode_chunked(tag: u8, inner: &[u8], chunk_len: usize) -> Vec<u8> {
-    let chunk_len = chunk_len.clamp(1, MAX_CHUNK_LEN);
-    let mut out = header_versioned(tag, CHUNKED_VERSION);
-    out.reserve(inner.len() + 12 * (inner.len() / chunk_len + 2));
-    for chunk in inner.chunks(chunk_len) {
-        out.put_u32_le(u32::try_from(chunk.len()).expect("chunk fits u32"));
-        out.put_slice(chunk);
-        out.put_u64_le(fnv1a(chunk));
-    }
-    out.put_u32_le(0);
-    seal(out)
-}
-
-/// Reassemble the inner artifact from an in-memory chunked body (the
-/// whole-buffer acceptance path for version-3 streams; the header has
-/// already been consumed from `buf`).
-fn reassemble_chunks(buf: &mut &[u8]) -> Result<Vec<u8>, PersistError> {
-    let mut inner = Vec::new();
-    loop {
-        if buf.remaining() < 4 {
-            return Err(PersistError::Truncated);
-        }
-        let len = buf.get_u32_le() as usize;
-        if len == 0 {
-            break;
-        }
-        if len > MAX_CHUNK_LEN || buf.remaining() < len + 8 {
-            return Err(PersistError::Truncated);
-        }
-        let (chunk, rest) = buf.split_at(len);
-        *buf = rest;
-        let stored = buf.get_u64_le();
-        if fnv1a(chunk) != stored {
-            return Err(PersistError::ChecksumMismatch);
-        }
-        inner.extend_from_slice(chunk);
-    }
-    if buf.has_remaining() {
-        return Err(PersistError::Truncated);
-    }
-    Ok(inner)
-}
-
-fn read_exact(r: &mut impl std::io::Read, buf: &mut [u8]) -> Result<(), PersistError> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            PersistError::Truncated
-        } else {
-            PersistError::Io(e.to_string())
-        }
-    })
-}
-
-/// Read one version-3 chunked artifact off a byte stream, verifying each
-/// chunk seal as it arrives and the outer stream seal at the end, and
-/// return the reassembled inner whole-buffer artifact. The frame is
-/// self-delimiting, so the reader is left positioned exactly past the
-/// artifact — back-to-back artifacts on one stream decode in sequence.
-/// Only chunked (version-3) streams are accepted here: a whole-buffer
-/// layout has no terminator, so a streaming reader could not find its
-/// end without consuming the rest of the stream.
-fn read_chunked(r: &mut impl std::io::Read, expected_tag: u8) -> Result<Vec<u8>, PersistError> {
-    let mut hasher = Fnv::new();
-    let mut head = [0u8; 7];
-    read_exact(r, &mut head)?;
-    hasher.update(&head);
-    if &head[..4] != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = u16::from_le_bytes([head[4], head[5]]);
-    if version != CHUNKED_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    if head[6] != expected_tag {
-        return Err(PersistError::WrongArtifact {
-            found: head[6],
-            expected: expected_tag,
-        });
-    }
-    let mut inner = Vec::new();
-    loop {
-        let mut len4 = [0u8; 4];
-        read_exact(r, &mut len4)?;
-        hasher.update(&len4);
-        let len = u32::from_le_bytes(len4) as usize;
-        if len == 0 {
-            break;
-        }
-        if len > MAX_CHUNK_LEN {
-            return Err(PersistError::Truncated);
-        }
-        let start = inner.len();
-        inner.resize(start + len, 0);
-        read_exact(r, &mut inner[start..])?;
-        hasher.update(&inner[start..]);
-        let mut seal8 = [0u8; 8];
-        read_exact(r, &mut seal8)?;
-        hasher.update(&seal8);
-        if fnv1a(&inner[start..]) != u64::from_le_bytes(seal8) {
-            return Err(PersistError::ChecksumMismatch);
-        }
-    }
-    let mut tail = [0u8; 8];
-    read_exact(r, &mut tail)?;
-    if hasher.finish() != u64::from_le_bytes(tail) {
-        return Err(PersistError::ChecksumMismatch);
-    }
-    Ok(inner)
 }
 
 /// Serialize an [`ApproxIndex`] to bytes.
@@ -504,6 +350,7 @@ pub fn decode_approx_index(bytes: &[u8]) -> Result<ApproxIndex, PersistError> {
         functions,
         stats: BuildStats::default(),
         opts,
+        threads: crate::parallel::all_cores(),
         satisfied: vec![false; cell_count],
         probe_log: Vec::new(),
         partitions: Vec::new(),
@@ -587,26 +434,10 @@ pub fn encode_regions(regions: &[SatRegion], angle_dim: usize) -> Vec<u8> {
 /// Any [`PersistError`] on malformed, corrupted or incompatible input.
 pub fn decode_regions(bytes: &[u8]) -> Result<(Vec<SatRegion>, usize), PersistError> {
     let mut buf = unseal(bytes)?;
-    let version = check_header_versioned(&mut buf, TAG_REGIONS, CHUNKED_VERSION)?;
-    if version == CHUNKED_VERSION {
-        let inner = reassemble_chunks(&mut buf)?;
-        return decode_regions_inner(&inner);
-    }
+    let version = check_header_versioned(&mut buf, TAG_REGIONS, VERSION)?;
     if version != VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    decode_regions_fields(buf)
-}
-
-/// Decode the whole-buffer region artifact a chunked stream carries
-/// (version capped at [`VERSION`], so chunked frames cannot nest).
-fn decode_regions_inner(bytes: &[u8]) -> Result<(Vec<SatRegion>, usize), PersistError> {
-    let mut buf = unseal(bytes)?;
-    check_header(&mut buf, TAG_REGIONS)?;
-    decode_regions_fields(buf)
-}
-
-fn decode_regions_fields(mut buf: &[u8]) -> Result<(Vec<SatRegion>, usize), PersistError> {
     if buf.remaining() < 4 + 8 {
         return Err(PersistError::Truncated);
     }
@@ -652,37 +483,6 @@ fn decode_regions_fields(mut buf: &[u8]) -> Result<(Vec<SatRegion>, usize), Pers
         return Err(PersistError::Truncated);
     }
     Ok((regions, dim))
-}
-
-/// Serialize a satisfactory-region list in the **version-3 chunked
-/// transport** — the sealed artifact of [`encode_regions`] carried as
-/// self-sealing frames (see [`encode_dataset_chunked`] for the layout).
-/// [`decode_regions`] accepts it whole-buffer; [`decode_regions_from`]
-/// consumes it off a stream.
-///
-/// # Panics
-/// As [`encode_regions`]: if a region's arity disagrees with
-/// `angle_dim`.
-#[must_use]
-pub fn encode_regions_chunked(
-    regions: &[SatRegion],
-    angle_dim: usize,
-    chunk_len: usize,
-) -> Vec<u8> {
-    encode_chunked(TAG_REGIONS, &encode_regions(regions, angle_dim), chunk_len)
-}
-
-/// Decode a version-3 chunked region artifact directly off a byte
-/// stream; the streaming counterpart of [`decode_regions`]. The reader
-/// is left positioned exactly past the artifact.
-///
-/// # Errors
-/// [`PersistError`] on malformed, corrupted, truncated, or non-chunked
-/// input; [`PersistError::Io`] if the underlying reader fails.
-pub fn decode_regions_from(
-    reader: &mut impl std::io::Read,
-) -> Result<(Vec<SatRegion>, usize), PersistError> {
-    decode_regions_inner(&read_chunked(reader, TAG_REGIONS)?)
 }
 
 /// Reassemble a backend from its artifact tag and sealed artifact bytes
@@ -877,24 +677,7 @@ pub fn encode_dataset_row_major(ds: &Dataset) -> Vec<u8> {
 /// [`PersistError`] on corrupted, truncated, or foreign input.
 pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, PersistError> {
     let mut buf = unseal(bytes)?;
-    let version = check_header_versioned(&mut buf, TAG_DATASET, CHUNKED_VERSION)?;
-    if version == CHUNKED_VERSION {
-        let inner = reassemble_chunks(&mut buf)?;
-        return decode_dataset_inner(&inner);
-    }
-    decode_dataset_fields(buf, version)
-}
-
-/// Decode the whole-buffer artifact a chunked stream carries. Capping the
-/// accepted version at [`DATASET_VERSION`] here is what stops a hostile
-/// stream nesting chunked frames inside chunked frames.
-fn decode_dataset_inner(bytes: &[u8]) -> Result<Dataset, PersistError> {
-    let mut buf = unseal(bytes)?;
     let version = check_header_versioned(&mut buf, TAG_DATASET, DATASET_VERSION)?;
-    decode_dataset_fields(buf, version)
-}
-
-fn decode_dataset_fields(mut buf: &[u8], version: u16) -> Result<Dataset, PersistError> {
     if buf.remaining() < 12 {
         return Err(PersistError::Truncated);
     }
@@ -933,34 +716,6 @@ fn decode_dataset_fields(mut buf: &[u8], version: u16) -> Result<Dataset, Persis
         return Err(PersistError::Truncated);
     }
     Ok(ds)
-}
-
-/// Serialize a [`Dataset`] in the **version-3 chunked transport**: the
-/// sealed columnar artifact of [`encode_dataset`], split into
-/// `chunk_len`-byte frames each carrying its own FNV-1a seal, closed by
-/// a zero-length terminator, under one outer stream seal. The layout is
-/// self-delimiting, which is what lets [`decode_dataset_from`] consume
-/// it off a live byte stream without knowing the total length up front;
-/// [`decode_dataset`] also accepts it whole-buffer. Use
-/// [`DEFAULT_CHUNK_LEN`] unless you have a reason not to
-/// (`chunk_len` is clamped to `1..=64 MiB`).
-#[must_use]
-pub fn encode_dataset_chunked(ds: &Dataset, chunk_len: usize) -> Vec<u8> {
-    encode_chunked(TAG_DATASET, &encode_dataset(ds), chunk_len)
-}
-
-/// Decode a version-3 chunked [`Dataset`] artifact directly off a byte
-/// stream, verifying each chunk's seal as it arrives. The reader is left
-/// positioned exactly past the artifact's trailing seal, so consecutive
-/// artifacts on one stream decode in sequence.
-///
-/// # Errors
-/// [`PersistError`] on malformed, corrupted, or truncated input, on a
-/// non-chunked (version-1/2) stream — whose end a streaming reader
-/// cannot find — and [`PersistError::Io`] if the underlying reader
-/// fails.
-pub fn decode_dataset_from(reader: &mut impl std::io::Read) -> Result<Dataset, PersistError> {
-    decode_dataset_inner(&read_chunked(reader, TAG_DATASET)?)
 }
 
 fn get_u32_vec(buf: &mut &[u8]) -> Result<Vec<u32>, PersistError> {
@@ -1295,121 +1050,66 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn chunked_dataset_round_trips_at_every_granularity() {
-        let ds = sample_dataset();
-        let plain = encode_dataset(&ds);
-        for chunk_len in [
-            1usize,
-            7,
-            64,
-            plain.len(),
-            plain.len() * 4,
-            DEFAULT_CHUNK_LEN,
-        ] {
-            let chunked = encode_dataset_chunked(&ds, chunk_len);
-            // Whole-buffer decoder accepts v3.
-            assert_eq!(
-                decode_dataset(&chunked).unwrap(),
-                ds,
-                "whole-buffer, chunk {chunk_len}"
-            );
-            // Streaming decoder agrees bit-for-bit.
-            let mut cursor = std::io::Cursor::new(chunked.as_slice());
-            let back = decode_dataset_from(&mut cursor).unwrap();
-            assert_eq!(back, ds, "streamed, chunk {chunk_len}");
-            assert_eq!(
-                cursor.position() as usize,
-                chunked.len(),
-                "reader past artifact"
-            );
-        }
+    fn sample_regions() -> (Vec<SatRegion>, usize) {
+        let ds = generic::anticorrelated(12, 3, 0.8, 21);
+        let oracle = fairrank_fairness::FnOracle::new("always", |_: &[u32]| true);
+        let opts = crate::md::SatRegionsOptions {
+            max_hyperplanes: Some(4),
+            ..Default::default()
+        };
+        let r = crate::md::sat_regions(&ds, &oracle, &opts).unwrap();
+        (r.satisfactory, r.dim)
     }
 
     #[test]
     fn chunked_regions_round_trip() {
-        let ds = generic::anticorrelated(12, 3, 0.8, 21);
-        let o = crate::md::SatRegionsOptions::default();
-        let oracle = fairrank_fairness::FnOracle::new("always", |_: &[u32]| true);
-        let r = crate::md::sat_regions(&ds, &oracle, &o).unwrap();
-        let plain = encode_regions(&r.satisfactory, r.dim);
-        for chunk_len in [13usize, plain.len() / 3 + 1, DEFAULT_CHUNK_LEN] {
-            let chunked = encode_regions_chunked(&r.satisfactory, r.dim, chunk_len);
-            let (back, dim) = decode_regions(&chunked).unwrap();
-            assert_eq!(dim, r.dim);
-            assert_eq!(
-                encode_regions(&back, dim),
-                plain,
-                "whole-buffer, chunk {chunk_len}"
-            );
-            let mut cursor = std::io::Cursor::new(chunked.as_slice());
-            let (streamed, sdim) = decode_regions_from(&mut cursor).unwrap();
-            assert_eq!(
-                encode_regions(&streamed, sdim),
-                plain,
-                "streamed, chunk {chunk_len}"
-            );
-        }
+        let (regions, dim) = sample_regions();
+        let plain = encode_regions(&regions, dim);
+        let (back, back_dim) = decode_regions(&plain).unwrap();
+        assert_eq!(back_dim, dim);
+        assert_eq!(encode_regions(&back, back_dim), plain);
     }
 
-    #[test]
-    fn back_to_back_chunked_artifacts_stream_in_sequence() {
-        let ds = sample_dataset();
-        let mut stream = encode_dataset_chunked(&ds, 32);
-        stream.extend_from_slice(&encode_dataset_chunked(&ds, 9));
-        let mut cursor = std::io::Cursor::new(stream.as_slice());
-        assert_eq!(decode_dataset_from(&mut cursor).unwrap(), ds);
-        assert_eq!(decode_dataset_from(&mut cursor).unwrap(), ds);
-        assert_eq!(cursor.position() as usize, stream.len());
-    }
-
+    /// Every single-byte flip and every truncation of the dataset and
+    /// region artifacts is rejected.
     #[test]
     fn chunked_corruption_and_truncation_detected() {
-        let ds = sample_dataset();
-        let bytes = encode_dataset_chunked(&ds, 16);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0xFF;
-            assert!(decode_dataset(&bad).is_err(), "flip at {i} accepted");
-            assert!(
-                decode_dataset_from(&mut std::io::Cursor::new(bad.as_slice())).is_err(),
-                "streamed flip at {i} accepted"
-            );
-        }
-        for cut in [0usize, 3, 7, 20, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_dataset(&bytes[..cut]).is_err(), "{cut}-byte prefix");
-            assert!(
-                decode_dataset_from(&mut std::io::Cursor::new(&bytes[..cut])).is_err(),
-                "streamed {cut}-byte prefix"
-            );
+        let (regions, dim) = sample_regions();
+        for bytes in [
+            encode_dataset(&sample_dataset()),
+            encode_regions(&regions, dim),
+        ] {
+            for i in 0..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[i] ^= 0xFF;
+                assert!(decode_dataset(&bad).is_err(), "flip at {i} accepted");
+                assert!(decode_regions(&bad).is_err(), "flip at {i} accepted");
+            }
+            for cut in 0..bytes.len() {
+                assert!(decode_dataset(&bytes[..cut]).is_err(), "{cut}-byte prefix");
+                assert!(decode_regions(&bytes[..cut]).is_err(), "{cut}-byte prefix");
+            }
         }
     }
 
-    #[test]
-    fn streaming_decoder_rejects_whole_buffer_layouts() {
-        let ds = sample_dataset();
-        for bytes in [encode_dataset(&ds), encode_dataset_row_major(&ds)] {
-            assert!(matches!(
-                decode_dataset_from(&mut std::io::Cursor::new(bytes.as_slice())),
-                Err(PersistError::UnsupportedVersion(_))
-            ));
-        }
-    }
-
+    /// Version 3, the retired chunked framing, is not decoded at all.
     #[test]
     fn chunked_frames_do_not_nest() {
-        // Hand-build a v3 frame whose inner artifact is itself v3: the
-        // inner decode must refuse (version cap), not recurse.
-        let ds = sample_dataset();
-        let inner = encode_dataset_chunked(&ds, 64);
-        let nested = super::encode_chunked(TAG_DATASET, &inner, 64);
+        let v3 = |tag, inner: &[u8]| {
+            let mut out = header_versioned(tag, 3);
+            out.extend_from_slice(inner);
+            seal(out)
+        };
+        let ds = v3(TAG_DATASET, &encode_dataset(&sample_dataset()));
+        assert_eq!(
+            decode_dataset(&ds),
+            Err(PersistError::UnsupportedVersion(3))
+        );
+        let (regions, dim) = sample_regions();
+        let regions = v3(TAG_REGIONS, &encode_regions(&regions, dim));
         assert!(matches!(
-            decode_dataset(&nested),
-            Err(PersistError::UnsupportedVersion(_))
-        ));
-        assert!(matches!(
-            decode_dataset_from(&mut std::io::Cursor::new(nested.as_slice())),
-            Err(PersistError::UnsupportedVersion(_))
+            decode_regions(&regions),
+            Err(PersistError::UnsupportedVersion(3))
         ));
     }
 

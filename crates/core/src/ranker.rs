@@ -35,7 +35,7 @@ use fairrank_telemetry::Counter;
 use crate::approximate::{ApproxGrid, ApproxIndex, BuildOptions};
 use crate::backend::{Answer, BackendStats, IndexBackend, QueryCtx, Strategy};
 use crate::error::{validate_weights, FairRankError};
-use crate::md::{sat_regions, ExactRegions, SatRegionsOptions};
+use crate::md::{ExactRegions, SatRegionsOptions};
 use crate::persist::{decode_ranker_versioned, encode_ranker_versioned, PersistError};
 use crate::probes::{RankingTally, TopKPartition};
 use crate::request::{KnownFairness, SuggestRequest, SuggestStats, Suggestion};
@@ -73,9 +73,7 @@ pub struct FairRankerBuilder {
     strategy: Strategy,
     sat_opts: SatRegionsOptions,
     approx_opts: BuildOptions,
-    exact_rebuild_every: usize,
-    build_threads: Option<usize>,
-    lazy_regions: bool,
+    build_threads: usize,
 }
 
 impl FairRankerBuilder {
@@ -94,17 +92,6 @@ impl FairRankerBuilder {
         self
     }
 
-    /// How many live updates the exact-regions backend coalesces before
-    /// paying one arrangement reconstruction (default 1 = rebuild
-    /// immediately, so answers never go stale). Only affects
-    /// [`Strategy::MdExact`]; see
-    /// [`ExactRegions::with_update_policy`].
-    #[must_use]
-    pub fn exact_rebuild_every(mut self, every: usize) -> Self {
-        self.exact_rebuild_every = every.max(1);
-        self
-    }
-
     /// Options for the approximate grid build (used when the resolved
     /// strategy is [`Strategy::MdApprox`]).
     #[must_use]
@@ -114,27 +101,14 @@ impl FairRankerBuilder {
     }
 
     /// Worker count for the offline build, whichever backend the
-    /// strategy resolves to (`0` = all available cores). Every parallel
-    /// build is bit-identical to the serial one — the knob changes
-    /// wall-clock only, never the index (gated by
-    /// `tests/build_equivalence.rs`). When not set, the
-    /// [`crate::parallel::BUILD_THREADS_ENV`] environment variable
-    /// applies, else builds run serially (except the approximate grid,
-    /// whose cell probing has always defaulted to all cores).
+    /// strategy resolves to. Unset or `0` means all available cores. The
+    /// backend keeps the count for the rebuilds its updates pay and for
+    /// recomputing serving state. Every parallel build is bit-identical
+    /// to the serial one — the knob changes wall-clock only, never the
+    /// index (gated by `tests/build_equivalence.rs`).
     #[must_use]
     pub fn build_threads(mut self, threads: usize) -> Self {
-        self.build_threads = Some(threads);
-        self
-    }
-
-    /// Defer the exact arrangement: [`Strategy::MdExact`] construction
-    /// returns immediately and the full [`sat_regions`] pass runs — at
-    /// most once, memoized — on the first query that needs it. Answers
-    /// are bit-identical to an eager build (see
-    /// [`ExactRegions::new_lazy`]). Ignored by the other strategies.
-    #[must_use]
-    pub fn lazy_regions(mut self, lazy: bool) -> Self {
-        self.lazy_regions = lazy;
+        self.build_threads = threads;
         self
     }
 
@@ -150,12 +124,11 @@ impl FairRankerBuilder {
             ds,
             oracle,
             strategy,
-            mut sat_opts,
-            mut approx_opts,
-            exact_rebuild_every,
+            sat_opts,
+            approx_opts,
             build_threads,
-            lazy_regions,
         } = self;
+        let threads = crate::parallel::resolve_build_threads(build_threads);
         let picked = strategy.pick(&ds);
         let build_timer = crate::buildtel::BuildTimer::start(match picked {
             Strategy::TwoD => "twod",
@@ -164,51 +137,25 @@ impl FairRankerBuilder {
             _ => "other",
         });
         let backend: Box<dyn IndexBackend> = match picked {
-            Strategy::TwoD => {
-                // `build_maintained_threads` keeps the sweep structure so
-                // live updates maintain the index incrementally.
-                Box::new(TwoDIntervals::build_maintained_threads(
-                    &ds,
-                    oracle.as_ref(),
-                    build_threads,
-                )?)
-            }
-            Strategy::MdExact => {
-                sat_opts.threads = sat_opts.threads.or(build_threads);
-                if lazy_regions {
-                    if ds.dim() < 2 {
-                        // The same validation an eager `sat_regions` run
-                        // performs — fail at build time, not at first query.
-                        return Err(FairRankError::TooFewAttributes);
-                    }
-                    Box::new(ExactRegions::new_lazy(
-                        ds.dim() - 1,
-                        sat_opts,
-                        exact_rebuild_every,
-                    ))
-                } else {
-                    let regions = sat_regions(&ds, oracle.as_ref(), &sat_opts)?;
-                    Box::new(
-                        ExactRegions::new(regions.satisfactory, regions.dim)
-                            .with_update_policy(sat_opts, exact_rebuild_every),
-                    )
-                }
-            }
-            Strategy::MdApprox => {
-                // The approximate grid's cell probing has always defaulted
-                // to all cores (`None`); only an explicit builder request
-                // overrides it.
-                if approx_opts.threads.is_none() {
-                    if let Some(t) = build_threads {
-                        approx_opts.threads = Some(crate::parallel::resolve_build_threads(Some(t)));
-                    }
-                }
-                Box::new(ApproxGrid::new(ApproxIndex::build(
-                    &ds,
-                    oracle.as_ref(),
-                    &approx_opts,
-                )?))
-            }
+            // The maintained build keeps the sweep structure so live
+            // updates maintain the index incrementally.
+            Strategy::TwoD => Box::new(TwoDIntervals::build_maintained(
+                &ds,
+                oracle.as_ref(),
+                threads,
+            )?),
+            Strategy::MdExact => Box::new(ExactRegions::build(
+                &ds,
+                oracle.as_ref(),
+                sat_opts,
+                threads,
+            )?),
+            Strategy::MdApprox => Box::new(ApproxGrid::new(ApproxIndex::build_with_threads(
+                &ds,
+                oracle.as_ref(),
+                &approx_opts,
+                threads,
+            )?)),
             // `pick` resolves Auto (and any future variant added behind
             // the non_exhaustive attribute must teach `pick` its rule).
             other => unreachable!("Strategy::pick returned unresolved {other:?}"),
@@ -245,9 +192,7 @@ impl FairRanker {
             strategy: Strategy::Auto,
             sat_opts: SatRegionsOptions::default(),
             approx_opts: BuildOptions::default(),
-            exact_rebuild_every: 1,
-            build_threads: None,
-            lazy_regions: false,
+            build_threads: 0,
         }
     }
 
@@ -516,9 +461,8 @@ impl FairRanker {
     /// untouched while the version advances. The oracle is re-bound to
     /// the new dataset ([`FairnessOracle::rebind`]).
     ///
-    /// After the update (once any [`UpdateOutcome::Deferred`] window is
-    /// flushed), [`FairRanker::respond`] answers exactly as a ranker
-    /// rebuilt from scratch on the updated dataset would — the
+    /// After the update, [`FairRanker::respond`] answers exactly as a
+    /// ranker rebuilt from scratch on the updated dataset would — the
     /// equivalence is property-tested per backend.
     ///
     /// # Errors
@@ -605,75 +549,12 @@ impl FairRanker {
         updates.into_iter().map(|u| self.update(u)).collect()
     }
 
-    /// Force any updates a coalescing backend deferred
-    /// ([`UpdateOutcome::Deferred`]) to take effect now. Backends without
-    /// a deferral buffer return [`UpdateOutcome::Noop`]. Like
-    /// [`FairRanker::update`], this copy-on-writes a fresh generation
-    /// when snapshots are outstanding.
-    ///
-    /// # Errors
-    /// Backend rebuild errors; [`FairRankError::CloneUnsupported`] when
-    /// snapshots are outstanding and the backend cannot fork.
-    pub fn flush_updates(&mut self) -> Result<UpdateOutcome, FairRankError> {
-        if Arc::get_mut(&mut self.core).is_none() {
-            // Probe before forking: a flush with nothing buffered is a
-            // Noop, and deep-copying the whole index just to discover
-            // that would make every idle flush on a shared ranker (the
-            // service's slot is always shared) pay a full index clone.
-            if !self.core.backend.has_pending_updates() {
-                return Ok(UpdateOutcome::Noop);
-            }
-            let mut backend = self.core.backend.clone_box().ok_or_else(|| {
-                FairRankError::CloneUnsupported(self.core.backend.stats().kind.to_string())
-            })?;
-            let outcome = {
-                let ctx = UpdateCtx {
-                    old: &self.core.ds,
-                    ds: &self.core.ds,
-                    oracle: self.core.oracle.as_ref(),
-                };
-                backend.flush(&ctx)?
-            };
-            if outcome != UpdateOutcome::Noop {
-                self.core = Arc::new(RankerCore {
-                    ds: Arc::clone(&self.core.ds),
-                    oracle: Arc::clone(&self.core.oracle),
-                    backend,
-                    version: self.core.version,
-                });
-            }
-            return Ok(outcome);
-        }
-        let core = Arc::get_mut(&mut self.core).expect("checked exclusive above");
-        let ctx = UpdateCtx {
-            old: &core.ds,
-            ds: &core.ds,
-            oracle: core.oracle.as_ref(),
-        };
-        core.backend.flush(&ctx)
-    }
-
     /// Serialize the complete ranker index — backend tag plus artifact
     /// plus the update counter, inside one checksummed envelope — for
     /// the offline→online hand-off. The inverse is
     /// [`FairRanker::from_bytes`].
-    ///
-    /// Deferred updates are **not** part of the envelope: a coalescing
-    /// backend (exact regions behind
-    /// [`exact_rebuild_every`](FairRankerBuilder::exact_rebuild_every))
-    /// serializes its current — possibly stale — index and the loaded
-    /// replica has no pending buffer left to flush. Call
-    /// [`FairRanker::flush_updates`] before serializing a ranker that
-    /// may sit inside a deferral window.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        // A lazily built exact backend that has never been queried holds
-        // no arrangement yet; persisting one would silently encode an
-        // empty region list. Materialize first — idempotent, and exactly
-        // the pass the first query would have paid.
-        if let Some(exact) = self.core.backend.as_any().downcast_ref::<ExactRegions>() {
-            exact.materialize(&self.core.ds, self.core.oracle.as_ref());
-        }
         encode_ranker_versioned(
             self.core.ds.dim(),
             self.core.version,

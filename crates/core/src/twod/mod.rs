@@ -6,7 +6,7 @@ pub mod online;
 pub mod raysweep;
 
 pub use online::{online_2d, TwoDAnswer};
-pub use raysweep::{ray_sweep, ray_sweep_incremental, ray_sweep_threads, RaySweepResult};
+pub use raysweep::{ray_sweep, ray_sweep_incremental, RaySweepResult};
 
 use fairrank_datasets::kernels;
 use fairrank_datasets::Dataset;
@@ -99,30 +99,17 @@ impl TwoDIntervals {
         weights[1].atan2(weights[0]).clamp(0.0, HALF_PI)
     }
 
-    /// Run 2DRAYSWEEP and keep the sweep structure for incremental
-    /// maintenance — the builder's construction path.
+    /// Run 2DRAYSWEEP on `threads` workers and keep the sweep structure
+    /// for incremental maintenance — the builder's construction path.
+    /// The sweep is sharded by angular sector and merged in canonical
+    /// angle order, bit-identical to the serial walk for every count.
     ///
     /// # Errors
     /// [`FairRankError::DimensionMismatch`] unless `ds.dim() == 2`.
-    pub fn build_maintained(
+    pub(crate) fn build_maintained(
         ds: &Dataset,
         oracle: &dyn FairnessOracle,
-    ) -> Result<TwoDIntervals, FairRankError> {
-        Self::build_maintained_threads(ds, oracle, None)
-    }
-
-    /// [`build_maintained`](Self::build_maintained) with an explicit
-    /// worker count: the sweep is sharded by angular sector and merged in
-    /// canonical angle order, bit-identical to the serial walk for every
-    /// thread count (`threads` resolves per
-    /// [`crate::parallel::resolve_build_threads`]).
-    ///
-    /// # Errors
-    /// [`FairRankError::DimensionMismatch`] unless `ds.dim() == 2`.
-    pub fn build_maintained_threads(
-        ds: &Dataset,
-        oracle: &dyn FairnessOracle,
-        threads: Option<usize>,
+        threads: usize,
     ) -> Result<TwoDIntervals, FairRankError> {
         if ds.dim() != 2 {
             return Err(FairRankError::DimensionMismatch {
@@ -130,12 +117,11 @@ impl TwoDIntervals {
                 found: ds.dim(),
             });
         }
-        let workers = crate::parallel::resolve_build_threads(threads);
         let phase = crate::buildtel::PhaseTimer::start("twod", "events");
         let events = exchange_events(ds);
         phase.finish();
         let phase = crate::buildtel::PhaseTimer::start("twod", "sweep");
-        let out = sweep_events_threaded(ds, &events, workers, None, &|ranking, _, _, _, _| {
+        let out = sweep_events_threaded(ds, &events, threads, None, &|ranking, _, _, _, _| {
             oracle.is_satisfactory(ranking)
         });
         phase.finish();
@@ -310,11 +296,12 @@ impl IndexBackend for TwoDIntervals {
         ctx: &UpdateCtx<'_>,
     ) -> Result<UpdateOutcome, FairRankError> {
         if self.maint.is_none() {
-            // Bare intervals (persisted artifact): one full resweep seeds
-            // the maintenance state; subsequent updates are incremental.
+            // Bare intervals (persisted artifact): one full resweep on
+            // all cores seeds the maintenance state; subsequent updates
+            // are incremental.
             *self = TwoDIntervals {
                 counters: self.counters.clone(),
-                ..Self::build_maintained(ctx.ds, ctx.oracle)?
+                ..Self::build_maintained(ctx.ds, ctx.oracle, crate::parallel::all_cores())?
             };
             self.counters.record(true, true);
             return Ok(UpdateOutcome::Rebuilt);

@@ -398,9 +398,11 @@ pub(crate) fn sweep_events_threaded(
 
 /// The black-box sweep: one oracle call per sector (paper Theorem 1).
 ///
-/// Delegates to [`ray_sweep_threads`] with no explicit worker count, so
-/// the `FAIRRANK_BUILD_THREADS` environment variable can flip whole runs
-/// to the sharded sweep (bit-identical output either way).
+/// Runs on all available cores: the event list is split into contiguous
+/// angular shards, each walked with its own [`RankWorkspace`], and the
+/// shard outputs are merged in canonical angle order — bit-identical to
+/// the serial sweep for every thread count (gated by
+/// `tests/build_equivalence.rs`).
 ///
 /// # Errors
 /// [`FairRankError::DimensionMismatch`] unless the dataset has exactly two
@@ -409,31 +411,13 @@ pub fn ray_sweep(
     ds: &Dataset,
     oracle: &dyn FairnessOracle,
 ) -> Result<RaySweepResult, FairRankError> {
-    ray_sweep_threads(ds, oracle, None)
-}
-
-/// [`ray_sweep`] with an explicit worker count (resolved per
-/// [`crate::parallel::resolve_build_threads`]): the event list is split
-/// into contiguous angular shards, each walked with its own
-/// [`RankWorkspace`], and the shard outputs are merged in canonical
-/// angle order — bit-identical to the serial sweep for every thread
-/// count (gated by `tests/build_equivalence.rs`).
-///
-/// # Errors
-/// [`FairRankError::DimensionMismatch`] unless the dataset has exactly two
-/// scoring attributes.
-pub fn ray_sweep_threads(
-    ds: &Dataset,
-    oracle: &dyn FairnessOracle,
-    threads: Option<usize>,
-) -> Result<RaySweepResult, FairRankError> {
     if ds.dim() != 2 {
         return Err(FairRankError::DimensionMismatch {
             expected: 2,
             found: ds.dim(),
         });
     }
-    let workers = crate::parallel::resolve_build_threads(threads);
+    let workers = crate::parallel::all_cores();
     let events = exchange_events(ds);
     let oracle_calls = std::sync::atomic::AtomicU64::new(0);
     let out = sweep_events_threaded(ds, &events, workers, None, &|ranking, _, _, _, _| {

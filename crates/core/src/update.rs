@@ -8,11 +8,11 @@
 //! update description ([`DatasetUpdate`]), one maintenance context
 //! ([`UpdateCtx`] — the pre- and post-update dataset snapshots plus the
 //! rebound oracle), and one outcome report ([`UpdateOutcome`]) telling
-//! the caller whether the index was maintained in place, reconstructed,
-//! or left stale behind a coalescing threshold.
+//! the caller whether the index was maintained in place or
+//! reconstructed.
 //!
-//! The maintenance contract is strict: once an update (and any deferral
-//! window) has settled, the backend must answer queries **identically**
+//! The maintenance contract is strict: once an update returns, the
+//! backend must answer queries **identically**
 //! to the same backend rebuilt from scratch on the post-update dataset —
 //! property-tested in `tests/incremental_equivalence.rs`.
 
@@ -136,19 +136,6 @@ pub enum UpdateOutcome {
     Incremental,
     /// The backend reconstructed its index from the post-update dataset.
     Rebuilt,
-    /// The update was buffered behind a coalescing threshold; `pending`
-    /// updates are waiting. Until the threshold triggers a rebuild (or
-    /// [`FairRanker::flush_updates`](crate::FairRanker::flush_updates)
-    /// forces one), index answers may reflect the pre-update dataset —
-    /// exact backends still re-validate suggestions against the live
-    /// oracle, so deferred answers are *fair*, just not necessarily
-    /// closest.
-    Deferred {
-        /// Number of updates buffered so far.
-        pending: usize,
-    },
-    /// Nothing to do (e.g. a flush with no pending updates).
-    Noop,
 }
 
 /// Everything a backend may consult while maintaining its index through

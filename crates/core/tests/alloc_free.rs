@@ -64,9 +64,9 @@ fn partitioned_requests_allocate_no_buffer_of_n_entries() {
         .approx_options(BuildOptions {
             n_cells: 200,
             max_hyperplanes: Some(200),
-            threads: Some(1),
             ..Default::default()
         })
+        .build_threads(1)
         .build()
         .unwrap();
     let queries: Vec<Vec<f64>> = (0..16)

@@ -374,6 +374,33 @@ mod tests {
         assert_eq!(tree.regions().len(), tree.region_count());
     }
 
+    /// Both arrangements count their LPs; on a fan of crossing lines the
+    /// tree's subtree pruning solves fewer than the flat scan's two per
+    /// region and insertion.
+    #[test]
+    fn tree_solves_fewer_lps_than_flat() {
+        let mut flat = Arrangement::new(2);
+        let mut tree = ArrangementTree::new(2);
+        for k in 0..40 {
+            let ang = 0.37 * f64::from(k);
+            let (x, y) = (
+                0.2 + 1.1 * (0.618 * f64::from(k)).fract(),
+                0.2 + 1.1 * (0.414 * f64::from(k)).fract(),
+            );
+            let p = hp(vec![ang.cos(), ang.sin()], x * ang.cos() + y * ang.sin());
+            flat.insert(p.clone());
+            tree.insert(&p);
+        }
+        assert_eq!(flat.region_count(), tree.region_count());
+        assert!(tree.lp_calls > 0 && flat.lp_calls > 0);
+        assert!(
+            tree.lp_calls < flat.lp_calls,
+            "tree {} vs flat {}",
+            tree.lp_calls,
+            flat.lp_calls
+        );
+    }
+
     #[test]
     fn region_witnesses_are_interior() {
         let mut t = ArrangementTree::new(3);

@@ -29,8 +29,7 @@
 
 use std::time::Duration;
 
-use fairrank::approximate::{ApproxIndex, BuildOptions};
-use fairrank::md::SatRegionsOptions;
+use fairrank::approximate::BuildOptions;
 use fairrank::{FairRanker, Strategy};
 use fairrank_bench::{default_compas_oracle, dot_flights, dot_oracle, time, time_avg};
 use fairrank_datasets::{kernels, RankWorkspace};
@@ -66,16 +65,21 @@ fn main() {
     // arms fit one run.
     let ds_md = fairrank_bench::compas_d3(6889);
     let oracle_md = default_compas_oracle(&ds_md);
-    let md_opts = |threads: Option<usize>| BuildOptions {
-        n_cells: 600,
-        max_hyperplanes: Some(1200),
-        threads,
-        ..Default::default()
+    let build_md = |threads: usize| {
+        FairRanker::builder(ds_md.clone(), Box::new(oracle_md.clone()))
+            .strategy(Strategy::MdApprox)
+            .approx_options(BuildOptions {
+                n_cells: 600,
+                max_hyperplanes: Some(1200),
+                ..Default::default()
+            })
+            .build_threads(threads)
+            .build()
+            .unwrap()
     };
-    let (_, t_md_serial) =
-        time(|| ApproxIndex::build(&ds_md, &oracle_md, &md_opts(Some(1))).unwrap());
+    let (_, t_md_serial) = time(|| build_md(1));
     push("querymd.build_compas_n6889_d3_serial_ms", ms(t_md_serial));
-    let (_, t_md_par) = time(|| ApproxIndex::build(&ds_md, &oracle_md, &md_opts(Some(0))).unwrap());
+    let (_, t_md_par) = time(|| build_md(0));
     push("querymd.build_compas_n6889_d3_par_ms", ms(t_md_par));
     push(
         "querymd.build_compas_n6889_d3_speedup_x",
@@ -90,10 +94,7 @@ fn main() {
     let build_exact = |threads: usize| {
         FairRanker::builder(ds_ex.clone(), Box::new(oracle_ex.clone()))
             .strategy(Strategy::MdExact)
-            .sat_regions_options(SatRegionsOptions {
-                threads: Some(threads),
-                ..Default::default()
-            })
+            .build_threads(threads)
             .build()
             .unwrap()
     };

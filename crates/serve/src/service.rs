@@ -681,26 +681,6 @@ impl FairRankService {
         Ok(())
     }
 
-    /// Force any deferred (coalesced) backend updates to take effect
-    /// now — the service twin of [`FairRanker::flush_updates`].
-    ///
-    /// # Errors
-    /// As [`FairRankService::update`].
-    pub fn flush_updates(&self) -> Result<UpdateOutcome, ServiceError> {
-        let _writer = self.shared.writer.lock().expect("writer lock poisoned");
-        let mut fork = self
-            .shared
-            .slot
-            .read()
-            .expect("slot lock poisoned")
-            .snapshot();
-        let outcome = fork.flush_updates().map_err(ServiceError::Rank)?;
-        if outcome != UpdateOutcome::Noop {
-            *self.shared.slot.write().expect("slot lock poisoned") = fork;
-        }
-        Ok(outcome)
-    }
-
     /// The current dataset epoch (see [`FairRanker::version`]).
     #[must_use]
     pub fn version(&self) -> u64 {

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use fairrank::approximate::{ApproxIndex, BuildOptions};
+use fairrank::approximate::BuildOptions;
 use fairrank::probes::{batch_verdicts, batch_verdicts_and_thresholds};
 use fairrank::{FairRanker, KnownFairness, Strategy, SuggestRequest};
 use fairrank_datasets::synthetic::generic;
@@ -223,23 +223,33 @@ fn concurrent_markcell_probe_counts_are_exact() {
     let ds = generic::uniform(40, 3, 0.85, 7);
     let attr = ds.type_attribute("group").unwrap();
     let inner = Proportionality::new(attr, 8).with_max_count(0, 4);
-    let opts = |threads| BuildOptions {
-        n_cells: 150,
-        max_hyperplanes: Some(200),
-        threads: Some(threads),
-        ..Default::default()
+    // The ranker owns its oracle, so each counter is leaked to outlive
+    // it and read afterwards.
+    let build = |counter: &'static CountingOracle<Proportionality>, threads| {
+        FairRanker::builder(ds.clone(), Box::new(counter))
+            .strategy(Strategy::MdApprox)
+            .approx_options(BuildOptions {
+                n_cells: 150,
+                max_hyperplanes: Some(200),
+                ..Default::default()
+            })
+            .build_threads(threads)
+            .build()
+            .unwrap()
     };
 
-    let counter_seq = CountingOracle::new(inner.clone());
-    let seq = ApproxIndex::build(&ds, &counter_seq, &opts(1)).unwrap();
+    let counter_seq = Box::leak(Box::new(CountingOracle::new(inner.clone())));
+    let seq = build(counter_seq, 1);
+    let seq = seq.approx_index().unwrap();
     assert_eq!(
         counter_seq.calls(),
         seq.stats().oracle_calls,
         "sequential build must report exactly the probes it made"
     );
 
-    let counter_par = CountingOracle::new(inner.clone());
-    let par = ApproxIndex::build(&ds, &counter_par, &opts(4)).unwrap();
+    let counter_par = Box::leak(Box::new(CountingOracle::new(inner.clone())));
+    let par = build(counter_par, 4);
+    let par = par.approx_index().unwrap();
     assert_eq!(
         counter_par.calls(),
         par.stats().oracle_calls,

@@ -2,44 +2,38 @@
 //! offline build wall must be *bit-identical* to the slow reference
 //! path it replaces.
 //!
-//! Four families of claims, each property-tested on randomized inputs:
+//! Three families of claims, each property-tested on randomized inputs:
 //!
 //! * **Parallel builders** — the 2-D ray sweep (sector-sharded), the
 //!   exact SATREGIONS arrangement (threaded hyperplane enumeration +
 //!   per-region verification), and the approximate grid (parallel
 //!   MARKCELL) each produce byte-for-byte the same serialized ranker at
-//!   1, 2, and 4 workers.
+//!   1, 2, and 4 workers (`FairRankerBuilder::build_threads`), and a
+//!   default build (all cores) equals the serial one.
 //! * **MARKCELL probe-log replay** — every probe the grid build recorded
 //!   (ranked through its cell's sure-in / undecided restriction) has the
 //!   verdict and top-k threshold of a full `Dataset::rank` at the same
 //!   angles, on data with negative values and exact score ties, at
 //!   `k = 1`, `n − 1` and `n`, for set-based and rank-aware oracles.
-//! * **Lazy SATREGIONS** — a ranker built with deferred region
-//!   materialization answers every query identically to the eager
-//!   build and serializes to the same bytes (serialization forces
-//!   materialization).
-//! * **Streaming persist** — the chunked v3 codec decodes to the same
-//!   value through the whole-buffer and the incremental reader paths
-//!   at every chunk granularity, and both paths *reject* every
-//!   single-byte mutation and every truncation (per-chunk FNV seals).
-
-use std::io::Cursor;
+//! * **Persist** — the dataset and region artifacts that replication
+//!   and the ranker envelope carry decode to the value that was encoded,
+//!   the row-major v1 and columnar v2 dataset layouts decode alike, and
+//!   the decoders *reject* every single-byte mutation and every
+//!   truncation of both artifacts.
 
 use proptest::prelude::*;
 
 use fairrank::approximate::{ApproxIndex, BuildOptions};
-use fairrank::md::{sat_regions, SatRegionsOptions};
+use fairrank::md::{sat_regions, ExactRegions, SatRegionsOptions};
 use fairrank::persist::{
-    decode_dataset, decode_dataset_from, decode_regions, decode_regions_from, encode_dataset,
-    encode_dataset_chunked, encode_regions, encode_regions_chunked, DEFAULT_CHUNK_LEN,
+    decode_dataset, decode_regions, encode_dataset, encode_dataset_row_major, encode_regions,
 };
-use fairrank::{FairRanker, Strategy, SuggestRequest};
+use fairrank::{FairRanker, Strategy};
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
 use fairrank_fairness::{FairnessOracle, PrefixFairness, Proportionality};
 use fairrank_geometry::grid::CellId;
 use fairrank_geometry::polar::to_cartesian;
-use fairrank_geometry::HALF_PI;
 
 fn biased(n: usize, d: usize, seed: u64) -> (Dataset, Proportionality) {
     let ds = generic::uniform(n, d, 0.9, seed);
@@ -47,19 +41,6 @@ fn biased(n: usize, d: usize, seed: u64) -> (Dataset, Proportionality) {
     let k = (n / 4).max(4);
     let oracle = Proportionality::new(attr, k).with_max_count(0, k / 2);
     (ds, oracle)
-}
-
-/// A fan of valid queries covering the positive orthant.
-fn query_fan(d: usize, count: usize) -> Vec<Vec<f64>> {
-    (0..count)
-        .map(|i| {
-            let t = (i as f64 + 0.5) / count as f64 * HALF_PI;
-            let mut q = vec![0.4 + t.sin(); d];
-            q[0] = 0.4 + t.cos();
-            q[i % d] += 0.7;
-            q
-        })
-        .collect()
 }
 
 /// `generic::uniform` rows with the second attribute shifted negative
@@ -85,20 +66,23 @@ fn signed_with_duplicates(n: usize, seed: u64) -> Dataset {
 /// that 2 and 4 workers build the same index with the same probe logs.
 /// The build is maintainable (no hyperplane cap), the only kind that
 /// keeps its probe logs.
-fn replay_probe_log(ds: &Dataset, oracle: &dyn FairnessOracle) -> Result<(), TestCaseError> {
+fn replay_probe_log<O>(ds: &Dataset, oracle: &O) -> Result<(), TestCaseError>
+where
+    O: FairnessOracle + Clone + 'static,
+{
     let build = |threads: usize| {
-        ApproxIndex::build(
-            ds,
-            oracle,
-            &BuildOptions {
+        FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
+            .strategy(Strategy::MdApprox)
+            .approx_options(BuildOptions {
                 n_cells: 120,
-                threads: Some(threads),
                 ..Default::default()
-            },
-        )
-        .unwrap()
+            })
+            .build_threads(threads)
+            .build()
+            .unwrap()
     };
-    let serial = build(1);
+    let serial_ranker = build(1);
+    let serial = serial_ranker.approx_index().unwrap();
     let kth = oracle.top_k_bound().filter(|&k| k > 0 && k <= ds.len());
     let mut probes = 0usize;
     for rec in serial.probe_log().iter().flatten() {
@@ -132,10 +116,11 @@ fn replay_probe_log(ds: &Dataset, oracle: &dyn FairnessOracle) -> Result<(), Tes
             .collect()
     };
     for threads in [2usize, 4] {
-        let par = build(threads);
+        let par_ranker = build(threads);
+        let par = par_ranker.approx_index().unwrap();
         prop_assert_eq!(par.functions(), serial.functions(), "threads = {}", threads);
-        prop_assert_eq!(lookups(&par), lookups(&serial), "threads = {}", threads);
-        prop_assert_eq!(bits(&par), bits(&serial), "threads = {}", threads);
+        prop_assert_eq!(lookups(par), lookups(serial), "threads = {}", threads);
+        prop_assert_eq!(bits(par), bits(serial), "threads = {}", threads);
         let (a, b) = (par.stats(), serial.stats());
         prop_assert_eq!(
             (
@@ -198,7 +183,6 @@ fn unmaintainable_build_keeps_no_probe_log() {
                 &BuildOptions {
                     n_cells: 120,
                     max_hyperplanes,
-                    threads: Some(2),
                     ..Default::default()
                 },
             )
@@ -266,9 +250,9 @@ proptest! {
                 .strategy(Strategy::MdExact)
                 .sat_regions_options(SatRegionsOptions {
                     max_hyperplanes: Some(40),
-                    threads: Some(threads),
                     ..Default::default()
                 })
+                .build_threads(threads)
                 .build()
                 .unwrap()
                 .to_bytes()
@@ -290,9 +274,9 @@ proptest! {
                 .approx_options(BuildOptions {
                     n_cells: 120,
                     max_hyperplanes: Some(80),
-                    threads: Some(threads),
                     ..Default::default()
                 })
+                .build_threads(threads)
                 .build()
                 .unwrap()
                 .to_bytes()
@@ -303,99 +287,79 @@ proptest! {
         }
     }
 
-    /// Parallel SATREGIONS at the raw algorithm level, not just through
-    /// the ranker: identical witnesses, counts, and region sets.
+    /// The regions a ranker built at 1, 2 and 4 threads holds are the
+    /// regions of the free-standing `sat_regions` (all cores), byte for
+    /// byte. Counts per thread count are covered by the unit test
+    /// `threaded_sat_regions_bit_identical_to_serial`.
     #[test]
     fn sat_regions_threaded_matches_serial(seed in 0u64..1000, n in 12usize..24) {
         let (ds, oracle) = biased(n, 3, seed);
-        let run = |threads: usize| {
-            sat_regions(&ds, &oracle, &SatRegionsOptions {
-                max_hyperplanes: Some(30),
-                threads: Some(threads),
-                ..Default::default()
-            })
-            .unwrap()
+        let opts = SatRegionsOptions {
+            max_hyperplanes: Some(30),
+            ..Default::default()
         };
-        let serial = run(1);
-        for threads in [2usize, 4] {
-            let par = run(threads);
-            prop_assert_eq!(par.region_count, serial.region_count);
-            prop_assert_eq!(par.hyperplane_count, serial.hyperplane_count);
+        let reference = sat_regions(&ds, &oracle, &opts).unwrap();
+        let reference = encode_regions(&reference.satisfactory, reference.dim);
+        for threads in [1usize, 2, 4] {
+            let ranker = FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
+                .strategy(Strategy::MdExact)
+                .sat_regions_options(opts.clone())
+                .build_threads(threads)
+                .build()
+                .unwrap();
+            let exact = ranker
+                .backend()
+                .as_any()
+                .downcast_ref::<ExactRegions>()
+                .unwrap();
             prop_assert_eq!(
-                encode_regions(&par.satisfactory, par.dim),
-                encode_regions(&serial.satisfactory, serial.dim)
+                encode_regions(exact.regions(), ds.dim() - 1),
+                reference.clone(),
+                "threads = {}",
+                threads
             );
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Lazy SATREGIONS materialization
+// Persist: the artifacts replication and the ranker envelope carry
 // ---------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Lazy region materialization: every query answered identically to
-    /// the eager build, and serialization (which forces materialization)
-    /// yields the same bytes.
-    #[test]
-    fn lazy_regions_match_eager(seed in 0u64..1000, n in 12usize..24) {
-        let (ds, oracle) = biased(n, 3, seed);
-        let build = |lazy: bool| {
-            FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
-                .strategy(Strategy::MdExact)
-                .sat_regions_options(SatRegionsOptions {
-                    max_hyperplanes: Some(40),
-                    ..Default::default()
-                })
-                .lazy_regions(lazy)
-                .build()
-                .unwrap()
-        };
-        let eager = build(false);
-        let lazy = build(true);
-        for q in query_fan(3, 12) {
-            let a = eager.respond(&SuggestRequest::new(q.clone())).unwrap();
-            let b = lazy.respond(&SuggestRequest::new(q)).unwrap();
-            prop_assert_eq!(a, b);
-        }
-        prop_assert_eq!(eager.to_bytes(), lazy.to_bytes());
-    }
+/// The regions of a small capped SATREGIONS build.
+fn small_regions(seed: u64) -> (Vec<fairrank::md::SatRegion>, usize) {
+    let (ds, oracle) = biased(12, 3, seed);
+    let built = sat_regions(
+        &ds,
+        &oracle,
+        &SatRegionsOptions {
+            max_hyperplanes: Some(20),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    (built.satisfactory, built.dim)
 }
-
-// ---------------------------------------------------------------------
-// Streaming persist: chunked decode ≡ whole-buffer decode
-// ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Chunked dataset artifacts decode identically through the
-    /// whole-buffer and streaming paths, at arbitrary chunk sizes.
+    /// Both dataset decode paths, row-major v1 and columnar v2, return
+    /// the encoded dataset.
     #[test]
     fn chunked_dataset_decode_paths_agree(
         seed in 0u64..1000,
         n in 1usize..40,
         d in 2usize..5,
-        chunk_len in 1usize..4096,
     ) {
         let ds = generic::uniform(n, d, 0.7, seed);
-        let bytes = encode_dataset_chunked(&ds, chunk_len);
-        let whole = decode_dataset(&bytes).unwrap();
-        let mut cursor = Cursor::new(bytes.as_slice());
-        let streamed = decode_dataset_from(&mut cursor).unwrap();
-        prop_assert_eq!(cursor.position() as usize, bytes.len());
-        prop_assert_eq!(&whole, &ds);
-        prop_assert_eq!(&streamed, &ds);
-        // And the chunked artifact carries the same value as the plain
-        // v2 whole-buffer encoding of the same dataset.
-        prop_assert_eq!(decode_dataset(&encode_dataset(&ds)).unwrap(), ds);
+        prop_assert_eq!(decode_dataset(&encode_dataset(&ds)).unwrap(), ds.clone());
+        prop_assert_eq!(decode_dataset(&encode_dataset_row_major(&ds)).unwrap(), ds);
     }
 
-    /// Every single-byte mutation of a chunked artifact is rejected by
-    /// both decode paths — the per-chunk and outer seals leave no
-    /// unprotected byte.
+    /// Every single-byte mutation of the v2 dataset artifact (the
+    /// replication bootstrap frame) and of the region artifact is
+    /// rejected: the seal leaves no unprotected byte.
     #[test]
     fn chunked_mutation_rejected(
         seed in 0u64..1000,
@@ -403,88 +367,74 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let ds = generic::uniform(12, 3, 0.7, seed);
-        let mut bytes = encode_dataset_chunked(&ds, 64);
-        let pos = pos % bytes.len();
-        bytes[pos] ^= flip;
-        prop_assert!(decode_dataset(&bytes).is_err(), "whole-buffer accepted flip at {}", pos);
-        prop_assert!(
-            decode_dataset_from(&mut Cursor::new(bytes.as_slice())).is_err(),
-            "streaming accepted flip at {}",
-            pos
-        );
+        let mut bytes = encode_dataset(&ds);
+        let at = pos % bytes.len();
+        bytes[at] ^= flip;
+        prop_assert!(decode_dataset(&bytes).is_err(), "dataset accepted flip at {}", at);
+        let (regions, dim) = small_regions(seed);
+        let mut bytes = encode_regions(&regions, dim);
+        let at = pos % bytes.len();
+        bytes[at] ^= flip;
+        prop_assert!(decode_regions(&bytes).is_err(), "regions accepted flip at {}", at);
     }
 
-    /// Every truncation of a chunked artifact is rejected by both
-    /// decode paths.
+    /// Every truncation of the v2 dataset artifact and of the region
+    /// artifact is rejected.
     #[test]
     fn chunked_truncation_rejected(seed in 0u64..1000, cut in 1usize..10_000) {
         let ds = generic::uniform(12, 3, 0.7, seed);
-        let bytes = encode_dataset_chunked(&ds, 64);
-        let cut = cut % bytes.len();
-        let short = &bytes[..cut];
-        prop_assert!(decode_dataset(short).is_err(), "whole-buffer accepted cut at {}", cut);
-        prop_assert!(
-            decode_dataset_from(&mut Cursor::new(short)).is_err(),
-            "streaming accepted cut at {}",
-            cut
-        );
+        let bytes = encode_dataset(&ds);
+        let at = cut % bytes.len();
+        prop_assert!(decode_dataset(&bytes[..at]).is_err(), "dataset accepted cut at {}", at);
+        let (regions, dim) = small_regions(seed);
+        let bytes = encode_regions(&regions, dim);
+        let at = cut % bytes.len();
+        prop_assert!(decode_regions(&bytes[..at]).is_err(), "regions accepted cut at {}", at);
     }
 }
 
-/// Chunked region artifacts stream identically to the whole-buffer
-/// path, over regions produced by a real SATREGIONS build.
+/// Region artifacts decode identically through the standalone decoder
+/// and through a ranker envelope, over regions produced by a real
+/// SATREGIONS build.
 #[test]
 fn chunked_regions_decode_paths_agree() {
     let (ds, oracle) = biased(16, 3, 7);
-    let built = sat_regions(
-        &ds,
-        &oracle,
-        &SatRegionsOptions {
-            max_hyperplanes: Some(40),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let opts = SatRegionsOptions {
+        max_hyperplanes: Some(40),
+        ..Default::default()
+    };
+    let built = sat_regions(&ds, &oracle, &opts).unwrap();
     assert!(
         !built.satisfactory.is_empty(),
         "fixture should produce regions"
     );
     let plain = encode_regions(&built.satisfactory, built.dim);
-    for chunk_len in [1usize, 33, DEFAULT_CHUNK_LEN] {
-        let bytes = encode_regions_chunked(&built.satisfactory, built.dim, chunk_len);
-        let (whole, dim_whole) = decode_regions(&bytes).unwrap();
-        let mut cursor = Cursor::new(bytes.as_slice());
-        let (streamed, dim_streamed) = decode_regions_from(&mut cursor).unwrap();
-        assert_eq!(cursor.position() as usize, bytes.len());
-        assert_eq!(dim_whole, built.dim);
-        assert_eq!(dim_streamed, built.dim);
-        assert_eq!(encode_regions(&whole, dim_whole), plain);
-        assert_eq!(encode_regions(&streamed, dim_streamed), plain);
-    }
+    let (whole, dim_whole) = decode_regions(&plain).unwrap();
+    assert_eq!(dim_whole, built.dim);
+    assert_eq!(encode_regions(&whole, dim_whole), plain);
+
+    let ranker = FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
+        .strategy(Strategy::MdExact)
+        .sat_regions_options(opts)
+        .build()
+        .unwrap();
+    let loaded = FairRanker::from_bytes(&ranker.to_bytes(), ds, Box::new(oracle)).unwrap();
+    let exact = loaded
+        .backend()
+        .as_any()
+        .downcast_ref::<ExactRegions>()
+        .unwrap();
+    assert_eq!(encode_regions(exact.regions(), dim_whole), plain);
 }
 
-/// The environment knob resolves like the explicit builder knob: a
-/// build under `FAIRRANK_BUILD_THREADS` stays bit-identical to serial.
-/// (Env vars are process-global, so this stays a single sequential
-/// test; the values are restored before it returns.)
+/// A default build, which uses every core, is bit-identical to a
+/// serial one.
 #[test]
 fn env_thread_knob_is_bit_identical() {
     let (ds, oracle) = biased(40, 2, 11);
-    let build = || {
-        FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
-            .strategy(Strategy::TwoD)
-            .build()
-            .unwrap()
-            .to_bytes()
-    };
-    let before = std::env::var("FAIRRANK_BUILD_THREADS").ok();
-    std::env::set_var("FAIRRANK_BUILD_THREADS", "1");
-    let serial = build();
-    std::env::set_var("FAIRRANK_BUILD_THREADS", "4");
-    let parallel = build();
-    match before {
-        Some(v) => std::env::set_var("FAIRRANK_BUILD_THREADS", v),
-        None => std::env::remove_var("FAIRRANK_BUILD_THREADS"),
-    }
-    assert_eq!(parallel, serial);
+    let builder =
+        || FairRanker::builder(ds.clone(), Box::new(oracle.clone())).strategy(Strategy::TwoD);
+    let default = builder().build().unwrap().to_bytes();
+    let serial = builder().build_threads(1).build().unwrap().to_bytes();
+    assert_eq!(default, serial);
 }

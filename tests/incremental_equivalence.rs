@@ -81,7 +81,6 @@ fn assert_equivalent(
         let update = materialize(spec, live.dataset(), d);
         live.update(update).expect("update applies");
     }
-    live.flush_updates().expect("flush applies");
     let scratch = rebuild(live.dataset().clone());
     for q in query_fan(d, 40) {
         let req = SuggestRequest::new(q.clone());
@@ -154,8 +153,8 @@ proptest! {
         });
     }
 
-    /// Exact regions: the coalesced-rebuild policy (threshold 1 here)
-    /// must match a fresh SATREGIONS arrangement.
+    /// Exact regions: the rebuild every update pays must match a fresh
+    /// SATREGIONS arrangement.
     #[test]
     fn md_exact_matches_rebuild(
         seed in 0u64..1000,
@@ -261,6 +260,9 @@ fn twod_loaded_ranker_heals_on_first_update() {
     }
 }
 
+/// Every exact update rebuilds at once, on an exclusively owned ranker
+/// and on one with a snapshot outstanding, and counts one update and one
+/// rebuild; afterwards the ranker answers like a from-scratch build.
 #[test]
 fn md_exact_coalesces_and_flushes() {
     let ds = generic::uniform(12, 3, 0.85, 13);
@@ -271,39 +273,20 @@ fn md_exact_coalesces_and_flushes() {
     let mut ranker = FairRanker::builder(ds.clone(), Box::new(oracle_for(&ds, 4, 2)))
         .strategy(Strategy::MdExact)
         .sat_regions_options(opts.clone())
-        .exact_rebuild_every(3)
         .build()
         .unwrap();
     let insert = |s: f64| DatasetUpdate::Insert {
         scores: vec![s, 1.0 - s, 0.5],
         groups: vec![1],
     };
-    assert!(!ranker.backend().has_pending_updates());
-    assert_eq!(
-        ranker.update(insert(0.3)).unwrap(),
-        UpdateOutcome::Deferred { pending: 1 }
-    );
-    assert!(ranker.backend().has_pending_updates());
-    assert_eq!(
-        ranker.update(insert(0.6)).unwrap(),
-        UpdateOutcome::Deferred { pending: 2 }
-    );
-    // Third update crosses the threshold: one rebuild lands all three.
+    for s in [0.3, 0.6] {
+        assert_eq!(ranker.update(insert(s)).unwrap(), UpdateOutcome::Rebuilt);
+    }
+    let pin = ranker.snapshot();
     assert_eq!(ranker.update(insert(0.8)).unwrap(), UpdateOutcome::Rebuilt);
-    assert!(!ranker.backend().has_pending_updates());
-    assert_eq!(ranker.flush_updates().unwrap(), UpdateOutcome::Noop);
-    // A *shared* ranker (snapshots outstanding) with nothing pending
-    // reports Noop without forking the backend.
-    let _pin = ranker.snapshot();
-    assert_eq!(ranker.flush_updates().unwrap(), UpdateOutcome::Noop);
-    drop(_pin);
-
-    // A deferred tail flushes on demand and then matches scratch.
-    assert_eq!(
-        ranker.update(insert(0.45)).unwrap(),
-        UpdateOutcome::Deferred { pending: 1 }
-    );
-    assert_eq!(ranker.flush_updates().unwrap(), UpdateOutcome::Rebuilt);
+    drop(pin);
+    let stats = ranker.backend_stats();
+    assert_eq!((stats.updates, stats.rebuilds), (3, 3));
     let scratch_oracle = oracle_for(ranker.dataset(), 4, 2);
     let scratch = FairRanker::builder(ranker.dataset().clone(), Box::new(scratch_oracle))
         .strategy(Strategy::MdExact)

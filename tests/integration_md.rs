@@ -146,7 +146,6 @@ fn pruned_and_unpruned_satregions_agree_on_verdicts() {
         &SatRegionsOptions {
             max_hyperplanes: Some(120),
             prune_top_k: false,
-            ..Default::default()
         },
     )
     .unwrap();
@@ -156,7 +155,6 @@ fn pruned_and_unpruned_satregions_agree_on_verdicts() {
         &SatRegionsOptions {
             max_hyperplanes: Some(120),
             prune_top_k: true,
-            ..Default::default()
         },
     )
     .unwrap();

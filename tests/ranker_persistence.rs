@@ -13,7 +13,7 @@ use fairrank::persist::{
 use fairrank::{DatasetUpdate, FairRankError, FairRanker, Strategy, SuggestRequest};
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
-use fairrank_fairness::Proportionality;
+use fairrank_fairness::{FairnessOracle, Proportionality};
 use fairrank_geometry::HALF_PI;
 
 fn biased(n: usize, d: usize, seed: u64) -> (Dataset, Proportionality) {
@@ -169,32 +169,50 @@ fn wrong_tag_and_unknown_backend_rejected() {
     assert!(decode_backend(TAG_INTERVALS, &artifact).is_ok());
 }
 
+/// On every backend, the update counter and the post-update index
+/// survive the envelope: the reloaded ranker answers every fan query as
+/// the live one does.
 #[test]
 fn update_counter_round_trips_through_envelope() {
-    let (ds, oracle) = biased(40, 2, 31);
-    let mut ranker = build(Strategy::TwoD, &ds, &oracle);
-    assert_eq!(ranker.version(), 0);
-    for i in 0..3 {
-        ranker
-            .update(DatasetUpdate::Insert {
-                scores: vec![0.2 + 0.1 * f64::from(i), 0.7],
-                groups: vec![1],
-            })
-            .unwrap();
-    }
-    assert_eq!(ranker.version(), 3);
-    let bytes = ranker.to_bytes();
-    let (dim, version, _) = decode_ranker_versioned(&bytes).unwrap();
-    assert_eq!((dim, version), (2, 3));
-    let reloaded =
-        FairRanker::from_bytes(&bytes, ranker.dataset().clone(), Box::new(oracle)).unwrap();
-    assert_eq!(reloaded.version(), 3, "epoch must survive the hand-off");
-    for q in query_fan(2, 15) {
-        let req = SuggestRequest::new(q);
-        assert_eq!(
-            ranker.respond(&req).unwrap(),
-            reloaded.respond(&req).unwrap()
-        );
+    for (strategy, d) in [
+        (Strategy::TwoD, 2),
+        (Strategy::MdExact, 3),
+        (Strategy::MdApprox, 3),
+    ] {
+        let (ds, oracle) = biased(40, d, 31);
+        let mut ranker = build(strategy, &ds, &oracle);
+        assert_eq!(ranker.version(), 0);
+        for i in 0..3 {
+            let mut scores = vec![0.7; d];
+            scores[0] = 0.2 + 0.1 * f64::from(i);
+            ranker
+                .update(DatasetUpdate::Insert {
+                    scores,
+                    groups: vec![1],
+                })
+                .unwrap();
+        }
+        assert_eq!(ranker.version(), 3);
+        let bytes = ranker.to_bytes();
+        let (dim, version, _) = decode_ranker_versioned(&bytes).unwrap();
+        assert_eq!((dim, version), (d, 3));
+        let reloaded = FairRanker::from_bytes(
+            &bytes,
+            ranker.dataset().clone(),
+            oracle
+                .rebind(ranker.dataset())
+                .expect("proportionality rebinds"),
+        )
+        .unwrap();
+        assert_eq!(reloaded.version(), 3, "epoch must survive the hand-off");
+        for q in query_fan(d, 15) {
+            let req = SuggestRequest::new(q);
+            assert_eq!(
+                ranker.respond(&req).unwrap(),
+                reloaded.respond(&req).unwrap(),
+                "{strategy:?}"
+            );
+        }
     }
 }
 

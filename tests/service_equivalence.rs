@@ -287,7 +287,7 @@ fn concurrent_updates_preserve_snapshot_semantics() {
                         groups: vec![(i % 2) as u32],
                     })
                     .unwrap();
-                assert_ne!(outcome, UpdateOutcome::Noop);
+                assert_eq!(outcome, UpdateOutcome::Incremental);
                 references
                     .lock()
                     .unwrap()
@@ -416,9 +416,9 @@ fn requests_queued_behind_a_busy_worker_drain_together() {
 }
 
 /// Regression (PR 5 bugfix): `BackendStats` update/rebuild counters are
-/// snapshotted in one consistent pass. With the exact-regions backend at
-/// `rebuild_every = 1` every update commits `updates += 1` and
-/// `rebuilds += 1` *atomically together*, so a stats reader racing the
+/// snapshotted in one consistent pass. With the exact-regions backend
+/// every update commits `updates += 1` and `rebuilds += 1` *atomically
+/// together*, so a stats reader racing the
 /// writer through the service's worker pool must never observe a pair
 /// where the two counters disagree — the exact interleaving the old
 /// two-plain-fields implementation allowed.

@@ -304,12 +304,12 @@ fn check_partitioned_serving(
     let opts = BuildOptions {
         n_cells: 80,
         max_hyperplanes: (!maintainable).then_some(120),
-        threads: Some(threads),
         ..Default::default()
     };
     let mut ranker = FairRanker::builder(ds.clone(), boxed())
         .strategy(Strategy::MdApprox)
         .approx_options(opts)
+        .build_threads(threads)
         .build()
         .unwrap();
     let label = format!("{} threads={threads}", oracle.describe());

@@ -302,9 +302,9 @@ fn verdict_path_counters_count_on_metrics() {
         .approx_options(BuildOptions {
             n_cells: 120,
             max_hyperplanes: Some(150),
-            threads: Some(1),
             ..Default::default()
         })
+        .build_threads(1)
         .build()
         .unwrap();
     let fast: Vec<SuggestRequest> = (0..8)
