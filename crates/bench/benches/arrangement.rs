@@ -5,11 +5,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use fairrank::md::exchange_hyperplanes;
+use fairrank::md::{exchange_hyperplanes, slice};
 use fairrank_bench::compas_d3;
 use fairrank_geometry::arrangement::Arrangement;
-use fairrank_geometry::arrangement_tree::ArrangementTree;
 use fairrank_geometry::Hyperplane;
+use fairrank_lp::Constraint;
 
 fn hyperplane_prefix(count: usize) -> Vec<Hyperplane> {
     let ds = compas_d3(60);
@@ -26,7 +26,8 @@ fn bench_insertion(c: &mut Criterion) {
         let hs = hyperplane_prefix(count);
         group.bench_with_input(BenchmarkId::new("flat_baseline", count), &count, |b, _| {
             b.iter(|| {
-                let mut arr = Arrangement::new(2);
+                let simplex = vec![Constraint::le(vec![1.0, 1.0], 1.0)];
+                let mut arr = Arrangement::with_base(2, 0.0, 1.0, simplex);
                 for h in &hs {
                     arr.insert(h.clone());
                 }
@@ -38,7 +39,7 @@ fn bench_insertion(c: &mut Criterion) {
             &count,
             |b, _| {
                 b.iter(|| {
-                    let mut tree = ArrangementTree::new(2);
+                    let mut tree = slice::arrangement(2);
                     for h in &hs {
                         tree.insert(h);
                     }

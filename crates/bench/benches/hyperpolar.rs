@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use fairrank::md::{exchange_hyperplane, exchange_hyperplanes};
+use fairrank::md::hyperpolar::{exchange_hyperplane, exchange_hyperplanes};
 use fairrank_bench::{compas_d, compas_d3};
 
 fn bench_construction(c: &mut Criterion) {

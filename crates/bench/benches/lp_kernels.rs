@@ -1,15 +1,11 @@
-//! LP/NLP kernels under the region machinery: simplex feasibility,
-//! Chebyshev centers, Seidel's randomized LP (design choice 5), and the
-//! Frank–Wolfe variants (away steps on/off) behind MDBASELINE.
+//! LP kernels under the region machinery: simplex feasibility, Chebyshev
+//! centers and Seidel's randomized LP (design choice 5).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use fairrank_geometry::HALF_PI;
-use fairrank_lp::{
-    chebyshev_center, feasible_point, minimize_over_polytope, seidel, simplex, Constraint,
-    FwOptions, LinearProgram,
-};
+use fairrank_lp::{chebyshev_center, feasible_point, seidel, simplex, Constraint, LinearProgram};
 
 const SEIDEL_SEED: u64 = 0x5E1DE1;
 
@@ -68,33 +64,5 @@ fn bench_feasibility(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_frank_wolfe(c: &mut Criterion) {
-    let mut group = c.benchmark_group("frank_wolfe");
-    let cs = vec![Constraint::ge(vec![1.0, 0.0], 1.0)];
-    let target = [0.2f64, 0.3];
-    let objective = |x: &[f64]| {
-        x.iter()
-            .zip(&target)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-    };
-    for (name, away) in [("away_steps", true), ("vanilla", false)] {
-        let opts = FwOptions {
-            away_steps: away,
-            max_iters: 120,
-            ..FwOptions::default()
-        };
-        group.bench_function(BenchmarkId::new("face_optimum", name), |b| {
-            b.iter(|| {
-                black_box(
-                    minimize_over_polytope(objective, &cs, 0.0, HALF_PI, &[1.3, 0.3], &opts)
-                        .unwrap(),
-                )
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_feasibility, bench_frank_wolfe);
+criterion_group!(benches, bench_feasibility);
 criterion_main!(benches);

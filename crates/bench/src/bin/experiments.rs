@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use fairrank::approximate::{ApproxIndex, BuildOptions};
-use fairrank::md::exchange_hyperplanes;
+use fairrank::md::{hyperpolar, slice};
 use fairrank::sampling::{build_on_sample, validate_against};
 use fairrank::twod::{online_2d, ray_sweep};
 use fairrank::{FairRanker, KnownFairness, Strategy, SuggestRequest};
@@ -31,7 +31,6 @@ use fairrank_datasets::synthetic::compas;
 use fairrank_datasets::Dataset;
 use fairrank_fairness::{Conjunction, FairnessOracle, Proportionality};
 use fairrank_geometry::arrangement::Arrangement;
-use fairrank_geometry::arrangement_tree::ArrangementTree;
 use fairrank_geometry::grid::{AngleGrid, PartitionScheme};
 use fairrank_geometry::polar::{angular_distance, to_cartesian, to_polar};
 use fairrank_geometry::HALF_PI;
@@ -301,10 +300,12 @@ fn fig18_fig19(ctx: &Ctx) {
     println!("paper (fig18): baseline needs ~8000 s for 250 hyperplanes; the tree extends to 1200 in the same budget");
     println!("paper (fig19): |R| reaches >5000 regions by ~250 hyperplanes; later insertions cost more\n");
 
+    // The exact pipeline's arrangement: exchange hyperplanes of the
+    // weight slice Σw = 1, over the simplex x ≥ 0, Σx ≤ 1.
     let ds = compas_d3(n);
-    let hyperplanes = exchange_hyperplanes(&ds);
+    let hyperplanes = slice::exchange_hyperplanes(&ds);
     println!(
-        "dataset: synthetic COMPAS n={n}, |H| = {}",
+        "dataset: synthetic COMPAS n={n}, |H| = {} (weight-slice hyperplanes)",
         hyperplanes.len()
     );
     println!(
@@ -318,7 +319,8 @@ fn fig18_fig19(ctx: &Ctx) {
         // Flat incremental arrangement (Algorithm 4's linear region scan).
         let base_t = if cap <= baseline_limit {
             let (_, t) = time(|| {
-                let mut arr = Arrangement::new(2);
+                let simplex = vec![fairrank_lp::Constraint::le(vec![1.0, 1.0], 1.0)];
+                let mut arr = Arrangement::with_base(2, 0.0, 1.0, simplex);
                 for h in hyperplanes.iter().take(cap) {
                     arr.insert(h.clone());
                 }
@@ -330,7 +332,7 @@ fn fig18_fig19(ctx: &Ctx) {
         };
         // Arrangement tree (Algorithm 5).
         let (regions, tree_t) = time(|| {
-            let mut tree = ArrangementTree::new(2);
+            let mut tree = slice::arrangement(2);
             for h in hyperplanes.iter().take(cap) {
                 tree.insert(h);
             }
@@ -367,7 +369,7 @@ fn fig20(ctx: &Ctx) {
     let mut pts = Vec::new();
     for &n in ns {
         let ds = compas_d3(n);
-        let (hs, t) = time(|| exchange_hyperplanes(&ds));
+        let (hs, t) = time(|| hyperpolar::exchange_hyperplanes(&ds));
         let pairs = n * (n - 1) / 2;
         println!(
             "{n:>6} {:>12} {pairs:>12} {:>10.3} {:>12}",
@@ -393,7 +395,7 @@ fn fig21(ctx: &Ctx) {
     println!("paper: >5000 of 6000 cells crossed by <100 hyperplanes; a small busy tail\n");
 
     let ds = compas_d(100, 4);
-    let hyperplanes = exchange_hyperplanes(&ds);
+    let hyperplanes = hyperpolar::exchange_hyperplanes(&ds);
     let grid = AngleGrid::equal_area(4, n_cells);
     let mut hc = vec![0usize; grid.cell_count()];
     for h in &hyperplanes {
@@ -728,8 +730,8 @@ fn ablation_pruning(ctx: &Ctx) {
         let k = (n / 20).max(5);
         let keep = fairrank::pruning::top_k_candidate_items(&ds, k);
         let sub = ds.subset(&keep);
-        let h_full = exchange_hyperplanes(&ds).len();
-        let h_kept = exchange_hyperplanes(&sub).len();
+        let h_full = slice::exchange_hyperplanes(&ds).len();
+        let h_kept = slice::exchange_hyperplanes(&sub).len();
         println!(
             "{name:>22} {k:>4} {:>8} {h_full:>10} {h_kept:>10} {:>8.3}",
             keep.len(),

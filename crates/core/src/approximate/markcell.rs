@@ -13,8 +13,9 @@
 //!
 //! Probes call the *real* oracle on the actual induced ranking, so a
 //! function assigned to a cell is satisfactory by construction no matter
-//! how the (linearized) hyperplanes approximate the true exchange
-//! surfaces (DESIGN.md F2).
+//! how the grid's linearized angle-space hyperplanes approximate the true
+//! exchange surfaces (deviation F2 in [`crate::md::hyperpolar`], which
+//! only the grid uses).
 //!
 //! The induced ranking each probe hands the oracle is exact, but for a
 //! top-k-bounded oracle it need not rank every item. The caller

@@ -130,7 +130,7 @@ impl SharedCounters {
 /// dataset the index was built over and the fairness oracle.
 ///
 /// Backends that fully pre-compute their answers (the 2-D intervals, the
-/// approximate grid) ignore it; the exact m-D backend re-validates NLP
+/// approximate grid) ignore it; the exact m-D backend re-validates cone
 /// answers against the real oracle through it.
 pub struct QueryCtx<'a> {
     /// The dataset the index was built over.
@@ -340,7 +340,7 @@ pub enum Strategy {
 
 /// Item-count threshold for [`Strategy::Auto`]: at most this many rows
 /// before the exact arrangement (`O(n²)` hyperplanes, `O(h^{d−1})`
-/// regions, one NLP per region per query) stops being interactive and
+/// regions, one cone projection per region per query) stops being interactive and
 /// `Auto` switches to the approximate grid.
 pub const AUTO_EXACT_MAX_ITEMS: usize = 48;
 

@@ -1,5 +1,7 @@
 //! HYPERPOLAR (paper Algorithm 3): the ordering-exchange hyperplane of an
-//! item pair, expressed in the angle coordinate system.
+//! item pair, expressed in the angle coordinate system of the approximate
+//! grid (§5). The exact backend does not use it: it works in the weight
+//! slice of [`crate::md::slice`], where every exchange is exact.
 //!
 //! For items `t_i, t_j`, the scoring functions ranking them equally are the
 //! weight vectors on the hyperplane `(t_i − t_j) · w = 0` (Eq. 5). Within
@@ -7,8 +9,8 @@
 //! rays of that cone, converts each to its angle vector, and fits the
 //! hyperplane `Σ h_k θ_k = 1` through them by solving `Θ h = ι`.
 //!
-//! Two deviations from the paper's pseudo-code, both documented in
-//! DESIGN.md:
+//! Two deviations from the paper's pseudo-code, both of which only the
+//! grid's MARKCELL arrangements see:
 //!
 //! * **F1** — the paper's "scale each dimension independently" recipe for
 //!   generating the `d − 1` points is degenerate (scalings of a point lie
@@ -19,9 +21,9 @@
 //!   arbitrary subset).
 //! * **F2** — the exchange locus in angle coordinates is genuinely curved
 //!   for `d > 2`; the fitted hyperplane interpolates it only approximately
-//!   away from the fitted rays. Downstream algorithms re-validate every
-//!   candidate function against the true oracle, so the linearization can
-//!   cost region-boundary precision but never correctness of an answer.
+//!   away from the fitted rays. MARKCELL probes every candidate function
+//!   against the true oracle, so the linearization can cost a cell's
+//!   search precision but never the fairness of a stored function.
 
 use fairrank_datasets::Dataset;
 use fairrank_geometry::dual::exchange_angle_2d;
@@ -113,91 +115,18 @@ pub fn exchange_hyperplane(ti: &[f64], tj: &[f64]) -> Option<Hyperplane> {
 /// major.
 #[must_use]
 pub fn exchange_hyperplanes(ds: &Dataset) -> Vec<Hyperplane> {
-    exchange_hyperplanes_threads(ds, 1)
+    crate::md::pair_hyperplanes(ds, None, 1, exchange_hyperplane)
 }
 
-/// [`exchange_hyperplanes`] fanned across `threads` workers. Each worker
-/// claims whole `i`-rows of the pair triangle off an atomic counter and
-/// the per-row results are stitched back in row order, so the output is
-/// bit-identical to the serial enumeration for every thread count.
-#[must_use]
-pub fn exchange_hyperplanes_threads(ds: &Dataset, threads: usize) -> Vec<Hyperplane> {
-    // One row-major gather up front: the O(n²) pair loop then reads
-    // contiguous row slices instead of gathering across columns per pair.
-    let flat = ds.to_row_major();
-    let d = ds.dim();
-    let n = ds.len();
-    let row = |i: usize| -> Vec<Hyperplane> {
-        let mut out = Vec::new();
-        for j in i + 1..n {
-            if let Some(h) =
-                exchange_hyperplane(&flat[i * d..(i + 1) * d], &flat[j * d..(j + 1) * d])
-            {
-                out.push(h);
-            }
-        }
-        out
-    };
-    if threads <= 1 || n < 2 {
-        return (0..n).flat_map(row).collect();
-    }
-    let workers = threads.min(n);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut rows: Vec<(usize, Vec<Hyperplane>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, row(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("hyperplane worker panicked"))
-            .collect()
-    });
-    rows.sort_unstable_by_key(|&(i, _)| i);
-    rows.into_iter().flat_map(|(_, hs)| hs).collect()
-}
-
-/// [`exchange_hyperplanes`] with an optional output cap: generation stops
-/// as soon as `cap` hyperplanes exist, producing exactly the first `cap`
-/// of the canonical row-major enumeration — identical to generating all
-/// and truncating, without materializing the `O(n²)` tail. With no cap it
-/// delegates to the threaded enumeration.
+/// The first `cap` of [`exchange_hyperplanes`] (all without a cap), on
+/// `threads` workers when uncapped; bit-identical for every count.
 #[must_use]
 pub fn exchange_hyperplanes_limited(
     ds: &Dataset,
     cap: Option<usize>,
     threads: usize,
 ) -> Vec<Hyperplane> {
-    let Some(cap) = cap else {
-        return exchange_hyperplanes_threads(ds, threads);
-    };
-    let flat = ds.to_row_major();
-    let d = ds.dim();
-    let mut out = Vec::with_capacity(cap);
-    'rows: for i in 0..ds.len() {
-        for j in i + 1..ds.len() {
-            if out.len() >= cap {
-                break 'rows;
-            }
-            if let Some(h) =
-                exchange_hyperplane(&flat[i * d..(i + 1) * d], &flat[j * d..(j + 1) * d])
-            {
-                out.push(h);
-            }
-        }
-    }
-    out
+    crate::md::pair_hyperplanes(ds, cap, threads, exchange_hyperplane)
 }
 
 #[cfg(test)]
@@ -217,35 +146,25 @@ mod tests {
 
     #[test]
     fn paper_3d_example() {
-        // Paper Figure 7/8: t1 = (1,2,3), t2 = (2,4,1); exchange plane in
-        // weight space: w1 + 2w2 − 2w3 = 0 (up to sign).
+        // Paper Figure 7/8: t1 = (1,2,3), t2 = (2,4,1) tie on
+        // −w1 − 2w2 + 2w3 = 0. The cone has exactly d − 1 = 2 extreme
+        // rays, (2, 0, 1) and (0, 2, 2), so the fit passes through both.
         let h = exchange_hyperplane(&[1.0, 2.0, 3.0], &[2.0, 4.0, 1.0]).unwrap();
         assert_eq!(h.dim(), 2);
-        // The fitted hyperplane must pass through the true exchange rays:
-        // e.g. w = (2, 0, 1) and w = (0, 1, 1) satisfy v·w = 0 for
-        // v = (−1, −2, 2).
-        for w in [[2.0, 0.0, 1.0], [0.0, 1.0, 1.0]] {
-            let (_, angles) = fairrank_geometry::polar::to_polar(&w);
-            // These specific rays are not necessarily the fitted ones, but
-            // the score difference at the *fitted* rays must vanish — check
-            // the construction instead: any point on the hyperplane close
-            // to the construction rays has a small score difference.
-            let _ = angles;
+        for ray in [[2.0, 0.0, 1.0], [0.0, 2.0, 2.0]] {
+            let (_, angles) = fairrank_geometry::polar::to_polar(&ray);
+            assert!(h.eval(&angles).abs() < 1e-12, "{ray:?}");
         }
-        // Construction rays lie exactly on the hyperplane and tie scores.
-        let v = [-1.0, -2.0, 2.0];
-        let rays = [
-            // r_{a0=2, b=0}: w_2 = -v_0 = 1, w_0 = v_2 = 2
-            [1.0, 0.0, 0.5],
-        ];
-        let _ = (v, rays);
     }
 
     #[test]
     fn construction_rays_tie_scores() {
-        // For random-ish pairs, evaluate the fitted hyperplane: points ON
-        // the hyperplane near the construction should give near-zero score
-        // difference, and the two SIDES should give opposite signs.
+        // On a grid of angle points, wherever both the fitted plane and the
+        // true exchange surface are decisive — far from the plane and with
+        // a clearly nonzero score difference, since the linearization is
+        // exact only near the fitted rays (F2) — the side of the plane
+        // gives the order of the pair, under one orientation of the
+        // (canonical, so arbitrary) normal.
         let pairs: [(&[f64], &[f64]); 3] = [
             (&[1.0, 2.0, 3.0], &[2.0, 4.0, 1.0]),
             (&[0.8, 0.1, 0.5], &[0.2, 0.6, 0.4]),
@@ -254,73 +173,30 @@ mod tests {
         for (ti, tj) in pairs {
             let h = exchange_hyperplane(ti, tj).unwrap();
             let dim = ti.len() - 1;
-            // Probe a grid of angle points; wherever |h.eval| is large the
-            // sign of the score difference must match the side.
-            let steps = 7usize;
-            let mut checked = 0;
-            for idx in 0..steps.pow(dim as u32) {
-                let mut angles = Vec::with_capacity(dim);
-                let mut rem = idx;
-                for _ in 0..dim {
-                    angles.push(
-                        (rem % steps) as f64 / (steps - 1) as f64 * fairrank_geometry::HALF_PI,
-                    );
-                    rem /= steps;
-                }
-                let side = h.eval(&angles);
-                let diff = score_diff(ti, tj, &angles);
-                // The linearization is exact only near the fitted rays
-                // (F2), so only check points where both the fitted plane
-                // AND the true exchange surface are decisive: far from
-                // the plane and with a clearly nonzero score difference.
-                let v_norm: f64 = ti
-                    .iter()
-                    .zip(tj)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
+            let v_norm = ti
+                .iter()
+                .zip(tj)
+                .map(|(a, b)| (a - b).powi(2))
+                .sum::<f64>()
+                .sqrt();
+            let mut agree = [0usize; 2];
+            for idx in 0..7usize.pow(dim as u32) {
+                let angles: Vec<f64> = (0..dim)
+                    .map(|a| {
+                        (idx / 7usize.pow(a as u32) % 7) as f64 / 6.0 * fairrank_geometry::HALF_PI
+                    })
+                    .collect();
+                let (side, diff) = (h.eval(&angles), score_diff(ti, tj, &angles));
                 if side.abs() > 0.35 && diff.abs() > 0.25 * v_norm {
-                    checked += 1;
-                    assert_eq!(
-                        side.signum(),
-                        diff.signum() * sign_orientation(ti, tj, &h),
-                        "side/order mismatch at {angles:?} for pair {ti:?}/{tj:?}"
-                    );
+                    agree[usize::from((side > 0.0) == (diff > 0.0))] += 1;
                 }
             }
-            assert!(checked > 0, "test probed no decisive points");
+            assert!(agree[0] + agree[1] > 0, "test probed no decisive points");
+            assert!(
+                agree[0] == 0 || agree[1] == 0,
+                "side/order mismatch for {ti:?}/{tj:?}"
+            );
         }
-    }
-
-    /// The hyperplane orientation is arbitrary (canonical normal); compute
-    /// the orientation factor from the most decisive probe — far from the
-    /// fitted plane *and* with a clearly nonzero score difference, so the
-    /// linearization cannot flip the reading.
-    fn sign_orientation(ti: &[f64], tj: &[f64], h: &Hyperplane) -> f64 {
-        let dim = ti.len() - 1;
-        let v_norm: f64 = ti
-            .iter()
-            .zip(tj)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        let steps = 9usize;
-        let mut best = (0.0f64, 1.0f64);
-        for idx in 0..steps.pow(dim as u32) {
-            let mut angles = Vec::with_capacity(dim);
-            let mut rem = idx;
-            for _ in 0..dim {
-                angles.push((rem % steps) as f64 / (steps - 1) as f64 * fairrank_geometry::HALF_PI);
-                rem /= steps;
-            }
-            let side = h.eval(&angles);
-            let diff = score_diff(ti, tj, &angles);
-            let decisiveness = side.abs().min(diff.abs() / v_norm);
-            if decisiveness > best.0 {
-                best = (decisiveness, side.signum() * diff.signum());
-            }
-        }
-        best.1
     }
 
     #[test]
@@ -347,9 +223,8 @@ mod tests {
         let tj = [2.0, 1.0, 0.7];
         let h = exchange_hyperplane(&ti, &tj).unwrap();
         assert_eq!(h.dim(), 2);
-        // The exchange is independent of w_3, i.e. the plane is "vertical"
-        // along θ₂... verify the e_3 ray (pure z axis, angles (0, π/2)) —
-        // wait: that ray ties the scores trivially (both score 0.7·w₃).
+        // The pure w₃ ray ties the pair (both score 0.7·w₃), so it lies on
+        // the plane.
         let (_, angles) = fairrank_geometry::polar::to_polar(&[0.0, 0.0, 1.0]);
         assert!(
             h.eval(&angles).abs() < 1e-6,
@@ -374,7 +249,7 @@ mod tests {
         let ds = generic::anticorrelated(30, 3, 0.0, 7);
         let serial = exchange_hyperplanes(&ds);
         for threads in [2usize, 3, 4, 33] {
-            assert_eq!(serial, exchange_hyperplanes_threads(&ds, threads));
+            assert_eq!(serial, exchange_hyperplanes_limited(&ds, None, threads));
         }
     }
 

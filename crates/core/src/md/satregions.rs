@@ -1,8 +1,9 @@
 //! SATREGIONS (paper Algorithm 4) with the arrangement tree (Algorithm 5).
 //!
-//! Constructs the arrangement of ordering-exchange hyperplanes in the angle
-//! coordinate system, probes one strictly-interior function per region, and
-//! keeps the regions whose ranking the fairness oracle accepts. Regions
+//! Constructs the arrangement of ordering-exchange hyperplanes in the
+//! weight slice `Σw = 1` ([`crate::md::slice`]), probes one
+//! strictly-interior function per region, and keeps the regions whose
+//! ranking the fairness oracle accepts. Regions
 //! are enumerated by the arrangement tree; the flat incremental
 //! arrangement (the paper's baseline, which Figure 18 compares against)
 //! stays in `fairrank_geometry::arrangement` as the reference the
@@ -10,27 +11,28 @@
 
 use fairrank_datasets::Dataset;
 use fairrank_fairness::FairnessOracle;
-use fairrank_geometry::arrangement_tree::ArrangementTree;
 use fairrank_lp::Constraint;
 
 use crate::error::FairRankError;
-use crate::md::hyperpolar::exchange_hyperplanes_limited;
+use crate::md::{pair_hyperplanes, slice};
 use crate::probes;
 use crate::pruning;
 
-/// One satisfactory region of the arrangement.
+/// One satisfactory region of the arrangement, in slice coordinates
+/// `x = (w_1 … w_{d−1})` of `Σw = 1`.
 #[derive(Debug, Clone)]
 pub struct SatRegion {
-    /// Half-space constraints describing the region (box constraints are
-    /// implicit: every angle lies in `[0, π/2]`).
+    /// Half-space constraints describing the region: the exchange
+    /// hyperplanes on its side of the arrangement and the slice's base row
+    /// `Σx ≤ 1` (the box walls `x ≥ 0` are implicit).
     pub constraints: Vec<Constraint>,
-    /// A function strictly inside the region whose ranking the oracle
-    /// accepted.
+    /// A slice point strictly inside the region whose ranking the oracle
+    /// accepted ([`slice::lift`] gives its weights).
     pub witness: Vec<f64>,
 }
 
 /// Options for [`sat_regions`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SatRegionsOptions {
     /// Cap on the number of hyperplanes inserted (benchmark sweeps insert
     /// prefixes, as the paper's Figure 18/19 do). `None` = all.
@@ -43,7 +45,7 @@ pub struct SatRegionsOptions {
 /// Output of the offline multi-dimensional preprocessing.
 #[derive(Debug, Clone)]
 pub struct SatRegions {
-    /// Number of angle coordinates (`d − 1`).
+    /// Number of slice coordinates (`d − 1`).
     pub dim: usize,
     /// Satisfactory regions with their witnesses.
     pub satisfactory: Vec<SatRegion>,
@@ -54,7 +56,7 @@ pub struct SatRegions {
     /// Number of oracle invocations.
     pub oracle_calls: u64,
     /// Number of LPs the arrangement's insertions solved
-    /// ([`ArrangementTree::lp_calls`]).
+    /// (`ArrangementTree::lp_calls`).
     pub lp_solves: u64,
     /// Number of items that survived top-k pruning (equals `n` when
     /// pruning is off).
@@ -95,19 +97,14 @@ pub(crate) fn sat_regions_with_threads(
     // hyperplanes of the canonical order, so it equals the old
     // generate-all-then-truncate behavior without the O(n²) tail.
     let phase = crate::buildtel::PhaseTimer::start("md_exact", "hyperplanes");
+    let cap = opts.max_hyperplanes;
+    let enumerate = |ds: &Dataset| pair_hyperplanes(ds, cap, threads, slice::exchange_hyperplane);
     let (hyperplanes, items_used) = match (opts.prune_top_k, oracle.top_k_bound()) {
         (true, Some(k)) => {
             let keep = pruning::top_k_candidate_items(ds, k);
-            let sub = ds.subset(&keep);
-            (
-                exchange_hyperplanes_limited(&sub, opts.max_hyperplanes, threads),
-                keep.len(),
-            )
+            (enumerate(&ds.subset(&keep)), keep.len())
         }
-        _ => (
-            exchange_hyperplanes_limited(ds, opts.max_hyperplanes, threads),
-            ds.len(),
-        ),
+        _ => (enumerate(ds), ds.len()),
     };
     let hyperplane_count = hyperplanes.len();
     phase.finish();
@@ -115,7 +112,7 @@ pub(crate) fn sat_regions_with_threads(
     // Region enumeration: (constraints, witness) pairs.
     let phase = crate::buildtel::PhaseTimer::start("md_exact", "regions");
     let (witnesses, region_count, lp_solves) = {
-        let mut tree = ArrangementTree::new(dim);
+        let mut tree = slice::arrangement(dim);
         for h in &hyperplanes {
             tree.insert(h);
         }
@@ -130,8 +127,10 @@ pub(crate) fn sat_regions_with_threads(
     // worker pool, with verdicts (and the per-witness call count)
     // identical to serial probing.
     let phase = crate::buildtel::PhaseTimer::start("md_exact", "verify");
-    let witness_angles: Vec<&[f64]> = witnesses.iter().map(|(_, w)| w.as_slice()).collect();
-    let verdicts = probes::batch_verdicts_threaded(ds, oracle, &witness_angles, threads);
+    let verdicts =
+        probes::batch_verdicts_threaded(ds, oracle, witnesses.len(), threads, |i, out| {
+            slice::lift_into(&witnesses[i].1, out);
+        });
     phase.finish();
     let oracle_calls = verdicts.len() as u64;
     crate::buildtel::count_oracle_calls("md_exact", oracle_calls);
@@ -161,7 +160,6 @@ mod tests {
     use super::*;
     use fairrank_datasets::synthetic::generic;
     use fairrank_fairness::{FnOracle, Proportionality};
-    use fairrank_geometry::polar::to_cartesian;
 
     fn small_ds() -> Dataset {
         generic::anticorrelated(12, 3, 0.8, 21)
@@ -204,7 +202,8 @@ mod tests {
         let o = FnOracle::new("always", |_: &[u32]| true);
         let tree = sat_regions(&ds, &o, &SatRegionsOptions::default()).unwrap();
         let hyperplanes = crate::md::exchange_hyperplanes(&ds);
-        let mut flat = fairrank_geometry::arrangement::Arrangement::new(ds.dim() - 1);
+        let simplex = vec![Constraint::le(vec![1.0; 2], 1.0)];
+        let mut flat = fairrank_geometry::arrangement::Arrangement::with_base(2, 0.0, 1.0, simplex);
         for h in hyperplanes {
             flat.insert(h);
         }
@@ -221,7 +220,7 @@ mod tests {
         let r = sat_regions(&ds, &oracle, &SatRegionsOptions::default()).unwrap();
         use fairrank_fairness::FairnessOracle as _;
         for region in &r.satisfactory {
-            let w = to_cartesian(1.0, &region.witness);
+            let w = slice::lift(&region.witness);
             assert!(
                 oracle.is_satisfactory(&ds.rank(&w)),
                 "stored witness is not satisfactory"
@@ -282,8 +281,8 @@ mod tests {
             assert_eq!(par.hyperplane_count, serial.hyperplane_count);
             assert_eq!(par.oracle_calls, serial.oracle_calls);
             assert_eq!(
-                crate::persist::encode_regions(&par.satisfactory, par.dim),
-                crate::persist::encode_regions(&serial.satisfactory, serial.dim),
+                crate::persist::encode_regions(&par.satisfactory, par.dim, &opts),
+                crate::persist::encode_regions(&serial.satisfactory, serial.dim, &opts),
                 "t = {threads}"
             );
         }
@@ -296,8 +295,8 @@ mod tests {
         let oracle = Proportionality::new(attr, 4).with_max_count(0, 2);
         let r = sat_regions(&ds, &oracle, &SatRegionsOptions::default()).unwrap();
         assert_eq!(r.dim, 1);
-        // Regions partition [0, π/2]: count = hyperplanes (distinct cutting
-        // angles) + 1 at most.
+        // Regions partition [0, 1]: count = hyperplanes (distinct cutting
+        // points) + 1 at most.
         assert!(r.region_count <= r.hyperplane_count + 1);
     }
 }

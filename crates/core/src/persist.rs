@@ -14,7 +14,8 @@
 //! * [`AngularIntervals`] — the 2-D satisfactory-interval index
 //!   (2DONLINE's input).
 //! * [`SatRegion`] lists — the §4 exact arrangement regions
-//!   (MDBASELINE's input): constraints plus validated witnesses.
+//!   (MDBASELINE's input): constraints plus validated witnesses in slice
+//!   coordinates, and the build options updates rebuild with.
 //!
 //! On top of the per-artifact codecs sits the **whole-ranker envelope**
 //! ([`encode_ranker`] / [`decode_ranker`], used by
@@ -47,7 +48,7 @@ use fairrank_lp::{Constraint, Rel};
 use crate::approximate::{ApproxGrid, ApproxIndex, BuildOptions, BuildStats};
 use crate::backend::IndexBackend;
 use crate::error::FairRankError;
-use crate::md::{ExactRegions, SatRegion};
+use crate::md::{ExactRegions, SatRegion, SatRegionsOptions};
 use crate::twod::TwoDIntervals;
 
 const MAGIC: &[u8; 4] = b"FRIX";
@@ -396,23 +397,36 @@ pub fn decode_intervals(bytes: &[u8]) -> Result<AngularIntervals, PersistError> 
     Ok(AngularIntervals::from_pairs(pairs))
 }
 
-/// Serialize a §4 satisfactory-region list (`angle_dim` angle
-/// coordinates per point) to bytes.
+/// Region-list format. Version 2 stores slice coordinates of `Σw = 1`
+/// and the build's [`SatRegionsOptions`]; version-1 lists (angle
+/// coordinates, no options) decode as
+/// [`PersistError::UnsupportedVersion`].
+const REGIONS_VERSION: u16 = 2;
+
+/// Serialize a §4 satisfactory-region list (`slice_dim` slice
+/// coordinates per point) with the options it was built with, which a
+/// decoded backend rebuilds with on updates.
 ///
 /// # Panics
 /// If a region's constraint or witness arity disagrees with
-/// `angle_dim` — regions from [`crate::md::sat_regions`] are always
+/// `slice_dim` — regions from [`crate::md::sat_regions`] are always
 /// consistent.
 #[must_use]
-pub fn encode_regions(regions: &[SatRegion], angle_dim: usize) -> Vec<u8> {
-    let mut out = header(TAG_REGIONS);
-    out.put_u32_le(u32::try_from(angle_dim).expect("small dim"));
+pub fn encode_regions(
+    regions: &[SatRegion],
+    slice_dim: usize,
+    opts: &SatRegionsOptions,
+) -> Vec<u8> {
+    let mut out = header_versioned(TAG_REGIONS, REGIONS_VERSION);
+    out.put_u32_le(u32::try_from(slice_dim).expect("small dim"));
+    out.put_u64_le(opts.max_hyperplanes.map_or(u64::MAX, |cap| cap as u64));
+    out.put_u8(u8::from(opts.prune_top_k));
     out.put_u64_le(regions.len() as u64);
     for region in regions {
-        assert_eq!(region.witness.len(), angle_dim, "witness arity");
+        assert_eq!(region.witness.len(), slice_dim, "witness arity");
         out.put_u32_le(u32::try_from(region.constraints.len()).expect("constraints fit u32"));
         for c in &region.constraints {
-            assert_eq!(c.a.len(), angle_dim, "constraint arity");
+            assert_eq!(c.a.len(), slice_dim, "constraint arity");
             out.put_u8(match c.rel {
                 Rel::Le => 0,
                 Rel::Ge => 1,
@@ -427,24 +441,39 @@ pub fn encode_regions(regions: &[SatRegion], angle_dim: usize) -> Vec<u8> {
 }
 
 /// Deserialize a satisfactory-region list produced by
-/// [`encode_regions`]; returns the regions and their angle
-/// dimensionality.
+/// [`encode_regions`]: the regions, their slice dimensionality and the
+/// options they were built with.
 ///
 /// # Errors
 /// Any [`PersistError`] on malformed, corrupted or incompatible input.
-pub fn decode_regions(bytes: &[u8]) -> Result<(Vec<SatRegion>, usize), PersistError> {
+pub fn decode_regions(
+    bytes: &[u8],
+) -> Result<(Vec<SatRegion>, usize, SatRegionsOptions), PersistError> {
     let mut buf = unseal(bytes)?;
-    let version = check_header_versioned(&mut buf, TAG_REGIONS, VERSION)?;
-    if version != VERSION {
+    let version = check_header_versioned(&mut buf, TAG_REGIONS, REGIONS_VERSION)?;
+    if version != REGIONS_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    if buf.remaining() < 4 + 8 {
+    if buf.remaining() < 4 + 8 + 1 + 8 {
         return Err(PersistError::Truncated);
     }
     let dim = buf.get_u32_le() as usize;
     if dim == 0 {
         return Err(PersistError::Truncated);
     }
+    let max_hyperplanes = match buf.get_u64_le() {
+        u64::MAX => None,
+        cap => Some(usize::try_from(cap).map_err(|_| PersistError::Truncated)?),
+    };
+    let prune_top_k = match buf.get_u8() {
+        0 => false,
+        1 => true,
+        _ => return Err(PersistError::Truncated),
+    };
+    let opts = SatRegionsOptions {
+        max_hyperplanes,
+        prune_top_k,
+    };
     let n_regions = buf.get_u64_le() as usize;
     let mut regions = Vec::with_capacity(n_regions.min(1 << 20));
     for _ in 0..n_regions {
@@ -482,7 +511,7 @@ pub fn decode_regions(bytes: &[u8]) -> Result<(Vec<SatRegion>, usize), PersistEr
     if buf.has_remaining() {
         return Err(PersistError::Truncated);
     }
-    Ok((regions, dim))
+    Ok((regions, dim, opts))
 }
 
 /// Reassemble a backend from its artifact tag and sealed artifact bytes
@@ -496,8 +525,10 @@ pub fn decode_backend(tag: u8, bytes: &[u8]) -> Result<Box<dyn IndexBackend>, Pe
     match tag {
         TAG_INTERVALS => Ok(Box::new(TwoDIntervals::new(decode_intervals(bytes)?))),
         TAG_REGIONS => {
-            let (regions, dim) = decode_regions(bytes)?;
-            Ok(Box::new(ExactRegions::new(regions, dim)))
+            let (regions, dim, opts) = decode_regions(bytes)?;
+            Ok(Box::new(
+                ExactRegions::new(regions, dim).with_update_policy(opts),
+            ))
         }
         TAG_APPROX => Ok(Box::new(ApproxGrid::new(decode_approx_index(bytes)?))),
         other => Err(PersistError::UnknownBackend(other)),
@@ -1050,34 +1081,51 @@ mod tests {
         ));
     }
 
-    fn sample_regions() -> (Vec<SatRegion>, usize) {
+    fn sample_regions() -> (Vec<SatRegion>, usize, SatRegionsOptions) {
         let ds = generic::anticorrelated(12, 3, 0.8, 21);
         let oracle = fairrank_fairness::FnOracle::new("always", |_: &[u32]| true);
-        let opts = crate::md::SatRegionsOptions {
+        let opts = SatRegionsOptions {
             max_hyperplanes: Some(4),
-            ..Default::default()
+            prune_top_k: true,
         };
         let r = crate::md::sat_regions(&ds, &oracle, &opts).unwrap();
-        (r.satisfactory, r.dim)
+        (r.satisfactory, r.dim, opts)
     }
 
     #[test]
     fn chunked_regions_round_trip() {
-        let (regions, dim) = sample_regions();
-        let plain = encode_regions(&regions, dim);
-        let (back, back_dim) = decode_regions(&plain).unwrap();
-        assert_eq!(back_dim, dim);
-        assert_eq!(encode_regions(&back, back_dim), plain);
+        let (regions, dim, opts) = sample_regions();
+        let plain = encode_regions(&regions, dim, &opts);
+        let (back, back_dim, back_opts) = decode_regions(&plain).unwrap();
+        assert_eq!((back_dim, &back_opts), (dim, &opts));
+        assert_eq!(encode_regions(&back, back_dim, &back_opts), plain);
+        let uncapped = SatRegionsOptions::default();
+        let bytes = encode_regions(&regions, dim, &uncapped);
+        assert_eq!(decode_regions(&bytes).unwrap().2, uncapped);
+    }
+
+    /// Version-1 region lists hold angle coordinates and no build
+    /// options; they are not decoded.
+    #[test]
+    fn angle_space_region_lists_are_unsupported() {
+        let (regions, dim, opts) = sample_regions();
+        let v2 = encode_regions(&regions, dim, &opts);
+        let mut v1 = header_versioned(TAG_REGIONS, 1);
+        v1.extend_from_slice(&v2[7..v2.len() - 8]);
+        assert_eq!(
+            decode_regions(&seal(v1)).map(|_| ()),
+            Err(PersistError::UnsupportedVersion(1))
+        );
     }
 
     /// Every single-byte flip and every truncation of the dataset and
     /// region artifacts is rejected.
     #[test]
     fn chunked_corruption_and_truncation_detected() {
-        let (regions, dim) = sample_regions();
+        let (regions, dim, opts) = sample_regions();
         for bytes in [
             encode_dataset(&sample_dataset()),
-            encode_regions(&regions, dim),
+            encode_regions(&regions, dim, &opts),
         ] {
             for i in 0..bytes.len() {
                 let mut bad = bytes.clone();
@@ -1105,8 +1153,8 @@ mod tests {
             decode_dataset(&ds),
             Err(PersistError::UnsupportedVersion(3))
         );
-        let (regions, dim) = sample_regions();
-        let regions = v3(TAG_REGIONS, &encode_regions(&regions, dim));
+        let (regions, dim, opts) = sample_regions();
+        let regions = v3(TAG_REGIONS, &encode_regions(&regions, dim, &opts));
         assert!(matches!(
             decode_regions(&regions),
             Err(PersistError::UnsupportedVersion(3))

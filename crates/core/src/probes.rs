@@ -565,26 +565,37 @@ where
     (verdicts, tally)
 }
 
-/// [`batch_verdicts`] fanned across `threads` workers: the candidate list
-/// is split into contiguous chunks, each probed through its own
-/// [`RankWorkspace`], and the per-chunk verdict vectors are concatenated
-/// in chunk order — bit-identical to the serial pass (each candidate's
-/// verdict depends only on that candidate) for every thread count.
+/// Oracle verdicts for `count` candidates, candidate `i` being the weight
+/// vector `weights_of(i, out)` writes to the cleared `out`, on `threads`
+/// workers: each contiguous chunk of candidates is probed through its own
+/// [`RankWorkspace`] and the verdicts are concatenated in order —
+/// bit-identical to the serial pass for every thread count.
 #[must_use]
-pub fn batch_verdicts_threaded<A: AsRef<[f64]> + Sync>(
+pub fn batch_verdicts_threaded<F>(
     ds: &Dataset,
     oracle: &dyn FairnessOracle,
-    candidates: &[A],
+    count: usize,
     threads: usize,
-) -> Vec<bool> {
-    let chunks = crate::parallel::contiguous_chunks(candidates.len(), threads);
+    weights_of: F,
+) -> Vec<bool>
+where
+    F: Fn(usize, &mut Vec<f64>) + Sync,
+{
+    let chunk = |r: std::ops::Range<usize>| {
+        let weights = |i, out: &mut Vec<f64>| {
+            out.clear();
+            weights_of(r.start + i, out);
+        };
+        batch_verdicts_by(ds, oracle, r.len(), weights, |_, _| None).0
+    };
+    let chunks = crate::parallel::contiguous_chunks(count, threads);
     if chunks.len() <= 1 {
-        return batch_verdicts(ds, oracle, candidates);
+        return chunk(0..count);
     }
     std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
-            .map(|r| scope.spawn(move || batch_verdicts(ds, oracle, &candidates[r])))
+            .map(|r| scope.spawn(|| chunk(r)))
             .collect();
         handles
             .into_iter()
@@ -680,11 +691,11 @@ mod tests {
             .collect();
         let serial = batch_verdicts(&ds, &oracle, &candidates);
         for threads in [1usize, 2, 3, 4, 100] {
-            assert_eq!(
-                serial,
-                batch_verdicts_threaded(&ds, &oracle, &candidates, threads),
-                "t = {threads}"
-            );
+            let threaded =
+                batch_verdicts_threaded(&ds, &oracle, candidates.len(), threads, |i, out| {
+                    to_cartesian_into(1.0, &candidates[i], out);
+                });
+            assert_eq!(serial, threaded, "t = {threads}");
         }
     }
 

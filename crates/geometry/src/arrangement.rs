@@ -1,12 +1,15 @@
-//! Incremental construction of the arrangement of hyperplanes in the angle
-//! coordinate system (the engine of SATREGIONS, paper Algorithm 4).
+//! Incremental construction of the arrangement of hyperplanes (paper
+//! Algorithm 4, the flat baseline that Figure 18 compares the arrangement
+//! tree against).
 //!
-//! A *region* is a maximal connected subset of the box `[0, π/2]^{d−1}` on
-//! which no ordering-exchange hyperplane changes sign; inside a region the
-//! induced ranking of the items — and therefore the fairness-oracle verdict
-//! — is constant. Hyperplanes are inserted one at a time; each insertion
-//! splits every region it *properly cuts* (both open sides non-empty, see
-//! DESIGN.md F4) into its `h⁻` and `h⁺` children.
+//! A *region* is a maximal connected subset of the domain — a box such as
+//! the angle box `[0, π/2]^{d−1}`, optionally cut by base rows such as the
+//! weight slice's `Σx ≤ 1` — on which no ordering-exchange hyperplane
+//! changes sign; inside a region the induced ranking of the items — and
+//! therefore the fairness-oracle verdict — is constant. Hyperplanes are
+//! inserted one at a time; each insertion splits every region it
+//! *properly cuts* (both open sides deeper than a split margin) into its
+//! `h⁻` and `h⁺` children.
 //!
 //! Every LP here runs on the allocation-free Seidel kernel of
 //! `fairrank-lp`, which reads a region's rows in place (`RegionRows`):
@@ -19,7 +22,6 @@ use fairrank_lp::feasibility::interior_point_in;
 use fairrank_lp::{is_feasible, seidel, Constraint, Rel, RowSource};
 
 use crate::hyperplane::{Hyperplane, Sign};
-use crate::HALF_PI;
 
 /// Identifier of a hyperplane within an [`Arrangement`].
 pub type HyperplaneId = u32;
@@ -53,6 +55,8 @@ pub struct Arrangement {
     box_lo: f64,
     box_hi: f64,
     split_margin: f64,
+    /// Rows restricting the whole arrangement to part of the box.
+    base: Vec<Constraint>,
     hyperplanes: Vec<Hyperplane>,
     regions: Vec<Region>,
     /// Cumulative number of region-feasibility LPs, counted as in
@@ -61,28 +65,23 @@ pub struct Arrangement {
 }
 
 impl Arrangement {
-    /// An empty arrangement over `[0, π/2]^dim` — a single region.
+    /// An empty arrangement — a single region — over the part of
+    /// `[lo, hi]^dim` where every `base` row holds, as
+    /// [`crate::ArrangementTree::with_base`].
     ///
     /// # Panics
-    /// If `dim == 0`.
+    /// If `dim == 0`, the box is empty or a row's arity is not `dim`.
     #[must_use]
-    pub fn new(dim: usize) -> Arrangement {
-        Arrangement::with_box(dim, 0.0, HALF_PI)
-    }
-
-    /// An empty arrangement over a custom box `[lo, hi]^dim`.
-    ///
-    /// # Panics
-    /// If `dim == 0` or the box is empty.
-    #[must_use]
-    pub fn with_box(dim: usize, lo: f64, hi: f64) -> Arrangement {
-        assert!(dim > 0, "arrangement needs at least one angle axis");
+    pub fn with_base(dim: usize, lo: f64, hi: f64, base: Vec<Constraint>) -> Arrangement {
+        assert!(dim > 0, "arrangement needs at least one axis");
         assert!(lo < hi, "empty box");
+        assert!(base.iter().all(|c| c.a.len() == dim), "base row arity");
         Arrangement {
             dim,
             box_lo: lo,
             box_hi: hi,
-            split_margin: 1e-7,
+            split_margin: crate::arrangement_tree::SPLIT_MARGIN,
+            base,
             hyperplanes: Vec::new(),
             regions: vec![Region::default()],
             lp_calls: 0,
@@ -118,7 +117,8 @@ impl Arrangement {
         &self.regions[id as usize]
     }
 
-    /// The linear constraints of a region (excluding the implicit box).
+    /// The linear constraints of a region: the base rows and its
+    /// half-spaces (the box is implicit).
     #[must_use]
     pub fn constraints_of(&self, id: RegionId) -> Vec<Constraint> {
         self.rows_of(id).to_constraints()
@@ -134,7 +134,7 @@ impl Arrangement {
 
     fn rows_of(&self, id: RegionId) -> RegionRows<'_> {
         RegionRows {
-            base: &[],
+            base: &self.base,
             planes: &self.hyperplanes,
             sides: &self.regions[id as usize].halfspaces,
             extra: None,
@@ -176,12 +176,6 @@ impl Arrangement {
             regions_checked: before,
             splits,
         }
-    }
-
-    /// Build the full arrangement of a set of hyperplanes, returning the
-    /// per-insertion statistics (used by the Figure 19 experiment).
-    pub fn insert_all(&mut self, hs: impl IntoIterator<Item = Hyperplane>) -> Vec<InsertStats> {
-        hs.into_iter().map(|h| self.insert(h)).collect()
     }
 
     /// The box bounds `(lo, hi)`.
@@ -273,14 +267,19 @@ pub(crate) fn fast_feasible<R: RowSource + ?Sized>(rows: &R, dim: usize, lo: f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HALF_PI;
 
     fn hp(normal: Vec<f64>, offset: f64) -> Hyperplane {
         Hyperplane::new(normal, offset).unwrap()
     }
 
+    fn flat(dim: usize) -> Arrangement {
+        Arrangement::with_base(dim, 0.0, HALF_PI, Vec::new())
+    }
+
     #[test]
     fn empty_arrangement_single_region() {
-        let a = Arrangement::new(2);
+        let a = flat(2);
         assert_eq!(a.region_count(), 1);
         let p = a.interior_point_of(0).unwrap();
         assert!(p.iter().all(|&v| (0.0..=HALF_PI).contains(&v)));
@@ -288,7 +287,7 @@ mod tests {
 
     #[test]
     fn one_cutting_hyperplane_two_regions() {
-        let mut a = Arrangement::new(2);
+        let mut a = flat(2);
         let stats = a.insert(hp(vec![1.0, 1.0], 1.0));
         assert_eq!(stats.splits, 1);
         assert_eq!(a.region_count(), 2);
@@ -303,7 +302,7 @@ mod tests {
 
     #[test]
     fn missing_hyperplane_does_not_split() {
-        let mut a = Arrangement::new(2);
+        let mut a = flat(2);
         // Plane far outside the box [0, π/2]²: x + y = 10.
         let stats = a.insert(hp(vec![1.0, 1.0], 10.0));
         assert_eq!(stats.splits, 0);
@@ -313,7 +312,7 @@ mod tests {
     #[test]
     fn tangent_hyperplane_does_not_split() {
         // Touches the box only at the corner (0,0): x + y = 0.
-        let mut a = Arrangement::new(2);
+        let mut a = flat(2);
         let stats = a.insert(hp(vec![1.0, 1.0], 0.0));
         assert_eq!(stats.splits, 0);
         assert_eq!(a.region_count(), 1);
@@ -321,7 +320,7 @@ mod tests {
 
     #[test]
     fn two_crossing_lines_four_regions() {
-        let mut a = Arrangement::new(2);
+        let mut a = flat(2);
         a.insert(hp(vec![1.0, 0.0], 0.7)); // vertical θ₁ = 0.7
         a.insert(hp(vec![0.0, 1.0], 0.7)); // horizontal θ₂ = 0.7
         assert_eq!(a.region_count(), 4);
@@ -336,7 +335,7 @@ mod tests {
 
     #[test]
     fn parallel_lines_three_regions() {
-        let mut a = Arrangement::new(2);
+        let mut a = flat(2);
         a.insert(hp(vec![1.0, 0.0], 0.4));
         a.insert(hp(vec![1.0, 0.0], 1.0));
         assert_eq!(a.region_count(), 3);
@@ -345,7 +344,7 @@ mod tests {
     #[test]
     fn three_general_lines_seven_regions() {
         // Classic: n lines in general position → 1 + n + C(n,2) regions.
-        let mut a = Arrangement::new(2);
+        let mut a = flat(2);
         a.insert(hp(vec![1.0, 0.0], 0.5));
         a.insert(hp(vec![0.0, 1.0], 0.5));
         a.insert(hp(vec![1.0, 1.0], 1.3));
@@ -354,7 +353,7 @@ mod tests {
 
     #[test]
     fn duplicate_hyperplane_no_double_split() {
-        let mut a = Arrangement::new(2);
+        let mut a = flat(2);
         a.insert(hp(vec![1.0, 1.0], 1.0));
         let stats = a.insert(hp(vec![1.0, 1.0], 1.0));
         assert_eq!(stats.splits, 0, "re-inserting the same plane is a no-op");
@@ -363,7 +362,7 @@ mod tests {
 
     #[test]
     fn interior_points_satisfy_region_constraints() {
-        let mut a = Arrangement::new(3);
+        let mut a = flat(3);
         a.insert(hp(vec![1.0, 1.0, 0.2], 1.0));
         a.insert(hp(vec![0.3, -1.0, 1.0], 0.2));
         for rid in a.region_ids() {
@@ -376,7 +375,7 @@ mod tests {
 
     #[test]
     fn restricted_box_arrangement() {
-        let mut a = Arrangement::with_box(2, 0.2, 0.4);
+        let mut a = Arrangement::with_base(2, 0.2, 0.4, Vec::new());
         // Crosses the small box.
         let s1 = a.insert(hp(vec![1.0, 0.0], 0.3));
         assert_eq!(s1.splits, 1);
@@ -390,7 +389,7 @@ mod tests {
         // k lines in general position inside the box: regions = 1 + Σ (1 + crossings).
         // Here all pairs cross inside the box, so after k inserts:
         // 1 + k + C(k,2).
-        let mut a = Arrangement::new(2);
+        let mut a = flat(2);
         let lines = [
             hp(vec![1.0, 0.3], 0.8),
             hp(vec![0.3, 1.0], 0.8),

@@ -26,6 +26,14 @@ use crate::HALF_PI;
 
 type Link = Option<u32>;
 
+/// The depth both sides of a hyperplane must reach inside a region before
+/// the hyperplane splits it, in every tree but the per-cell ones of
+/// [`ArrangementTree::for_cell`]. A hyperplane that cuts a region more
+/// shallowly is not recorded there, so a point of a region whose rows and
+/// box walls it clears by more than this margin (each row's margin scaled
+/// by its norm) lies on the region's side of every inserted hyperplane.
+pub const SPLIT_MARGIN: f64 = 1e-7;
+
 /// A root path: the nodes passed and the side taken at each.
 type Path = Vec<(u32, Sign)>;
 
@@ -59,29 +67,23 @@ pub struct ArrangementTree {
 }
 
 impl ArrangementTree {
-    /// Empty tree over `[0, π/2]^dim`.
+    /// Empty tree over the part of the box `[lo, hi]^dim` where every
+    /// `base` row holds. The rows are part of every region, so they are
+    /// also part of every region's constraints.
     ///
     /// # Panics
-    /// If `dim == 0`.
+    /// If `dim == 0`, the box is empty or a row's arity is not `dim`.
     #[must_use]
-    pub fn new(dim: usize) -> ArrangementTree {
-        ArrangementTree::with_box(dim, 0.0, HALF_PI)
-    }
-
-    /// Empty tree over a custom box (same bound on every axis).
-    ///
-    /// # Panics
-    /// If `dim == 0` or the box is empty.
-    #[must_use]
-    pub fn with_box(dim: usize, lo: f64, hi: f64) -> ArrangementTree {
-        assert!(dim > 0, "arrangement tree needs at least one angle axis");
+    pub fn with_base(dim: usize, lo: f64, hi: f64, base: Vec<Constraint>) -> ArrangementTree {
+        assert!(dim > 0, "arrangement tree needs at least one axis");
         assert!(lo < hi, "empty box");
+        assert!(base.iter().all(|c| c.a.len() == dim), "base row arity");
         ArrangementTree {
             dim,
             box_lo: lo,
             box_hi: hi,
-            split_margin: 1e-7,
-            base: Vec::new(),
+            split_margin: SPLIT_MARGIN,
+            base,
             planes: Vec::new(),
             children: Vec::new(),
             root: None,
@@ -97,7 +99,6 @@ impl ArrangementTree {
     #[must_use]
     pub fn for_cell(bl: &[f64], tr: &[f64]) -> ArrangementTree {
         let dim = bl.len();
-        assert!(dim > 0, "arrangement tree needs at least one angle axis");
         assert_eq!(bl.len(), tr.len());
         let mut base = Vec::with_capacity(2 * dim);
         for j in 0..dim {
@@ -109,15 +110,8 @@ impl ArrangementTree {
             base.push(Constraint::le(lo_row, tr[j]));
         }
         ArrangementTree {
-            dim,
-            box_lo: 0.0,
-            box_hi: HALF_PI,
             split_margin: 1e-9,
-            base,
-            planes: Vec::new(),
-            children: Vec::new(),
-            root: None,
-            lp_calls: 0,
+            ..ArrangementTree::with_base(dim, 0.0, HALF_PI, base)
         }
     }
 
@@ -333,16 +327,20 @@ mod tests {
         Hyperplane::new(normal, offset).unwrap()
     }
 
+    fn tree(dim: usize) -> ArrangementTree {
+        ArrangementTree::with_base(dim, 0.0, HALF_PI, Vec::new())
+    }
+
     #[test]
     fn empty_tree_one_region() {
-        let t = ArrangementTree::new(2);
+        let t = tree(2);
         assert_eq!(t.region_count(), 1);
         assert_eq!(t.regions().len(), 1);
     }
 
     #[test]
     fn single_insert_two_regions() {
-        let mut t = ArrangementTree::new(2);
+        let mut t = tree(2);
         assert_eq!(t.insert(&hp(vec![1.0, 1.0], 1.0)), 1);
         assert_eq!(t.region_count(), 2);
         assert_eq!(t.regions().len(), 2);
@@ -350,7 +348,7 @@ mod tests {
 
     #[test]
     fn non_crossing_plane_ignored() {
-        let mut t = ArrangementTree::new(2);
+        let mut t = tree(2);
         assert_eq!(t.insert(&hp(vec![1.0, 1.0], 10.0)), 0);
         assert_eq!(t.region_count(), 1);
     }
@@ -364,8 +362,8 @@ mod tests {
             hp(vec![1.0, -0.7], 0.2),
             hp(vec![0.4, 1.0], 0.9),
         ];
-        let mut flat = Arrangement::new(2);
-        let mut tree = ArrangementTree::new(2);
+        let mut flat = Arrangement::with_base(2, 0.0, HALF_PI, Vec::new());
+        let mut tree = tree(2);
         for p in &planes {
             flat.insert(p.clone());
             tree.insert(p);
@@ -379,8 +377,8 @@ mod tests {
     /// region and insertion.
     #[test]
     fn tree_solves_fewer_lps_than_flat() {
-        let mut flat = Arrangement::new(2);
-        let mut tree = ArrangementTree::new(2);
+        let mut flat = Arrangement::with_base(2, 0.0, HALF_PI, Vec::new());
+        let mut tree = tree(2);
         for k in 0..40 {
             let ang = 0.37 * f64::from(k);
             let (x, y) = (
@@ -403,7 +401,7 @@ mod tests {
 
     #[test]
     fn region_witnesses_are_interior() {
-        let mut t = ArrangementTree::new(3);
+        let mut t = tree(3);
         t.insert(&hp(vec![1.0, 0.5, 0.5], 0.9));
         t.insert(&hp(vec![0.2, 1.0, -0.3], 0.4));
         let ws = t.region_witnesses();
@@ -417,7 +415,7 @@ mod tests {
 
     #[test]
     fn region_of_descends_correctly() {
-        let mut t = ArrangementTree::new(2);
+        let mut t = tree(2);
         t.insert(&hp(vec![1.0, 0.0], 0.7));
         t.insert(&hp(vec![0.0, 1.0], 0.7));
         let cs = t.region_of(&[0.2, 1.0]);
@@ -428,7 +426,7 @@ mod tests {
 
     #[test]
     fn early_stop_returns_satisfying_witness() {
-        let mut t = ArrangementTree::new(2);
+        let mut t = tree(2);
         t.insert(&hp(vec![1.0, 0.0], 0.7));
         // Probe accepts only points with θ₂ > 1.0.
         let mut calls = 0usize;
@@ -443,7 +441,7 @@ mod tests {
 
     #[test]
     fn early_stop_none_when_probe_rejects() {
-        let mut t = ArrangementTree::new(2);
+        let mut t = tree(2);
         let found = t.insert_with(&hp(vec![1.0, 1.0], 1.0), &mut |_| false);
         assert!(found.is_none());
         assert_eq!(t.region_count(), 2, "tree still grows when probe rejects");
@@ -451,7 +449,7 @@ mod tests {
 
     #[test]
     fn lp_call_accounting_grows() {
-        let mut t = ArrangementTree::new(2);
+        let mut t = tree(2);
         t.insert(&hp(vec![1.0, 0.0], 0.5));
         let after_one = t.lp_calls;
         t.insert(&hp(vec![0.0, 1.0], 0.5));
@@ -462,7 +460,7 @@ mod tests {
     fn deep_tree_consistency() {
         // Insert a fan of lines and verify region_count == nodes + 1 and all
         // enumerated regions feasible.
-        let mut t = ArrangementTree::new(2);
+        let mut t = tree(2);
         for k in 1..=8 {
             let ang = 0.15 * k as f64;
             t.insert(&hp(vec![ang.sin(), ang.cos()], 0.8));

@@ -299,7 +299,7 @@ proptest! {
             ..Default::default()
         };
         let reference = sat_regions(&ds, &oracle, &opts).unwrap();
-        let reference = encode_regions(&reference.satisfactory, reference.dim);
+        let reference = encode_regions(&reference.satisfactory, reference.dim, &opts);
         for threads in [1usize, 2, 4] {
             let ranker = FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
                 .strategy(Strategy::MdExact)
@@ -313,7 +313,7 @@ proptest! {
                 .downcast_ref::<ExactRegions>()
                 .unwrap();
             prop_assert_eq!(
-                encode_regions(exact.regions(), ds.dim() - 1),
+                encode_regions(exact.regions(), ds.dim() - 1, exact.options()),
                 reference.clone(),
                 "threads = {}",
                 threads
@@ -326,19 +326,15 @@ proptest! {
 // Persist: the artifacts replication and the ranker envelope carry
 // ---------------------------------------------------------------------
 
-/// The regions of a small capped SATREGIONS build.
-fn small_regions(seed: u64) -> (Vec<fairrank::md::SatRegion>, usize) {
+/// The encoded regions of a small capped SATREGIONS build.
+fn small_regions(seed: u64) -> Vec<u8> {
     let (ds, oracle) = biased(12, 3, seed);
-    let built = sat_regions(
-        &ds,
-        &oracle,
-        &SatRegionsOptions {
-            max_hyperplanes: Some(20),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    (built.satisfactory, built.dim)
+    let opts = SatRegionsOptions {
+        max_hyperplanes: Some(20),
+        ..Default::default()
+    };
+    let built = sat_regions(&ds, &oracle, &opts).unwrap();
+    encode_regions(&built.satisfactory, built.dim, &opts)
 }
 
 proptest! {
@@ -371,8 +367,7 @@ proptest! {
         let at = pos % bytes.len();
         bytes[at] ^= flip;
         prop_assert!(decode_dataset(&bytes).is_err(), "dataset accepted flip at {}", at);
-        let (regions, dim) = small_regions(seed);
-        let mut bytes = encode_regions(&regions, dim);
+        let mut bytes = small_regions(seed);
         let at = pos % bytes.len();
         bytes[at] ^= flip;
         prop_assert!(decode_regions(&bytes).is_err(), "regions accepted flip at {}", at);
@@ -386,8 +381,7 @@ proptest! {
         let bytes = encode_dataset(&ds);
         let at = cut % bytes.len();
         prop_assert!(decode_dataset(&bytes[..at]).is_err(), "dataset accepted cut at {}", at);
-        let (regions, dim) = small_regions(seed);
-        let bytes = encode_regions(&regions, dim);
+        let bytes = small_regions(seed);
         let at = cut % bytes.len();
         prop_assert!(decode_regions(&bytes[..at]).is_err(), "regions accepted cut at {}", at);
     }
@@ -408,10 +402,10 @@ fn chunked_regions_decode_paths_agree() {
         !built.satisfactory.is_empty(),
         "fixture should produce regions"
     );
-    let plain = encode_regions(&built.satisfactory, built.dim);
-    let (whole, dim_whole) = decode_regions(&plain).unwrap();
-    assert_eq!(dim_whole, built.dim);
-    assert_eq!(encode_regions(&whole, dim_whole), plain);
+    let plain = encode_regions(&built.satisfactory, built.dim, &opts);
+    let (whole, dim_whole, opts_whole) = decode_regions(&plain).unwrap();
+    assert_eq!((dim_whole, &opts_whole), (built.dim, &opts));
+    assert_eq!(encode_regions(&whole, dim_whole, &opts_whole), plain);
 
     let ranker = FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
         .strategy(Strategy::MdExact)
@@ -424,7 +418,11 @@ fn chunked_regions_decode_paths_agree() {
         .as_any()
         .downcast_ref::<ExactRegions>()
         .unwrap();
-    assert_eq!(encode_regions(exact.regions(), dim_whole), plain);
+    assert_eq!(exact.options(), &opts_whole);
+    assert_eq!(
+        encode_regions(exact.regions(), dim_whole, &opts_whole),
+        plain
+    );
 }
 
 /// A default build, which uses every core, is bit-identical to a

@@ -7,7 +7,9 @@
 
 use proptest::prelude::*;
 
-use fairrank::md::{closest_satisfactory_validated, sat_regions, SatRegionsOptions};
+use fairrank::md::{
+    closest_satisfactory_validated, sat_regions, slice, SatRegionsOptions, TIE_STEP,
+};
 use fairrank::twod::{online_2d, ray_sweep, TwoDAnswer};
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
@@ -29,11 +31,6 @@ use fairrank_lp::{simplex, Constraint, LinearProgram, LpOutcome};
 /// A strictly positive weight vector of the given dimension.
 fn positive_weights(d: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.05f64..10.0, d)
-}
-
-/// An angle vector in the open cube (0, π/2)^dim.
-fn interior_angles(dim: usize) -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(0.02f64..(HALF_PI - 0.02), dim)
 }
 
 /// An item with non-negative attribute values.
@@ -338,7 +335,7 @@ proptest! {
         tj in item(3),
     ) {
         let grid = AngleGrid::equal_area(3, cells);
-        let Some(h) = fairrank::md::exchange_hyperplane(&ti, &tj) else {
+        let Some(h) = fairrank::md::hyperpolar::exchange_hyperplane(&ti, &tj) else {
             return Ok(());
         };
         let mut fast = grid.cells_crossing(&h);
@@ -446,20 +443,20 @@ proptest! {
 
     /// Flat arrangement and arrangement tree count the same regions, and
     /// every region owns a witness that no other region accepts — the
-    /// regions genuinely partition the angle box.
+    /// regions genuinely partition the weight slice.
     #[test]
     fn arrangement_regions_partition_space(
         seed in 0u64..500,
         n in 6usize..14,
     ) {
         use fairrank_geometry::arrangement::Arrangement;
-        use fairrank_geometry::arrangement_tree::ArrangementTree;
         let ds = generic::uniform(n, 3, 0.0, seed);
         let hs = fairrank::md::exchange_hyperplanes(&ds);
         prop_assume!(!hs.is_empty());
 
-        let mut flat = Arrangement::new(2);
-        let mut tree = ArrangementTree::new(2);
+        let simplex = vec![Constraint::le(vec![1.0, 1.0], 1.0)];
+        let mut flat = Arrangement::with_base(2, 0.0, 1.0, simplex);
+        let mut tree = slice::arrangement(2);
         for h in &hs {
             flat.insert(h.clone());
             tree.insert(h);
@@ -486,16 +483,15 @@ proptest! {
     /// regions in the final decomposition.
     #[test]
     fn arrangement_region_count_order_invariant(seed in 0u64..200) {
-        use fairrank_geometry::arrangement_tree::ArrangementTree;
         let ds = generic::uniform(9, 3, 0.0, seed);
         let hs = fairrank::md::exchange_hyperplanes(&ds);
         prop_assume!(hs.len() >= 2);
 
-        let mut forward = ArrangementTree::new(2);
+        let mut forward = slice::arrangement(2);
         for h in &hs {
             forward.insert(h);
         }
-        let mut backward = ArrangementTree::new(2);
+        let mut backward = slice::arrangement(2);
         for h in hs.iter().rev() {
             backward.insert(h);
         }
@@ -564,37 +560,59 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Every SATREGIONS witness is genuinely satisfactory, and MDBASELINE
-    /// returns fair suggestions that are no farther than the best witness.
+    /// returns fair suggestions, no farther than the best witness, that no
+    /// oracle-fair dense-sample point beats by more than the tie walk's
+    /// first step moves an answer (`t / (1 − t) < 2·TIE_STEP` radians; see
+    /// `integration_md::mdbaseline_returns_fair_and_near_optimal_answers`).
     #[test]
     fn satregions_and_baseline_invariants(
         seed in 0u64..500,
+        d in 3usize..5,
         n in 10usize..22,
-        query in interior_angles(2),
+        query in positive_weights(4),
     ) {
-        let ds = generic::uniform(n, 3, 0.85, seed);
+        // The d = 4 arrangement grows as h³: keep it small.
+        let n = if d == 4 { n.min(12) } else { n };
+        let query = &query[..d];
+        let ds = generic::uniform(n, d, 0.85, seed);
         let attr = ds.type_attribute("group").unwrap().clone();
         let k = (n / 3).max(2);
         let oracle = Proportionality::new(&attr, k).with_max_count(0, (k / 2).max(1));
 
         let regions = sat_regions(&ds, &oracle, &SatRegionsOptions::default()).unwrap();
         for r in &regions.satisfactory {
-            let w = to_cartesian(1.0, &r.witness);
+            let w = slice::lift(&r.witness);
             prop_assert!(oracle.is_satisfactory(&ds.rank(&w)), "witness unfair");
         }
 
         if let Some(ans) =
-            closest_satisfactory_validated(&regions.satisfactory, &query, &ds, &oracle)
+            closest_satisfactory_validated(&regions.satisfactory, query, &ds, &oracle)
         {
-            let w = to_cartesian(1.0, &ans.angles);
-            prop_assert!(oracle.is_satisfactory(&ds.rank(&w)), "suggestion unfair");
+            prop_assert!(oracle.is_satisfactory(&ds.rank(&ans.weights)), "suggestion unfair");
             // The validated answer is never farther than the best stored
-            // witness (the repair falls back to witnesses).
+            // witness (the walk falls back to witnesses).
             let witness_best = regions
                 .satisfactory
                 .iter()
-                .map(|r| angular_distance(&r.witness, &query))
+                .map(|r| angular_distance_cartesian(&slice::lift(&r.witness), query))
                 .fold(f64::INFINITY, f64::min);
             prop_assert!(ans.distance <= witness_best + 1e-9);
+            prop_assert!(ans.tie_excess < 2.0 * TIE_STEP, "walk went past its first step");
+            let steps: usize = if d == 3 { 90 } else { 22 };
+            let at = |i: usize| (i as f64 + 0.5) / steps as f64 * HALF_PI;
+            for cell in 0..steps.pow(d as u32 - 1) {
+                let angles: Vec<f64> = (0..d - 1)
+                    .map(|a| at(cell / steps.pow(a as u32) % steps))
+                    .collect();
+                let w = to_cartesian(1.0, &angles);
+                if oracle.is_satisfactory(&ds.rank(&w)) {
+                    let gap = ans.distance - angular_distance_cartesian(&w, query);
+                    prop_assert!(
+                        gap <= 2.0 * TIE_STEP + 1e-12,
+                        "fair sample {angles:?} beats the answer by {gap}"
+                    );
+                }
+            }
         } else {
             prop_assert!(regions.satisfactory.is_empty());
         }

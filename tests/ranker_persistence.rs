@@ -377,3 +377,46 @@ proptest! {
         let _ = decode_update_log(&bytes);
     }
 }
+
+/// A replica decoded from a capped exact writer's bytes rebuilds with the
+/// writer's `SatRegionsOptions` on its first update: both hold the same
+/// regions and answer a 40×40 angle grid alike. (With the options
+/// unpersisted, the replica rebuilt uncapped: 6,777 regions against the
+/// writer's 159.)
+#[test]
+fn exact_replica_rebuilds_with_the_writers_options() {
+    let ds = generic::uniform(24, 3, 0.9, 5);
+    let attr = ds.type_attribute("group").unwrap();
+    let oracle = Proportionality::new(attr, 6).with_max_count(0, 3);
+    let mut writer = FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
+        .strategy(Strategy::MdExact)
+        .sat_regions_options(SatRegionsOptions {
+            max_hyperplanes: Some(30),
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    let mut replica =
+        FairRanker::from_bytes(&writer.to_bytes(), ds.clone(), Box::new(oracle.clone())).unwrap();
+    for ranker in [&mut writer, &mut replica] {
+        let (scores, groups) = (vec![0.7, 0.2, 0.6], vec![0]);
+        ranker
+            .update(DatasetUpdate::Insert { scores, groups })
+            .unwrap();
+    }
+    let regions = |r: &FairRanker| r.backend().stats().artifacts;
+    assert_eq!(
+        regions(&replica),
+        regions(&writer),
+        "region counts diverged"
+    );
+    let at = |i: usize| (i as f64 + 0.5) / 40.0 * HALF_PI;
+    for c in 0..40 * 40 {
+        let q = fairrank_geometry::polar::to_cartesian(1.0, &[at(c / 40), at(c % 40)]);
+        let req = SuggestRequest::new(q);
+        assert_eq!(
+            replica.respond(&req).unwrap(),
+            writer.respond(&req).unwrap()
+        );
+    }
+}

@@ -12,7 +12,9 @@ use proptest::prelude::*;
 
 use fairrank::approximate::BuildOptions;
 use fairrank::md::SatRegionsOptions;
-use fairrank::{DatasetUpdate, FairRanker, Strategy, SuggestOptions, SuggestRequest, Suggestion};
+use fairrank::{
+    DatasetUpdate, FairRanker, KnownFairness, Strategy, SuggestOptions, SuggestRequest, Suggestion,
+};
 use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
 use fairrank_fairness::{FairnessOracle, PrefixFairness, Proportionality};
@@ -58,6 +60,15 @@ fn fan(d: usize, count: usize) -> Vec<Vec<f64>> {
     queries.push(axis0);
     queries.push(axis1);
     queries
+}
+
+/// Whether the slice point of `q` clears the slice's walls and every
+/// exchange hyperplane of `ds` by more than `margin`.
+fn off_every_exchange(ds: &Dataset, q: &[f64], margin: f64) -> bool {
+    let x = fairrank::md::slice::point(q).unwrap();
+    let walls = x.iter().all(|&v| v > margin) && x.iter().sum::<f64>() < 1.0 - 2.0 * margin;
+    let hyperplanes = fairrank::md::exchange_hyperplanes(ds);
+    walls && hyperplanes.iter().all(|h| h.eval(&x).abs() > margin)
 }
 
 fn audit(req: &SuggestRequest) -> SuggestRequest {
@@ -115,7 +126,10 @@ proptest! {
         );
     }
 
-    /// Exact m-D backend (the oracle decides every verdict).
+    /// Exact m-D backend. On an uncapped build the index decides every
+    /// fair query that lies inside the weight slice and off every
+    /// exchange hyperplane (by more than the arrangement's split margin);
+    /// the oracle decides the rest.
     #[test]
     fn index_first_equals_audit_md_exact(
         seed in 0u64..200,
@@ -124,10 +138,23 @@ proptest! {
         let ds = generic::uniform(n, 3, 0.9, seed);
         let oracle = oracle_for(&ds, 0.3, 0.5);
         let ranker = builder_for(&ds, &oracle)
+            .sat_regions_options(SatRegionsOptions::default())
             .strategy(Strategy::MdExact)
             .build()
             .unwrap();
-        assert_index_first_matches_audit(&ranker, &fan(3, 18));
+        let mut queries = fan(3, 18);
+        queries.extend((0..36).map(|c| {
+            let at = |i: usize| (i as f64 + 0.5) / 6.0 * HALF_PI;
+            to_cartesian(1.0, &[at(c / 6), at(c % 6)])
+        }));
+        let answers = assert_index_first_matches_audit(&ranker, &queries);
+        for (q, a) in queries.iter().zip(&answers) {
+            let fair = matches!(a.fairness, KnownFairness::AlreadyFair);
+            prop_assert!(!a.stats.index_decided || fair, "index decided an unfair query");
+            if fair && off_every_exchange(&ds, q, 1e-6) {
+                prop_assert!(a.stats.index_decided, "interior fair query {:?} reached the oracle", q);
+            }
+        }
     }
 
     /// Approximate grid backend (verdicts ranked through the cells'
