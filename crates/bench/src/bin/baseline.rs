@@ -320,8 +320,9 @@ fn main() {
             live.update(DatasetUpdate::Remove { item }).unwrap()
         })),
     );
-    // Approximate grid at reduced scale (no hyperplane cap: the capped
-    // config falls back to full rebuilds by design).
+    // Approximate grid at reduced scale, uncapped. Every grid update
+    // rebuilds with the index's options, so `update.approx_insert_ms`
+    // times one full grid build on the updated dataset.
     let ds_grid = compas_d(80, 3);
     let oracle_grid = default_compas_oracle(&ds_grid);
     let grid_opts = BuildOptions {

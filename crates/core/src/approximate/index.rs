@@ -13,13 +13,13 @@ use fairrank_geometry::hyperplane::Hyperplane;
 
 use crate::approximate::{cellplane, coloring, markcell};
 use crate::error::FairRankError;
-use crate::md::hyperpolar::{exchange_hyperplane, exchange_hyperplanes_limited};
+use crate::md::hyperpolar::exchange_hyperplanes_limited;
 use crate::probes::{CellRestriction, TopKPartition, VerdictRanking};
 use crate::pruning;
-use crate::update::{DatasetUpdate, UpdateCtx};
 
-/// Options for [`ApproxIndex::build`].
-#[derive(Debug, Clone)]
+/// Options for [`ApproxIndex::build`]. The index keeps them: every
+/// update rebuilds with them, and the persisted grid records them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BuildOptions {
     /// Target number of grid cells — the paper's user-controllable `N`
     /// (its experiments use 40,000).
@@ -98,45 +98,9 @@ impl BuildStats {
     }
 }
 
-/// One MARKCELL probe, remembered for incremental maintenance: where the
-/// oracle was asked, what it said, and the score of the ranked `k`-th
-/// item at that point (`NaN` when the oracle exposes no top-k bound).
-/// The threshold is the verdict-invariance certificate: an updated item
-/// scoring strictly below it cannot enter the inspected prefix, so the
-/// stored verdict provably survives the update.
-#[derive(Debug, Clone)]
-pub struct ProbeRecord {
-    pub(crate) angles: Vec<f64>,
-    pub(crate) verdict: bool,
-    pub(crate) threshold: f64,
-}
-
-impl ProbeRecord {
-    /// Where the oracle was asked.
-    #[must_use]
-    pub fn angles(&self) -> &[f64] {
-        &self.angles
-    }
-
-    /// What it said.
-    #[must_use]
-    pub fn verdict(&self) -> bool {
-        self.verdict
-    }
-
-    /// The score of the `k`-th ranked item at [`angles`](ProbeRecord::angles),
-    /// `NaN` without a usable top-k bound.
-    #[must_use]
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-}
-
 /// Per-worker probe state for MARKCELL: ranking workspace, the current
-/// cell's probe-set restriction, reusable weight buffer, the worker's
-/// oracle-call, scored-item and LP tallies, and the probe log of the cell
-/// currently being searched (kept only when `record` is set: only a
-/// maintainable index ever reads it).
+/// cell's probe-set restriction, reusable weight buffer, and the worker's
+/// oracle-call, scored-item and LP tallies.
 struct ProbeCtx {
     workspace: RankWorkspace,
     cell: CellRestriction,
@@ -144,12 +108,10 @@ struct ProbeCtx {
     calls: u64,
     items: u64,
     lp_solves: u64,
-    record: bool,
-    log: Vec<ProbeRecord>,
 }
 
 impl ProbeCtx {
-    fn new(ds: &Dataset, record: bool) -> ProbeCtx {
+    fn new(ds: &Dataset) -> ProbeCtx {
         ProbeCtx {
             workspace: RankWorkspace::with_capacity(ds.len()),
             cell: CellRestriction::default(),
@@ -157,13 +119,11 @@ impl ProbeCtx {
             calls: 0,
             items: 0,
             lp_solves: 0,
-            record,
-            log: Vec::new(),
         }
     }
 
-    /// Search `cell` and package the outcome: the function found, the
-    /// probe log and the cell's top-k partition.
+    /// Search `cell` and package the outcome: the function found and the
+    /// cell's top-k partition.
     fn outcome(
         &mut self,
         cell: CellId,
@@ -173,7 +133,6 @@ impl ProbeCtx {
         CellOutcome {
             cell,
             function,
-            log: std::mem::take(&mut self.log),
             partition: self.cell.partition(),
         }
     }
@@ -183,7 +142,6 @@ impl ProbeCtx {
 struct CellOutcome {
     cell: CellId,
     function: Option<Vec<f64>>,
-    log: Vec<ProbeRecord>,
     partition: Option<TopKPartition>,
 }
 
@@ -199,21 +157,13 @@ pub struct ApproxIndex {
     /// against the real oracle during the build.
     pub(crate) functions: Vec<Vec<f64>>,
     pub(crate) stats: BuildStats,
-    /// The options the index was built with (reused by update rebuilds).
+    /// The options the index was built with, which every update
+    /// rebuilds with. Persisted, so a decoded index rebuilds like its
+    /// writer.
     pub(crate) opts: BuildOptions,
-    /// Worker count for maintenance, rebuilds and
-    /// [`ApproxIndex::attach`]: the build's, or all cores for a decoded
-    /// index. Not persisted.
+    /// Worker count for update rebuilds and [`ApproxIndex::attach`]: the
+    /// build's, or all cores for a decoded index. Not persisted.
     pub(crate) threads: usize,
-    /// Which cells MARKCELL satisfied directly (as opposed to coloring).
-    /// Maintenance state — empty on a decoded index.
-    pub(crate) satisfied: Vec<bool>,
-    /// Per-cell MARKCELL probe logs. Maintenance state — kept only by a
-    /// maintainable build (no `max_hyperplanes` cap, no `prune_top_k`),
-    /// since every other index rebuilds on update; empty on a decoded
-    /// index (the first update then pays one full rebuild, which re-seeds
-    /// it).
-    pub(crate) probe_log: Vec<Vec<ProbeRecord>>,
     /// Per cell: its top-k partition for the serving oracle pass
     /// (`crate::probes` has the soundness argument), `None` where nothing
     /// is pruned. Derived from the dataset and oracle, never persisted:
@@ -237,7 +187,7 @@ impl ApproxIndex {
     }
 
     /// [`ApproxIndex::build`] on `workers` threads, kept for the index's
-    /// later maintenance. MARKCELL (the build's dominant cost; paper
+    /// update rebuilds. MARKCELL (the build's dominant cost; paper
     /// Figures 22–23) searches cells independently and merges results in
     /// cell order, so the produced index is *identical* for any count.
     pub(crate) fn build_with_threads(
@@ -283,8 +233,7 @@ impl ApproxIndex {
         // merge below (in cell order) yields the same index for any
         // thread count. Each worker owns a ProbeCtx — a RankWorkspace,
         // the cell restriction's buffers and a weights buffer — so the
-        // probe path allocates nothing beyond each probe's log record
-        // (when kept) and each cell's partition.
+        // probe path allocates nothing beyond each cell's partition.
         // With an oracle top-k bound `0 < k < n`, each cell first bounds
         // every weight over its angle box (monotone sin/cos products, so
         // the corner values, widened by a few rounding units) and so every
@@ -297,8 +246,7 @@ impl ApproxIndex {
         // §8's global layers (`prune_top_k`), it changes no verdict or
         // threshold, so the built index is bit-identical to the
         // full-ranking path. Each cell's partition is kept for the
-        // serving oracle pass; the probe logs only when the index is
-        // maintainable, the one case an update reads them.
+        // serving oracle pass.
         let t2 = Instant::now();
         let n_threads = workers.min(grid.cell_count().max(1));
         let next_cell = std::sync::atomic::AtomicU32::new(0);
@@ -313,14 +261,12 @@ impl ApproxIndex {
                 search_one_cell(ds, oracle, &grid, cell, cell_hc, &hyperplanes, ctx)
             })
         };
-        // Probe logs are read only by incremental maintenance.
-        let record = opts.max_hyperplanes.is_none() && !opts.prune_top_k;
         let mut found: Vec<CellOutcome> = Vec::new();
         let mut oracle_calls = 0u64;
         let mut probe_items = 0u64;
         let mut lp_solves = 0u64;
         if n_threads <= 1 {
-            let mut ctx = ProbeCtx::new(ds, record);
+            let mut ctx = ProbeCtx::new(ds);
             for cell in 0..cell_count {
                 found.push(search_cell(cell, &mut ctx));
             }
@@ -335,7 +281,7 @@ impl ApproxIndex {
                     let search_cell = &search_cell;
                     handles.push(scope.spawn(move || {
                         let mut local: Vec<CellOutcome> = Vec::new();
-                        let mut ctx = ProbeCtx::new(ds, record);
+                        let mut ctx = ProbeCtx::new(ds);
                         loop {
                             let cell = next_cell.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             if cell >= cell_count {
@@ -359,7 +305,7 @@ impl ApproxIndex {
             }
             found.sort_unstable_by_key(|o| o.cell);
         }
-        let mut index = assemble(grid, found, opts.clone(), workers, record);
+        let mut index = assemble(grid, found, opts.clone(), workers);
         index.stats = stats;
         index.stats.oracle_calls = oracle_calls;
         index.stats.lp_solves = lp_solves;
@@ -390,222 +336,6 @@ impl ApproxIndex {
         Ok(index)
     }
 
-    /// Whether this index carries the maintenance state (probe logs,
-    /// satisfied mask) the incremental update path needs. False for
-    /// decoded indexes until their first (rebuilding) update re-seeds it.
-    #[must_use]
-    pub fn is_maintainable(&self) -> bool {
-        self.probe_log.len() == self.grid.cell_count()
-            && self.opts.max_hyperplanes.is_none()
-            && !self.opts.prune_top_k
-    }
-
-    /// Incremental maintenance through one dataset update, bit-identical
-    /// to `ApproxIndex::build(ctx.ds, ctx.oracle, &self.opts)`:
-    ///
-    /// 1. **Delta marking.** Only the hyperplanes of pairs involving the
-    ///    updated item change; cells they cross (in the old or new
-    ///    configuration) are the only cells whose per-cell search inputs
-    ///    differ, so only they *must* be re-searched.
-    /// 2. **Certificates.** Every other cell replays its recorded probes:
-    ///    a probe whose threshold proves the updated item stays out of
-    ///    the oracle's inspected prefix keeps its verdict with zero
-    ///    oracle work; the rest are re-verified through one batched
-    ///    oracle pass ([`crate::probes`]).
-    /// 3. **Recoloring.** Cells whose verdicts all survived keep their
-    ///    MARKCELL outcome verbatim; changed cells re-run the per-cell
-    ///    search; CELLCOLORING then re-propagates — only the cells whose
-    ///    satisfaction verdict could change are ever re-searched.
-    ///
-    /// # Errors
-    /// None currently; signature reserves the right for rebuild-style
-    /// fallbacks to fail.
-    pub(crate) fn maintain(
-        &mut self,
-        update: &DatasetUpdate,
-        ctx: &UpdateCtx<'_>,
-    ) -> Result<(), FairRankError> {
-        let n_cells = self.grid.cell_count();
-
-        // 1. Delta hyperplanes → cells whose search inputs changed.
-        let mut delta: Vec<Hyperplane> = Vec::new();
-        {
-            let mut lo = Vec::new();
-            let mut hi = Vec::new();
-            let mut push_pairs = |ds: &Dataset, x: usize| {
-                for j in 0..ds.len() {
-                    if j != x {
-                        ds.row_into(j.min(x), &mut lo);
-                        ds.row_into(j.max(x), &mut hi);
-                        delta.extend(exchange_hyperplane(&lo, &hi));
-                    }
-                }
-            };
-            match update {
-                DatasetUpdate::Insert { .. } => push_pairs(ctx.ds, ctx.ds.len() - 1),
-                DatasetUpdate::Remove { item } => push_pairs(ctx.old, *item as usize),
-                DatasetUpdate::Rescore { item, .. } => {
-                    push_pairs(ctx.old, *item as usize);
-                    push_pairs(ctx.ds, *item as usize);
-                }
-            }
-        }
-        let delta_hc = cellplane::hyperplanes_per_cell(&self.grid, &delta);
-        let mut dirty: Vec<bool> = delta_hc.iter().map(|l| !l.is_empty()).collect();
-
-        // Fresh geometry for the re-searched cells (oracle-free).
-        let workers = self.threads;
-        let hyperplanes = exchange_hyperplanes_limited(ctx.ds, None, workers);
-        let hc = cellplane::hyperplanes_per_cell(&self.grid, &hyperplanes);
-
-        // 2. Replay unaffected cells: certificate or batched re-check.
-        let cert_k = ctx
-            .oracle
-            .top_k_bound()
-            .filter(|&k| k > 0 && k < ctx.ds.len() && k < ctx.old.len());
-        let mut recheck: Vec<(usize, usize)> = Vec::new();
-        let mut candidates: Vec<Vec<f64>> = Vec::new();
-        for (c, log) in self.probe_log.iter().enumerate() {
-            if dirty[c] {
-                continue;
-            }
-            for (pi, rec) in log.iter().enumerate() {
-                if !probe_certified(update, ctx, rec, cert_k.is_some()) {
-                    recheck.push((c, pi));
-                    candidates.push(rec.angles.clone());
-                }
-            }
-        }
-        let fresh = crate::probes::batch_verdicts_and_thresholds(ctx.ds, ctx.oracle, &candidates);
-        let mut oracle_calls = fresh.len() as u64;
-        let mut probe_items = oracle_calls * ctx.ds.len() as u64;
-        let mut lp_solves = 0u64;
-        for ((c, pi), (verdict, threshold)) in recheck.into_iter().zip(fresh) {
-            let rec = &mut self.probe_log[c][pi];
-            if rec.verdict != verdict {
-                dirty[c] = true;
-            }
-            rec.verdict = verdict;
-            rec.threshold = threshold;
-        }
-
-        // 3. Re-search changed cells (fanned across the worker pool —
-        // cells are independent and the results are merged back in cell
-        // order, so the maintained index is identical for any thread
-        // count), keep the rest, recolor.
-        let dirty_cells: Vec<CellId> = (0..n_cells as CellId)
-            .filter(|&c| dirty[c as usize])
-            .collect();
-        let search_dirty = |cell: CellId, pc: &mut ProbeCtx| -> CellOutcome {
-            let cell_hc = &hc[cell as usize];
-            let cell_hc = match self.opts.max_hyperplanes_per_cell {
-                Some(cap) if cell_hc.len() > cap => &cell_hc[..cap],
-                _ => cell_hc.as_slice(),
-            };
-            pc.outcome(cell, |pc| {
-                search_one_cell(
-                    ctx.ds,
-                    ctx.oracle,
-                    &self.grid,
-                    cell,
-                    cell_hc,
-                    &hyperplanes,
-                    pc,
-                )
-            })
-        };
-        let n_threads = workers.min(dirty_cells.len().max(1));
-        let mut searched: Vec<CellOutcome>;
-        if n_threads <= 1 {
-            let mut probe_ctx = ProbeCtx::new(ctx.ds, true);
-            searched = Vec::with_capacity(dirty_cells.len());
-            for &c in &dirty_cells {
-                searched.push(search_dirty(c, &mut probe_ctx));
-            }
-            oracle_calls += probe_ctx.calls;
-            probe_items += probe_ctx.items;
-            lp_solves += probe_ctx.lp_solves;
-        } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let dirty_cells = &dirty_cells;
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_threads)
-                    .map(|_| {
-                        let next = &next;
-                        let search_dirty = &search_dirty;
-                        scope.spawn(move || {
-                            let mut local: Vec<CellOutcome> = Vec::new();
-                            let mut pc = ProbeCtx::new(ctx.ds, true);
-                            loop {
-                                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(&c) = dirty_cells.get(i) else {
-                                    break;
-                                };
-                                local.push(search_dirty(c, &mut pc));
-                            }
-                            (local, pc.calls, pc.items, pc.lp_solves)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("maintenance worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            searched = Vec::with_capacity(dirty_cells.len());
-            for (local, calls, items, lps) in results {
-                oracle_calls += calls;
-                probe_items += items;
-                lp_solves += lps;
-                searched.extend(local);
-            }
-            searched.sort_unstable_by_key(|o| o.cell);
-        }
-        // The kept cells' partitions depend on every item too: recompute
-        // them all on the updated dataset.
-        let clean_cells: Vec<CellId> = (0..n_cells as CellId)
-            .filter(|&c| !dirty[c as usize])
-            .collect();
-        let mut partitions =
-            cell_partitions(ctx.ds, ctx.oracle, &self.grid, &clean_cells, workers).into_iter();
-        let mut searched = searched.into_iter();
-        let mut found: Vec<CellOutcome> = Vec::with_capacity(n_cells);
-        for (c, &cell_dirty) in dirty.iter().enumerate() {
-            if cell_dirty {
-                let entry = searched.next().expect("one search result per dirty cell");
-                debug_assert_eq!(entry.cell as usize, c);
-                found.push(entry);
-            } else {
-                let function = self.satisfied[c].then(|| {
-                    let fi = self.assigned[c].expect("satisfied cells are assigned");
-                    self.functions[fi as usize].clone()
-                });
-                found.push(CellOutcome {
-                    cell: c as CellId,
-                    function,
-                    log: std::mem::take(&mut self.probe_log[c]),
-                    partition: partitions.next().expect("one partition per kept cell"),
-                });
-            }
-        }
-
-        let stats = self.stats.clone();
-        *self = assemble(self.grid.clone(), found, self.opts.clone(), workers, true);
-        self.stats = stats;
-        self.stats.hyperplane_count = hyperplanes.len();
-        self.stats.hc_histogram = cellplane::crossing_histogram(&hc);
-        self.stats.oracle_calls += oracle_calls;
-        self.stats.lp_solves += lp_solves;
-        self.stats.probe_items += probe_items;
-        crate::buildtel::count_lp_solves("md_approx", lp_solves);
-        crate::buildtel::count_oracle_calls("md_approx", oracle_calls);
-        crate::buildtel::count_probe_items("md_approx", probe_items);
-        self.stats.satisfied_cells = self.functions.len();
-        self.stats.colored_cells =
-            coloring::color_cells(&self.grid, &mut self.assigned, &self.functions);
-        Ok(())
-    }
-
     /// MDONLINE's core: the satisfactory function assigned to the cell
     /// containing `angles`, or `None` when the constraint is globally
     /// unsatisfiable. `O(log N)`.
@@ -627,8 +357,7 @@ impl ApproxIndex {
     /// a decoded index, which persists none, needs before its partitions
     /// serve. Uses the build's worker count.
     pub(crate) fn attach(&mut self, ds: &Dataset, oracle: &dyn FairnessOracle) {
-        let cells: Vec<CellId> = (0..self.grid.cell_count() as CellId).collect();
-        self.partitions = cell_partitions(ds, oracle, &self.grid, &cells, self.threads);
+        self.partitions = cell_partitions(ds, oracle, &self.grid, self.threads);
     }
 
     /// The underlying grid.
@@ -643,12 +372,10 @@ impl ApproxIndex {
         &self.stats
     }
 
-    /// Per-cell MARKCELL probe logs, in probe order: what incremental
-    /// maintenance replays. Empty on a decoded index until its first
-    /// update re-seeds it.
+    /// The [`BuildOptions`] of the build, kept for update rebuilds.
     #[must_use]
-    pub fn probe_log(&self) -> &[Vec<ProbeRecord>] {
-        &self.probe_log
+    pub fn options(&self) -> &BuildOptions {
+        &self.opts
     }
 
     /// The distinct satisfactory functions discovered by MARKCELL
@@ -671,11 +398,8 @@ impl ApproxIndex {
     }
 }
 
-/// One cell's MARKCELL search, recording every probe into `ctx.log`
-/// (cleared first) when `ctx.record` is set. The shared kernel of [`ApproxIndex::build`] and
-/// [`ApproxIndex::maintain`] — identical inputs produce identical
-/// outcomes *and* identical probe sequences, which is what makes replay
-/// sound.
+/// One cell's MARKCELL search, probing through the cell's sure-in /
+/// undecided restriction.
 fn search_one_cell(
     ds: &Dataset,
     oracle: &dyn FairnessOracle,
@@ -686,10 +410,6 @@ fn search_one_cell(
     ctx: &mut ProbeCtx,
 ) -> Option<Vec<f64>> {
     let placement = VerdictRanking::of(oracle);
-    let kth = match placement.bound() {
-        Some(k) if k > 0 && k <= ds.len() => k,
-        _ => 0,
-    };
     let ProbeCtx {
         workspace,
         cell: restriction,
@@ -697,10 +417,7 @@ fn search_one_cell(
         calls,
         items,
         lp_solves,
-        record,
-        log,
     } = ctx;
-    log.clear();
     let (bl, tr) = grid.cell_bounds(cell);
     placement.restrict_to_box(ds, bl, tr, restriction);
     let mut probe = |angles: &[f64]| {
@@ -708,52 +425,28 @@ fn search_one_cell(
         to_cartesian_into(1.0, angles, weights);
         let (scored, ranking) = placement.rank_in_box(workspace, restriction, ds, angles, weights);
         *items += scored as u64;
-        let verdict = oracle.is_satisfactory(ranking);
-        if *record {
-            let threshold = if kth > 0 {
-                ds.score(weights, ranking[kth - 1] as usize)
-            } else {
-                f64::NAN
-            };
-            log.push(ProbeRecord {
-                angles: angles.to_vec(),
-                verdict,
-                threshold,
-            });
-        }
-        verdict
+        oracle.is_satisfactory(ranking)
     };
     markcell::find_satisfactory(grid, cell, cell_hc, hyperplanes, &mut probe, lp_solves)
 }
 
 /// Assemble per-cell MARKCELL outcomes (in cell order) into the index
 /// arrays — the exact layout [`ApproxIndex::build`] has always produced:
-/// one function per directly-satisfied cell, pushed in cell order — with
-/// the probe logs when `record` is set.
+/// one function per directly-satisfied cell, pushed in cell order.
 fn assemble(
     grid: AngleGrid,
     found: Vec<CellOutcome>,
     opts: BuildOptions,
     threads: usize,
-    record: bool,
 ) -> ApproxIndex {
     let n_cells = grid.cell_count();
     let mut assigned: Vec<Option<u32>> = vec![None; n_cells];
     let mut functions: Vec<Vec<f64>> = Vec::new();
-    let mut satisfied = vec![false; n_cells];
-    let mut probe_log: Vec<Vec<ProbeRecord>> = Vec::new();
-    if record {
-        probe_log.resize_with(n_cells, Vec::new);
-    }
     let mut partitions: Vec<Option<TopKPartition>> = vec![None; n_cells];
     for outcome in found {
         let c = outcome.cell as usize;
-        if record {
-            probe_log[c] = outcome.log;
-        }
         partitions[c] = outcome.partition;
         if let Some(f) = outcome.function {
-            satisfied[c] = true;
             assigned[c] = Some(functions.len() as u32);
             functions.push(f);
         }
@@ -765,73 +458,44 @@ fn assemble(
         stats: BuildStats::default(),
         opts,
         threads,
-        satisfied,
-        probe_log,
         partitions,
     }
 }
 
-/// The top-k partitions of `cells` for `ds` and `oracle`, in order,
-/// computed on up to `threads` workers through
+/// The top-k partitions of every cell for `ds` and `oracle`, in cell
+/// order, computed on up to `threads` workers through
 /// [`VerdictRanking::restrict_to_box`], the definition MARKCELL uses.
 fn cell_partitions(
     ds: &Dataset,
     oracle: &dyn FairnessOracle,
     grid: &AngleGrid,
-    cells: &[CellId],
     threads: usize,
 ) -> Vec<Option<TopKPartition>> {
     let placement = VerdictRanking::of(oracle);
-    let partition = |cells: &[CellId]| -> Vec<Option<TopKPartition>> {
+    let partition = |cells: std::ops::Range<usize>| -> Vec<Option<TopKPartition>> {
         let mut restriction = CellRestriction::default();
         cells
-            .iter()
-            .map(|&c| {
-                let (bl, tr) = grid.cell_bounds(c);
+            .map(|c| {
+                let (bl, tr) = grid.cell_bounds(c as CellId);
                 placement.restrict_to_box(ds, bl, tr, &mut restriction);
                 restriction.partition()
             })
             .collect()
     };
-    let chunks = crate::parallel::contiguous_chunks(cells.len(), threads);
+    let chunks = crate::parallel::contiguous_chunks(grid.cell_count(), threads);
     if chunks.len() <= 1 {
-        return partition(cells);
+        return partition(0..grid.cell_count());
     }
     std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
-            .map(|r| scope.spawn(move || partition(&cells[r])))
+            .map(|r| scope.spawn(move || partition(r)))
             .collect();
         handles
             .into_iter()
             .flat_map(|h| h.join().expect("partition worker panicked"))
             .collect()
     })
-}
-
-/// Can this probe's stored verdict provably survive the update? True
-/// only when the updated item's score stays strictly outside the
-/// oracle's inspected top-k prefix at the probe point (ties resolved by
-/// the ranking's id tie-break: an inserted item carries the largest id,
-/// so a tie with the `k`-th score still lands below it).
-fn probe_certified(
-    update: &DatasetUpdate,
-    ctx: &UpdateCtx<'_>,
-    rec: &ProbeRecord,
-    k_stable: bool,
-) -> bool {
-    if !k_stable || !rec.threshold.is_finite() {
-        return false;
-    }
-    let w = fairrank_geometry::polar::to_cartesian(1.0, &rec.angles);
-    match update {
-        DatasetUpdate::Insert { .. } => ctx.ds.score(&w, ctx.ds.len() - 1) <= rec.threshold,
-        DatasetUpdate::Remove { item } => ctx.old.score(&w, *item as usize) < rec.threshold,
-        DatasetUpdate::Rescore { item, .. } => {
-            ctx.old.score(&w, *item as usize) < rec.threshold
-                && ctx.ds.score(&w, *item as usize) < rec.threshold
-        }
-    }
 }
 
 #[cfg(test)]

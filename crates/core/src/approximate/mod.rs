@@ -21,7 +21,7 @@ pub mod coloring;
 pub mod index;
 pub mod markcell;
 
-pub use index::{ApproxIndex, BuildOptions, BuildStats, ProbeRecord};
+pub use index::{ApproxIndex, BuildOptions, BuildStats};
 
 use fairrank_geometry::polar::{angular_distance, to_polar};
 use fairrank_geometry::vector::norm;
@@ -94,23 +94,15 @@ impl IndexBackend for ApproxGrid {
         self.index.attach(ctx.ds, ctx.oracle);
     }
 
-    // Incremental maintenance via [`ApproxIndex::maintain`]: only cells
-    // whose satisfaction verdict can change (crossed by the updated
-    // item's hyperplanes, or with a flipped probe verdict under the
-    // batched re-check) are re-searched and recolored. Falls back to one
-    // deterministic rebuild when the maintenance state is missing (a
-    // decoded index) or the build options truncate hyperplanes, which
-    // makes delta marking unsound.
+    // Every update rebuilds the §5 pipeline on the updated dataset with
+    // the index's stored options and worker count, so a writer and a
+    // replica decoded from its bytes (which persist the options) rebuild
+    // alike.
     fn apply(
         &mut self,
-        update: &DatasetUpdate,
+        _update: &DatasetUpdate,
         ctx: &UpdateCtx<'_>,
     ) -> Result<UpdateOutcome, FairRankError> {
-        if self.index.is_maintainable() {
-            self.index.maintain(update, ctx)?;
-            self.counters.record(true, false);
-            return Ok(UpdateOutcome::Incremental);
-        }
         let opts = self.index.opts.clone();
         *self.index =
             ApproxIndex::build_with_threads(ctx.ds, ctx.oracle, &opts, self.index.threads)?;

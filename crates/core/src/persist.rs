@@ -11,6 +11,8 @@
 //!   `(d, scheme, n_cells)`, so the codec stores those parameters and
 //!   rebuilds, then cross-checks `γ` and the cell count against the saved
 //!   values to detect algorithm drift between writer and reader versions.
+//!   It also stores the build's hyperplane caps and pruning flag, which
+//!   a decoded index rebuilds with on updates.
 //! * [`AngularIntervals`] — the 2-D satisfactory-interval index
 //!   (2DONLINE's input).
 //! * [`SatRegion`] lists — the §4 exact arrangement regions
@@ -171,6 +173,30 @@ fn get_f64_vec(buf: &mut &[u8]) -> Result<Vec<f64>, PersistError> {
     Ok((0..len).map(|_| buf.get_f64_le()).collect())
 }
 
+/// An optional cap as a u64, `u64::MAX` meaning none.
+fn put_cap(out: &mut Vec<u8>, cap: Option<usize>) {
+    out.put_u64_le(cap.map_or(u64::MAX, |cap| cap as u64));
+}
+
+/// The caller has checked that 8 bytes remain.
+fn get_cap(buf: &mut &[u8]) -> Result<Option<usize>, PersistError> {
+    match buf.get_u64_le() {
+        u64::MAX => Ok(None),
+        cap => usize::try_from(cap)
+            .map(Some)
+            .map_err(|_| PersistError::Truncated),
+    }
+}
+
+/// A boolean as one byte, 0 or 1. The caller has checked that it remains.
+fn get_flag(buf: &mut &[u8]) -> Result<bool, PersistError> {
+    match buf.get_u8() {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(PersistError::Truncated),
+    }
+}
+
 fn header_versioned(tag: u8, version: u16) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.put_slice(MAGIC);
@@ -234,10 +260,15 @@ fn unseal(bytes: &[u8]) -> Result<&[u8], PersistError> {
     Ok(body)
 }
 
+/// Grid-index format. Version 2 records the build's `max_hyperplanes`,
+/// `prune_top_k` and `max_hyperplanes_per_cell`; version-1 grids (no
+/// options) decode as [`PersistError::UnsupportedVersion`].
+const APPROX_VERSION: u16 = 2;
+
 /// Serialize an [`ApproxIndex`] to bytes.
 #[must_use]
 pub fn encode_approx_index(index: &ApproxIndex) -> Vec<u8> {
-    let mut out = header(TAG_APPROX);
+    let mut out = header_versioned(TAG_APPROX, APPROX_VERSION);
     let grid = &index.grid;
     out.put_u32_le(u32::try_from(grid.dim() + 1).expect("small d"));
     out.put_u8(match grid.scheme() {
@@ -248,6 +279,9 @@ pub fn encode_approx_index(index: &ApproxIndex) -> Vec<u8> {
     // Integrity cross-checks for the deterministic rebuild.
     out.put_f64_le(grid.gamma());
     out.put_u64_le(grid.cell_count() as u64);
+    put_cap(&mut out, index.opts.max_hyperplanes);
+    out.put_u8(u8::from(index.opts.prune_top_k));
+    put_cap(&mut out, index.opts.max_hyperplanes_per_cell);
 
     out.put_u64_le(index.assigned.len() as u64);
     for a in &index.assigned {
@@ -261,15 +295,19 @@ pub fn encode_approx_index(index: &ApproxIndex) -> Vec<u8> {
 }
 
 /// Deserialize an [`ApproxIndex`] from bytes produced by
-/// [`encode_approx_index`].
+/// [`encode_approx_index`], with the build options it was written with
+/// ([`ApproxIndex::options`]).
 ///
 /// # Errors
 /// Any [`PersistError`] on malformed, corrupted or incompatible input.
 pub fn decode_approx_index(bytes: &[u8]) -> Result<ApproxIndex, PersistError> {
     let body = unseal(bytes)?;
     let mut buf = body;
-    check_header(&mut buf, TAG_APPROX)?;
-    if buf.remaining() < 4 + 1 + 8 + 8 + 8 {
+    let version = check_header_versioned(&mut buf, TAG_APPROX, APPROX_VERSION)?;
+    if version != APPROX_VERSION {
+        return Err(PersistError::UnsupportedVersion(version));
+    }
+    if buf.remaining() < 4 + 1 + 8 + 8 + 8 + 8 + 1 + 8 {
         return Err(PersistError::Truncated);
     }
     let d = buf.get_u32_le() as usize;
@@ -284,6 +322,9 @@ pub fn decode_approx_index(bytes: &[u8]) -> Result<ApproxIndex, PersistError> {
     if d < 2 || target == 0 {
         return Err(PersistError::Truncated);
     }
+    let max_hyperplanes = get_cap(&mut buf)?;
+    let prune_top_k = get_flag(&mut buf)?;
+    let max_hyperplanes_per_cell = get_cap(&mut buf)?;
 
     let grid = match scheme {
         PartitionScheme::EqualArea => AngleGrid::equal_area(d, target),
@@ -331,20 +372,16 @@ pub fn decode_approx_index(bytes: &[u8]) -> Result<ApproxIndex, PersistError> {
         return Err(PersistError::Truncated);
     }
 
-    // The decoded index reconstructs its build parameters from the grid
-    // (`n_cells`, scheme) but carries no maintenance state (probe logs),
-    // and the TAG_APPROX payload does not record the hyperplane caps or
-    // pruning flags — those come back as library defaults. Its first
-    // live update therefore pays one full rebuild under those
-    // reconstructed options (re-seeding the maintenance state); replicas
-    // that must preserve a non-default cap configuration should rebuild
-    // from the dataset instead of updating a decoded index.
+    // The decoded index carries its writer's build options (`n_cells`
+    // and scheme from the grid, the rest stored), so its updates rebuild
+    // exactly as the writer's do. Partitions come from `attach`.
     let opts = BuildOptions {
         n_cells: grid.target_cells(),
         scheme: grid.scheme(),
-        ..Default::default()
+        max_hyperplanes,
+        prune_top_k,
+        max_hyperplanes_per_cell,
     };
-    let cell_count = grid.cell_count();
     Ok(ApproxIndex {
         grid,
         assigned,
@@ -352,8 +389,6 @@ pub fn decode_approx_index(bytes: &[u8]) -> Result<ApproxIndex, PersistError> {
         stats: BuildStats::default(),
         opts,
         threads: crate::parallel::all_cores(),
-        satisfied: vec![false; cell_count],
-        probe_log: Vec::new(),
         partitions: Vec::new(),
     })
 }
@@ -419,7 +454,7 @@ pub fn encode_regions(
 ) -> Vec<u8> {
     let mut out = header_versioned(TAG_REGIONS, REGIONS_VERSION);
     out.put_u32_le(u32::try_from(slice_dim).expect("small dim"));
-    out.put_u64_le(opts.max_hyperplanes.map_or(u64::MAX, |cap| cap as u64));
+    put_cap(&mut out, opts.max_hyperplanes);
     out.put_u8(u8::from(opts.prune_top_k));
     out.put_u64_le(regions.len() as u64);
     for region in regions {
@@ -461,18 +496,9 @@ pub fn decode_regions(
     if dim == 0 {
         return Err(PersistError::Truncated);
     }
-    let max_hyperplanes = match buf.get_u64_le() {
-        u64::MAX => None,
-        cap => Some(usize::try_from(cap).map_err(|_| PersistError::Truncated)?),
-    };
-    let prune_top_k = match buf.get_u8() {
-        0 => false,
-        1 => true,
-        _ => return Err(PersistError::Truncated),
-    };
     let opts = SatRegionsOptions {
-        max_hyperplanes,
-        prune_top_k,
+        max_hyperplanes: get_cap(&mut buf)?,
+        prune_top_k: get_flag(&mut buf)?,
     };
     let n_regions = buf.get_u64_le() as usize;
     let mut regions = Vec::with_capacity(n_regions.min(1 << 20));
@@ -892,6 +918,7 @@ mod tests {
         let index = sample_index();
         let bytes = encode_approx_index(&index);
         let back = decode_approx_index(&bytes).unwrap();
+        assert_eq!(back.options(), index.options());
         assert_eq!(back.functions(), index.functions());
         assert_eq!(back.grid().cell_count(), index.grid().cell_count());
         // Lookups agree everywhere.
@@ -904,6 +931,17 @@ mod tests {
                 assert_eq!(index.lookup(&q), back.lookup(&q));
             }
         }
+    }
+
+    #[test]
+    fn optionless_grids_are_unsupported() {
+        let v2 = encode_approx_index(&sample_index());
+        let mut v1 = header_versioned(TAG_APPROX, 1);
+        v1.extend_from_slice(&v2[7..v2.len() - 8]);
+        assert_eq!(
+            decode_approx_index(&seal(v1)).map(|_| ()),
+            Err(PersistError::UnsupportedVersion(1))
+        );
     }
 
     #[test]

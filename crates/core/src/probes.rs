@@ -62,8 +62,8 @@
 //! * **Freshness.** A partition depends on every item, so it is never
 //!   persisted: a decoded index computes its partitions when it is
 //!   attached to a dataset and oracle
-//!   ([`IndexBackend::attach`](crate::IndexBackend::attach)), and every
-//!   update, maintained or rebuilt, recomputes them.
+//!   ([`IndexBackend::attach`](crate::IndexBackend::attach)), and the
+//!   rebuild every grid update runs recomputes them.
 
 use fairrank_datasets::kernels::{self, ItemSubset, PrefixOrder};
 use fairrank_datasets::{Dataset, RankWorkspace};
@@ -81,7 +81,7 @@ use fairrank_geometry::vector::norm;
 /// [`top_k_is_set`](FairnessOracle::top_k_is_set) that top-`k` is left
 /// unsorted ([`PrefixOrder::Set`]), which skips the `O(k log k)` prefix
 /// sort. Either way position `k - 1` holds exactly the `k`-th ranked
-/// item, so top-`k` threshold scores read off it stay exact.
+/// item.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct VerdictRanking {
     bound: Option<usize>,
@@ -476,32 +476,12 @@ pub(crate) fn batch_verdicts_by<'p, F, P>(
     ds: &Dataset,
     oracle: &dyn FairnessOracle,
     count: usize,
-    weights_of: F,
-    partition_of: P,
-) -> (Vec<bool>, RankingTally)
-where
-    F: FnMut(usize, &mut Vec<f64>),
-    P: FnMut(usize, &[f64]) -> Option<&'p TopKPartition>,
-{
-    batch_verdicts_by_with(ds, oracle, count, weights_of, partition_of, |_, _, _| {})
-}
-
-/// The kernel behind [`batch_verdicts_by`] and
-/// [`batch_verdicts_and_thresholds`]: `on_ranking(i, ranking, weights)`
-/// observes each candidate's stored (possibly top-k-partial) ranking as
-/// it is produced, before the chunk goes to the oracle.
-fn batch_verdicts_by_with<'p, F, P, H>(
-    ds: &Dataset,
-    oracle: &dyn FairnessOracle,
-    count: usize,
     mut weights_of: F,
     mut partition_of: P,
-    mut on_ranking: H,
 ) -> (Vec<bool>, RankingTally)
 where
     F: FnMut(usize, &mut Vec<f64>),
     P: FnMut(usize, &[f64]) -> Option<&'p TopKPartition>,
-    H: FnMut(usize, &[u32], &[f64]),
 {
     let n = ds.len();
     let placement = VerdictRanking::of(oracle);
@@ -526,11 +506,11 @@ where
         for i in start..end {
             weights.clear();
             weights_of(i, &mut weights);
-            let at = flat.len();
             match partition_of(i, &weights).filter(|p| placement.admits(p, n) && p.covers(&weights))
             {
                 Some(p) => {
                     tally.cell += 1;
+                    let at = flat.len();
                     tally.items += placement.rank_partition(p, ds, &weights, &mut flat) as u64;
                     debug_assert_eq!(flat.len() - at, stride);
                 }
@@ -540,7 +520,6 @@ where
                     flat.extend_from_slice(&placement.rank(&mut ws, ds, &weights)[..stride]);
                 }
             }
-            on_ranking(i, &flat[at..], &weights);
         }
         // `stride == 0` ⇔ the dataset is empty: every ranking is the
         // empty permutation (`chunks(0)` would panic, and chunking an
@@ -602,41 +581,6 @@ where
             .flat_map(|h| h.join().expect("probe worker panicked"))
             .collect()
     })
-}
-
-/// Like [`batch_verdicts`], but also reports each candidate's *top-k
-/// threshold score* — the score of the ranked `k`-th item under the
-/// candidate's weights (`NaN` when the oracle exposes no usable top-k
-/// bound). The incremental index-maintenance paths store the threshold
-/// next to the verdict: a later insert/remove whose item scores strictly
-/// below the threshold provably cannot change the verdict, so the probe
-/// is skipped entirely.
-#[must_use]
-pub fn batch_verdicts_and_thresholds<A: AsRef<[f64]>>(
-    ds: &Dataset,
-    oracle: &dyn FairnessOracle,
-    candidates: &[A],
-) -> Vec<(bool, f64)> {
-    let kth = match oracle.top_k_bound() {
-        Some(k) if k > 0 && k <= ds.len() => k,
-        _ => 0, // no usable bound → NaN thresholds
-    };
-    let mut thresholds = Vec::with_capacity(candidates.len());
-    let (verdicts, _) = batch_verdicts_by_with(
-        ds,
-        oracle,
-        candidates.len(),
-        |i, out| to_cartesian_into(1.0, candidates[i].as_ref(), out),
-        |_, _| None,
-        |_, ranking, weights| {
-            thresholds.push(if kth > 0 {
-                ds.score(weights, ranking[kth - 1] as usize)
-            } else {
-                f64::NAN
-            });
-        },
-    );
-    verdicts.into_iter().zip(thresholds).collect()
 }
 
 #[cfg(test)]
@@ -719,38 +663,6 @@ mod tests {
             batch_verdicts(&ds, &oracle, &candidates),
             vec![true; candidates.len()]
         );
-    }
-
-    #[test]
-    fn thresholds_match_direct_ranking() {
-        let ds = generic::uniform(30, 3, 0.8, 9);
-        let attr = ds.type_attribute("group").unwrap();
-        let oracle = Proportionality::new(attr, 6).with_max_count(0, 3);
-        let candidates: Vec<Vec<f64>> = (0..40)
-            .map(|i| {
-                vec![
-                    (i as f64 + 0.5) / 40.0 * fairrank_geometry::HALF_PI,
-                    ((i * 3) % 40) as f64 / 40.0 * fairrank_geometry::HALF_PI,
-                ]
-            })
-            .collect();
-        let got = batch_verdicts_and_thresholds(&ds, &oracle, &candidates);
-        let plain = batch_verdicts(&ds, &oracle, &candidates);
-        for ((c, &(v, t)), &pv) in candidates.iter().zip(&got).zip(&plain) {
-            assert_eq!(v, pv);
-            let w = to_cartesian(1.0, c);
-            let ranking = ds.rank(&w);
-            let want = ds.score(&w, ranking[oracle.k() - 1] as usize);
-            assert_eq!(t, want, "threshold mismatch at {c:?}");
-        }
-    }
-
-    #[test]
-    fn thresholds_nan_without_topk_bound() {
-        let ds = generic::uniform(10, 2, 0.0, 3);
-        let oracle = FnOracle::new("always", |_: &[u32]| true);
-        let got = batch_verdicts_and_thresholds(&ds, &oracle, &[vec![0.5], vec![1.0]]);
-        assert!(got.iter().all(|&(v, t)| v && t.is_nan()));
     }
 
     #[test]

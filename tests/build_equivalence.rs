@@ -10,16 +10,19 @@
 //!   MARKCELL) each produce byte-for-byte the same serialized ranker at
 //!   1, 2, and 4 workers (`FairRankerBuilder::build_threads`), and a
 //!   default build (all cores) equals the serial one.
-//! * **MARKCELL probe-log replay** — every probe the grid build recorded
-//!   (ranked through its cell's sure-in / undecided restriction) has the
-//!   verdict and top-k threshold of a full `Dataset::rank` at the same
-//!   angles, on data with negative values and exact score ties, at
-//!   `k = 1`, `n − 1` and `n`, for set-based and rank-aware oracles.
+//! * **Restricted MARKCELL probes** — a grid build whose probes rank
+//!   through each cell's sure-in / undecided restriction gives the oracle
+//!   the same verdict sequence, and builds the same index, as a build
+//!   whose every probe ranks all `n` items, on data with negative values
+//!   and exact score ties, at `k = 1`, `n − 1` and `n`, for set-based and
+//!   rank-aware oracles.
 //! * **Persist** — the dataset and region artifacts that replication
 //!   and the ranker envelope carry decode to the value that was encoded,
 //!   the row-major v1 and columnar v2 dataset layouts decode alike, and
 //!   the decoders *reject* every single-byte mutation and every
 //!   truncation of both artifacts.
+
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
@@ -33,7 +36,6 @@ use fairrank_datasets::synthetic::generic;
 use fairrank_datasets::Dataset;
 use fairrank_fairness::{FairnessOracle, PrefixFairness, Proportionality};
 use fairrank_geometry::grid::CellId;
-use fairrank_geometry::polar::to_cartesian;
 
 fn biased(n: usize, d: usize, seed: u64) -> (Dataset, Proportionality) {
     let ds = generic::uniform(n, d, 0.9, seed);
@@ -62,16 +64,56 @@ fn signed_with_duplicates(n: usize, seed: u64) -> Dataset {
     ds
 }
 
-/// Replay every MARKCELL probe record against a full ranking, and check
-/// that 2 and 4 workers build the same index with the same probe logs.
-/// The build is maintainable (no hyperplane cap), the only kind that
-/// keeps its probe logs.
-fn replay_probe_log<O>(ds: &Dataset, oracle: &O) -> Result<(), TestCaseError>
+/// Records every verdict of the wrapped oracle, in call order. With
+/// `full_rank` set it hides the oracle's top-k bound, so every verdict
+/// ranking, MARKCELL's probes included, ranks all `n` items.
+#[derive(Clone)]
+struct Recording<O> {
+    inner: O,
+    full_rank: bool,
+    verdicts: Arc<Mutex<Vec<bool>>>,
+}
+
+impl<O: FairnessOracle> FairnessOracle for Recording<O> {
+    fn is_satisfactory(&self, ranking: &[u32]) -> bool {
+        let verdict = self.inner.is_satisfactory(ranking);
+        self.verdicts.lock().unwrap().push(verdict);
+        verdict
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+
+    fn top_k_bound(&self) -> Option<usize> {
+        if self.full_rank {
+            None
+        } else {
+            self.inner.top_k_bound()
+        }
+    }
+
+    fn top_k_is_set(&self) -> bool {
+        !self.full_rank && self.inner.top_k_is_set()
+    }
+}
+
+/// Build the grid serially twice, once probing through each cell's
+/// restriction and once ranking every item per probe, and require the
+/// same verdicts in the same order, the same index and the same counts;
+/// then check that 2 and 4 workers build the restricted index alike.
+fn restricted_probes_match_full<O>(ds: &Dataset, oracle: &O) -> Result<(), TestCaseError>
 where
     O: FairnessOracle + Clone + 'static,
 {
-    let build = |threads: usize| {
-        FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
+    let build = |threads: usize, full_rank: bool| {
+        let recording = Recording {
+            inner: oracle.clone(),
+            full_rank,
+            verdicts: Arc::default(),
+        };
+        let verdicts = Arc::clone(&recording.verdicts);
+        let ranker = FairRanker::builder(ds.clone(), Box::new(recording))
             .strategy(Strategy::MdApprox)
             .approx_options(BuildOptions {
                 n_cells: 120,
@@ -79,35 +121,17 @@ where
             })
             .build_threads(threads)
             .build()
-            .unwrap()
+            .unwrap();
+        let verdicts = std::mem::take(&mut *verdicts.lock().unwrap());
+        (ranker, verdicts)
     };
-    let serial_ranker = build(1);
-    let serial = serial_ranker.approx_index().unwrap();
-    let kth = oracle.top_k_bound().filter(|&k| k > 0 && k <= ds.len());
-    let mut probes = 0usize;
-    for rec in serial.probe_log().iter().flatten() {
-        let w = to_cartesian(1.0, rec.angles());
-        let ranking = ds.rank(&w);
-        prop_assert_eq!(rec.verdict(), oracle.is_satisfactory(&ranking));
-        let threshold = kth.map_or(f64::NAN, |k| ds.score(&w, ranking[k - 1] as usize));
-        prop_assert_eq!(rec.threshold().to_bits(), threshold.to_bits());
-        probes += 1;
-    }
-    prop_assert_eq!(probes as u64, serial.stats().oracle_calls);
-    prop_assert!(serial.stats().probe_items <= serial.stats().oracle_calls * ds.len() as u64);
+    let (restricted_ranker, restricted_verdicts) = build(1, false);
+    let (full_ranker, full_verdicts) = build(1, true);
+    let restricted = restricted_ranker.approx_index().unwrap();
+    let full = full_ranker.approx_index().unwrap();
 
-    let bits = |idx: &ApproxIndex| -> Vec<(Vec<u64>, bool, u64)> {
-        idx.probe_log()
-            .iter()
-            .flatten()
-            .map(|r| {
-                let angles = r.angles().iter().map(|a| a.to_bits()).collect();
-                (angles, r.verdict(), r.threshold().to_bits())
-            })
-            .collect()
-    };
-    let centers: Vec<Vec<f64>> = (0..serial.grid().cell_count() as CellId)
-        .map(|c| serial.grid().center(c))
+    let centers: Vec<Vec<f64>> = (0..restricted.grid().cell_count() as CellId)
+        .map(|c| restricted.grid().center(c))
         .collect();
     let lookups = |idx: &ApproxIndex| -> Vec<Option<Vec<f64>>> {
         centers
@@ -115,13 +139,29 @@ where
             .map(|c| idx.lookup(c).map(<[f64]>::to_vec))
             .collect()
     };
+    prop_assert_eq!(&restricted_verdicts, &full_verdicts);
+    prop_assert_eq!(
+        restricted_verdicts.len() as u64,
+        restricted.stats().oracle_calls
+    );
+    prop_assert_eq!(restricted.functions(), full.functions());
+    prop_assert_eq!(lookups(restricted), lookups(full));
+    let (r, f) = (restricted.stats(), full.stats());
+    prop_assert_eq!((r.oracle_calls, r.lp_solves), (f.oracle_calls, f.lp_solves));
+    prop_assert_eq!(f.probe_items, f.oracle_calls * ds.len() as u64);
+    prop_assert!(r.probe_items <= f.probe_items);
+
     for threads in [2usize, 4] {
-        let par_ranker = build(threads);
+        let (par_ranker, _) = build(threads, false);
         let par = par_ranker.approx_index().unwrap();
-        prop_assert_eq!(par.functions(), serial.functions(), "threads = {}", threads);
-        prop_assert_eq!(lookups(par), lookups(serial), "threads = {}", threads);
-        prop_assert_eq!(bits(par), bits(serial), "threads = {}", threads);
-        let (a, b) = (par.stats(), serial.stats());
+        prop_assert_eq!(
+            par.functions(),
+            restricted.functions(),
+            "threads = {}",
+            threads
+        );
+        prop_assert_eq!(lookups(par), lookups(restricted), "threads = {}", threads);
+        let (a, b) = (par.stats(), restricted.stats());
         prop_assert_eq!(
             (
                 a.oracle_calls,
@@ -143,7 +183,7 @@ where
 }
 
 // ---------------------------------------------------------------------
-// MARKCELL probe-log replay
+// Restricted MARKCELL probes vs full rankings
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -152,7 +192,7 @@ proptest! {
     /// Set-based (`Proportionality`) and rank-aware (`PrefixFairness`,
     /// sorted top-k) oracles, with `k` at 1, `n − 1`, `n` or in between.
     #[test]
-    fn markcell_probe_log_replays_against_full_rankings(
+    fn markcell_restricted_probes_match_full_rankings(
         seed in 0u64..1000,
         n in 20usize..40,
         which_k in 0usize..4,
@@ -161,17 +201,16 @@ proptest! {
         let k = [1, n - 1, n, n / 3][which_k];
         let group = ds.type_attribute("group").unwrap();
         let set = Proportionality::new(group, k).with_max_count(0, k / 2);
-        replay_probe_log(&ds, &set)?;
+        restricted_probes_match_full(&ds, &set)?;
         let sorted = PrefixFairness::new(group, 1, k, 0.4, 1.0);
-        replay_probe_log(&ds, &sorted)?;
+        restricted_probes_match_full(&ds, &sorted)?;
     }
 }
 
-/// An unmaintainable build (here: a hyperplane cap that keeps every
-/// hyperplane) rebuilds on every update, so it keeps no probe log; the
-/// search itself is the maintainable build's, probe for probe.
+/// A hyperplane cap that keeps every hyperplane builds the uncapped
+/// index, probe for probe.
 #[test]
-fn unmaintainable_build_keeps_no_probe_log() {
+fn capped_build_keeping_every_hyperplane_matches_uncapped() {
     for seed in [3u64, 17, 29] {
         let ds = signed_with_duplicates(30, seed);
         let group = ds.type_attribute("group").unwrap();
@@ -188,14 +227,10 @@ fn unmaintainable_build_keeps_no_probe_log() {
             )
             .unwrap()
         };
-        let logged = build(None);
+        let uncapped = build(None);
         let capped = build(Some(ds.len() * ds.len()));
-        assert!(logged.is_maintainable() && !capped.is_maintainable());
-        assert!(capped.probe_log().is_empty(), "seed {seed}");
-        let records = logged.probe_log().iter().flatten().count() as u64;
-        assert_eq!(records, logged.stats().oracle_calls, "seed {seed}");
-        assert_eq!(capped.functions(), logged.functions(), "seed {seed}");
-        let (a, b) = (capped.stats(), logged.stats());
+        assert_eq!(capped.functions(), uncapped.functions(), "seed {seed}");
+        let (a, b) = (capped.stats(), uncapped.stats());
         assert_eq!(
             (
                 a.oracle_calls,

@@ -76,10 +76,11 @@ fn assert_equivalent(
     specs: &[UpdateSpec],
     d: usize,
     rebuild: impl Fn(Dataset) -> FairRanker,
-) {
+) -> Vec<UpdateOutcome> {
+    let mut outcomes = Vec::with_capacity(specs.len());
     for spec in specs {
         let update = materialize(spec, live.dataset(), d);
-        live.update(update).expect("update applies");
+        outcomes.push(live.update(update).expect("update applies"));
     }
     let scratch = rebuild(live.dataset().clone());
     for q in query_fan(d, 40) {
@@ -94,6 +95,7 @@ fn assert_equivalent(
             "divergence at {q:?} after {specs:?}"
         );
     }
+    outcomes
 }
 
 proptest! {
@@ -121,8 +123,8 @@ proptest! {
         });
     }
 
-    /// Approximate grid: delta-marked re-search + probe replay +
-    /// recoloring must match a fresh §5 build, cell for cell.
+    /// Approximate grid: every update reports a rebuild, and the rebuilt
+    /// index must match a fresh §5 build, cell for cell.
     #[test]
     fn approx_incremental_matches_rebuild(
         seed in 0u64..1000,
@@ -132,9 +134,8 @@ proptest! {
         let k = 5;
         let opts = BuildOptions {
             n_cells: 120,
-            // No hyperplane truncation: the incremental path requires it
-            // (truncation makes delta marking unsound and falls back to
-            // full rebuilds, which the fallback test below covers).
+            // Uncapped here; the capped build is covered by
+            // `approx_truncated_build_falls_back_to_rebuild` below.
             max_hyperplanes: None,
             ..Default::default()
         };
@@ -143,7 +144,7 @@ proptest! {
             .approx_options(opts.clone())
             .build()
             .unwrap();
-        assert_equivalent(live, &specs, 3, |final_ds| {
+        let outcomes = assert_equivalent(live, &specs, 3, |final_ds| {
             let oracle = oracle_for(&final_ds, k, 3);
             FairRanker::builder(final_ds, Box::new(oracle))
                 .strategy(Strategy::MdApprox)
@@ -151,6 +152,7 @@ proptest! {
                 .build()
                 .unwrap()
         });
+        prop_assert!(outcomes.iter().all(|o| *o == UpdateOutcome::Rebuilt));
     }
 
     /// Exact regions: the rebuild every update pays must match a fresh
@@ -305,8 +307,8 @@ fn md_exact_coalesces_and_flushes() {
 
 #[test]
 fn approx_truncated_build_falls_back_to_rebuild() {
-    // With max_hyperplanes set, delta marking is unsound, so the grid
-    // backend must take the (still bit-identical) full-rebuild path.
+    // A capped grid rebuilds with its cap on every update, like every
+    // grid, and answers like a scratch build with the same cap.
     let ds = generic::uniform(20, 3, 0.85, 17);
     let opts = BuildOptions {
         n_cells: 100,

@@ -420,3 +420,43 @@ fn exact_replica_rebuilds_with_the_writers_options() {
         );
     }
 }
+
+/// A replica decoded from a capped grid writer's bytes rebuilds with the
+/// writer's `BuildOptions` on its first update, so both answer a 40×40
+/// angle grid alike. (With the options unpersisted, the replica rebuilt
+/// uncapped and answered 48 of the 1,600 queries differently.)
+#[test]
+fn grid_replica_rebuilds_with_the_writers_options() {
+    let ds = generic::uniform(24, 3, 0.9, 5);
+    let attr = ds.type_attribute("group").unwrap();
+    let oracle = Proportionality::new(attr, 6).with_max_count(0, 3);
+    let mut writer = FairRanker::builder(ds.clone(), Box::new(oracle.clone()))
+        .strategy(Strategy::MdApprox)
+        .approx_options(BuildOptions {
+            n_cells: 150,
+            max_hyperplanes: Some(60),
+            ..Default::default()
+        })
+        .build()
+        .unwrap();
+    let mut replica =
+        FairRanker::from_bytes(&writer.to_bytes(), ds.clone(), Box::new(oracle.clone())).unwrap();
+    for ranker in [&mut writer, &mut replica] {
+        let (scores, groups) = (vec![0.7, 0.2, 0.6], vec![0]);
+        ranker
+            .update(DatasetUpdate::Insert { scores, groups })
+            .unwrap();
+    }
+    let at = |i: usize| (i as f64 + 0.5) / 40.0 * HALF_PI;
+    let differing = (0..40 * 40)
+        .filter(|&c| {
+            let q = fairrank_geometry::polar::to_cartesian(1.0, &[at(c / 40), at(c % 40)]);
+            let req = SuggestRequest::new(q);
+            replica.respond(&req).unwrap() != writer.respond(&req).unwrap()
+        })
+        .count();
+    assert_eq!(
+        differing, 0,
+        "replica and writer differ on {differing} of 1,600 queries"
+    );
+}

@@ -324,13 +324,13 @@ fn check_partitioned_serving(
     oracle: &(dyn FairnessOracle + 'static),
     boxed: impl Fn() -> Box<dyn FairnessOracle>,
     threads: usize,
-    maintainable: bool,
+    uncapped: bool,
     random: &[(f64, f64)],
     norm_exp: f64,
 ) -> Result<(), TestCaseError> {
     let opts = BuildOptions {
         n_cells: 80,
-        max_hyperplanes: (!maintainable).then_some(120),
+        max_hyperplanes: (!uncapped).then_some(120),
         ..Default::default()
     };
     let mut ranker = FairRanker::builder(ds.clone(), boxed())
@@ -397,18 +397,18 @@ proptest! {
     /// The partitioned "already fair?" check, for a set-based oracle
     /// (`Proportionality`) and a rank-aware one (`PrefixFairness`), on
     /// signed data with duplicate rows, at 1 and 4 build threads, on a
-    /// rebuilt (capped) and a maintained (uncapped) index, after Insert,
-    /// Rescore and Remove updates and after `to_bytes`/`from_bytes`.
+    /// capped and an uncapped index, after Insert, Rescore and Remove
+    /// updates and after `to_bytes`/`from_bytes`.
     #[test]
     fn partitioned_oracle_pass_matches_full_ranking(
         seed in 0u64..1000,
         n in 16usize..30,
         kfrac in 0.2f64..0.6,
-        maintained in 0usize..2,
+        uncapped in 0usize..2,
         random in prop::collection::vec((0.0..HALF_PI, 0.0..HALF_PI), 6),
         norm_exp in -6.0f64..6.0,
     ) {
-        let maintainable = maintained == 1;
+        let uncapped = uncapped == 1;
         let ds = signed_with_duplicates(n, seed);
         let k = ((n as f64 * kfrac).round() as usize).clamp(2, n - 2);
         let group = ds.type_attribute("group").unwrap().clone();
@@ -417,11 +417,11 @@ proptest! {
         for threads in [1usize, 4] {
             let o = set.clone();
             check_partitioned_serving(
-                &ds, &set, || Box::new(o.clone()), threads, maintainable, &random, norm_exp,
+                &ds, &set, || Box::new(o.clone()), threads, uncapped, &random, norm_exp,
             )?;
             let o = sorted.clone();
             check_partitioned_serving(
-                &ds, &sorted, || Box::new(o.clone()), threads, maintainable, &random, norm_exp,
+                &ds, &sorted, || Box::new(o.clone()), threads, uncapped, &random, norm_exp,
             )?;
         }
     }
